@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .config import RunConfig
+from . import world as world_mod
+from .config import ConfigError, RunConfig
 from .executive import (
     BudgetLedger,
     DecisionReason,
@@ -153,7 +154,8 @@ def build_world(spec: EpisodeSpec) -> World:
             if gs.goal_id not in digit_cells:
                 raise GenerationError(f"fixture {spec.fixture} has no goal {gs.goal_id}")
             positions[gs.goal_id] = digit_cells[gs.goal_id]
-        return _assemble(gmap, spec, positions)
+        fields = {g: distance_field(gmap, cell) for g, cell in positions.items()}
+        return _assemble(gmap, spec, positions, fields)
 
     needs_sealed = any(g.feasibility == SEALED for g in spec.goals)
     for _map_attempt in range(8):
@@ -178,29 +180,32 @@ def build_world(spec: EpisodeSpec) -> World:
                     break
                 used_rooms.add(room_idx)
                 positions[gs.goal_id] = cand[rng.randrange(len(cand))]
-            if ok and _separation_ok(gmap, spec, positions):
-                return _assemble(gmap, spec, positions)
+            fields = _separated_fields(gmap, spec, positions) if ok else None
+            if fields is not None:
+                return _assemble(gmap, spec, positions, fields)
     raise GenerationError(
         f"episode {spec.episode_id}: could not satisfy goal separation "
         f">= {spec.min_separation} m after bounded retries"
     )
 
 
-def _separation_ok(gmap: GridMap, spec: EpisodeSpec,
-                   positions: dict[int, tuple[int, int]]) -> bool:
+def _separated_fields(gmap: GridMap, spec: EpisodeSpec,
+                      positions: dict[int, tuple[int, int]]) -> Optional[dict[int, np.ndarray]]:
+    """Distance field to each goal, or None as soon as two goals are
+    closer than the minimum separation."""
     ids = list(positions)
+    fields = {}
     for i, a in enumerate(ids):
-        fa = distance_field(gmap, positions[a])
+        fa = fields[a] = distance_field(gmap, positions[a])
         for b in ids[i + 1:]:
             if fa[positions[b]] < spec.min_separation:  # inf passes
-                return False
-    return True
+                return None
+    return fields
 
 
-def _assemble(gmap: GridMap, spec: EpisodeSpec,
-              positions: dict[int, tuple[int, int]]) -> World:
+def _assemble(gmap: GridMap, spec: EpisodeSpec, positions: dict[int, tuple[int, int]],
+              fields: dict[int, np.ndarray]) -> World:
     goals = {}
-    fields = {}
     pos_m = {}
     for gs in spec.goals:
         cell = positions[gs.goal_id]
@@ -211,7 +216,6 @@ def _assemble(gmap: GridMap, spec: EpisodeSpec,
             detectability=gs.detectability,
             present=(gs.feasibility != ABSENT),
         )
-        fields[gs.goal_id] = distance_field(gmap, cell)
         pos_m[gs.goal_id] = gmap.to_meters(cell)
     sentinel = 2.0 * (gmap.height + gmap.width) * gmap.cell_size
     return World(gmap=gmap, goals=goals, fields=fields,
@@ -379,20 +383,9 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
 
 
 def world_emit(goal, pose, gmap, config: RunConfig, rng, d_raw: float):
-    """Evidence emission with the precomputed geodesic distance."""
-    from .world import emit_evidence
-
-    dist = float(d_raw) if math.isfinite(d_raw) else None
-    if dist is None:
-        # unreachable goal: never in signal range
-        p = config.perception
-        noise = rng.gauss(0.0, p.noise_std) if p.noise_std > 0 else 0.0
-        if p.false_positive_rate > 0 and rng.random() < p.false_positive_rate:
-            score = p.base_noise_mean + p.spike_amplitude + noise
-        else:
-            score = p.base_noise_mean + noise
-        return (max(0.0, min(score, 1.0)), False)
-    return emit_evidence(goal, pose, gmap, config.perception, rng, distance=dist)
+    """Evidence emission with the precomputed geodesic distance (inf when
+    the goal is unreachable)."""
+    return world_mod.emit_evidence(goal, pose, gmap, config.perception, rng, float(d_raw))
 
 
 FAILURE_MODES = ("NO_DETECTION", "ABORTED", "SWITCHED_UNRESOLVED", "FALSE_COMMIT")
@@ -524,11 +517,15 @@ def sweep(specs: list[EpisodeSpec], variant: MethodVariant, parameter: str,
     """Re-run the same episode set at each threshold value (paired
     comparison; seeds and worlds identical throughout)."""
     if parameter not in SWEEP_PARAMETERS:
-        raise ConfigKeyError(
+        raise ConfigError(
             f"unknown sweep parameter {parameter!r}; "
             f"expected one of {sorted(SWEEP_PARAMETERS)}"
         )
     attr = SWEEP_PARAMETERS[parameter]
+    if attr == "grace":
+        for value in values:
+            if not float(value).is_integer():
+                raise ConfigError(f"t_grace must be a whole number of steps, got {value!r}")
     out = []
     for value in values:
         cfg = copy.deepcopy(config)
@@ -537,7 +534,3 @@ def sweep(specs: list[EpisodeSpec], variant: MethodVariant, parameter: str,
         out.append((value, compute_metrics(
             traces, reward=cfg.bench.reward, lambda_cost=cfg.bench.lambda_cost)))
     return out
-
-
-class ConfigKeyError(ValueError):
-    pass

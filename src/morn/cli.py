@@ -15,12 +15,12 @@ import csv
 import json
 import os
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
 from . import bench as bench_mod
 from .bench import (
-    ConfigKeyError,
     EpisodeSpec,
     GoalSpec,
     MethodVariant,
@@ -315,10 +315,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad sweep value: {exc}") from None
     specs = _suite(config, args.episodes)
     workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
-    try:
-        table = run_sweep(specs, variant, args.parameter, values, config, workers=workers)
-    except ConfigKeyError as exc:
-        raise ConfigError(str(exc)) from None
+    table = run_sweep(specs, variant, args.parameter, values, config, workers=workers)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -342,10 +339,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bench":
             return cmd_bench(args)
         return cmd_sweep(args)
-    except (ConfigError, ConfigKeyError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001
+        traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

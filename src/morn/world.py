@@ -9,7 +9,7 @@ intervention.
 
 Fixture maps use a plain-text format, one character per cell:
 '#' = wall, '.' = free, 'S' = spawn, digits 1-9 = goal positions
-(goal cells are free).
+(goal cells are free). The border of every map must be wall.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,9 +34,20 @@ class OccupiedCellError(ValueError):
 
 @dataclass
 class GridMap:
-    cells: np.ndarray  # uint8, WALL/FREE
+    cells: np.ndarray  # uint8, WALL/FREE; the border must be wall
     cell_size: float  # meters per cell
     spawn: Cell
+    # free flags in row-major order (index r * width + c)
+    free: list[bool] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        border = np.ones(self.cells.shape, dtype=bool)
+        border[1:-1, 1:-1] = False
+        open_border = np.argwhere(border & (self.cells == FREE)).tolist()
+        if open_border:
+            raise ValueError(f"map border cell {tuple(open_border[0])} is free; "
+                             "the border must be wall")
+        self.free = (self.cells.ravel() == FREE).tolist()
 
     @property
     def height(self) -> int:
@@ -48,7 +59,7 @@ class GridMap:
 
     def is_free(self, cell: Cell) -> bool:
         r, c = cell
-        return 0 <= r < self.height and 0 <= c < self.width and self.cells[r, c] == FREE
+        return 0 <= r < self.height and 0 <= c < self.width and self.free[r * self.width + c]
 
     def to_meters(self, cell: Cell) -> tuple[float, float]:
         """Cell center in meters, (x, y) = (col, row) scaled."""
@@ -86,7 +97,47 @@ def parse_grid(text: str, cell_size: float = 0.5) -> tuple[GridMap, dict[int, Ce
     return GridMap(cells=cells, cell_size=cell_size, spawn=spawn), goals
 
 
-_NEIGHBORS = ((-1, 0), (1, 0), (0, -1), (0, 1))
+def _search(gmap: GridMap, start: int, stop: Optional[Callable[[int], bool]] = None
+            ) -> tuple[list[int], list[int], Optional[int]]:
+    """Breadth-first search of the free cells from flat index `start`,
+    expanding neighbours up, down, left, right. Returns hop counts (-1 where
+    not reached), parents (`start` is its own) and the first discovered
+    cell that satisfies `stop`, where the search ends (None if none did)."""
+    free = gmap.free
+    w = gmap.width
+    dist = [-1] * len(free)
+    parent = [-1] * len(free)
+    dist[start] = 0
+    parent[start] = start
+    q = deque([start])
+    while q:
+        cur = q.popleft()
+        d = dist[cur] + 1
+        for nxt in (cur - w, cur + w, cur - 1, cur + 1):
+            if free[nxt] and dist[nxt] < 0:
+                dist[nxt] = d
+                parent[nxt] = cur
+                if stop is not None and stop(nxt):
+                    return dist, parent, nxt
+                q.append(nxt)
+    return dist, parent, None
+
+
+def _path(gmap: GridMap, start: Cell, stop: Callable[[int], bool]) -> Optional[list[Cell]]:
+    """Shortest path from start (exclusive) to the nearest cell matching
+    `stop`, or None if none is reachable."""
+    if not gmap.is_free(start):
+        raise OccupiedCellError(f"start cell {start} is not free")
+    w = gmap.width
+    _, parent, cell = _search(gmap, start[0] * w + start[1], stop)
+    if cell is None:
+        return None
+    path = []
+    while parent[cell] != cell:
+        path.append(divmod(cell, w))
+        cell = parent[cell]
+    path.reverse()
+    return path
 
 
 def distance_field(gmap: GridMap, target: Cell) -> np.ndarray:
@@ -94,28 +145,18 @@ def distance_field(gmap: GridMap, target: Cell) -> np.ndarray:
     the 4-connected free grid; inf where disconnected or walled."""
     if not gmap.is_free(target):
         raise OccupiedCellError(f"target cell {target} is not free")
-    h, w = gmap.cells.shape
-    dist = np.full((h, w), np.inf, dtype=np.float64)
-    dist[target] = 0.0
-    free = gmap.cells
-    q = deque([target])
-    while q:
-        r, c = q.popleft()
-        d = dist[r, c] + 1.0
-        for dr, dc in _NEIGHBORS:
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < h and 0 <= nc < w and free[nr, nc] == FREE and dist[nr, nc] == np.inf:
-                dist[nr, nc] = d
-                q.append((nr, nc))
-    return dist * gmap.cell_size
+    dist, _, _ = _search(gmap, target[0] * gmap.width + target[1])
+    hops = np.array(dist, dtype=np.float64).reshape(gmap.cells.shape)
+    return np.where(hops < 0, np.inf, hops * gmap.cell_size)
 
 
 def geodesic_distance(gmap: GridMap, start: Cell, goal: Cell) -> float:
     """Shortest-path length in meters between two free cells; inf if
     disconnected."""
-    if not gmap.is_free(start):
-        raise OccupiedCellError(f"start cell {start} is not free")
-    return float(distance_field(gmap, goal)[start])
+    if not gmap.is_free(goal):
+        raise OccupiedCellError(f"target cell {goal} is not free")
+    path = bfs_path(gmap, start, goal)
+    return math.inf if path is None else len(path) * gmap.cell_size
 
 
 def bfs_path(gmap: GridMap, start: Cell, target: Cell) -> Optional[list[Cell]]:
@@ -123,26 +164,8 @@ def bfs_path(gmap: GridMap, start: Cell, target: Cell) -> Optional[list[Cell]]:
     start), or None if unreachable."""
     if start == target:
         return []
-    h, w = gmap.cells.shape
-    free = gmap.cells
-    parent: dict[Cell, Cell] = {start: start}
-    q = deque([start])
-    while q:
-        cur = q.popleft()
-        r, c = cur
-        for dr, dc in _NEIGHBORS:
-            nxt = (r + dr, c + dc)
-            nr, nc = nxt
-            if 0 <= nr < h and 0 <= nc < w and free[nr, nc] == FREE and nxt not in parent:
-                parent[nxt] = cur
-                if nxt == target:
-                    path = [nxt]
-                    while parent[path[-1]] != path[-1]:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path[1:]
-                q.append(nxt)
-    return None
+    t = target[0] * gmap.width + target[1]
+    return _path(gmap, start, lambda i: i == t) if gmap.is_free(target) else None
 
 
 def line_of_sight(gmap: GridMap, a: Cell, b: Cell) -> bool:
@@ -202,7 +225,7 @@ def emit_evidence(
     gmap: GridMap,
     params: PerceptionParams,
     rng: random.Random,
-    distance: Optional[float] = None,
+    distance: float,
 ) -> tuple[float, bool]:
     """One evidence score in [0, 1] for the active goal from the current
     pose. Returns (score, detected).
@@ -213,8 +236,8 @@ def emit_evidence(
     noisy baseline. Otherwise the baseline is emitted, occasionally
     replaced by a one-step false-positive spike.
 
-    `distance` is the precomputed geodesic distance from pose to the
-    goal; it is computed on the fly when omitted.
+    `distance` is the geodesic distance in meters from pose to the goal,
+    inf when the goal is unreachable.
     """
     if not gmap.is_free(pose):
         raise OccupiedCellError(f"pose {pose} is not free")
@@ -222,12 +245,8 @@ def emit_evidence(
     noise = rng.gauss(0.0, p.noise_std) if p.noise_std > 0 else 0.0
 
     detected = False
-    if goal.present:
-        if distance is None:
-            distance = geodesic_distance(gmap, pose, goal.position)
-        if distance <= p.signal_range and line_of_sight(gmap, pose, goal.position):
-            if rng.random() < goal.detectability:
-                detected = True
+    if goal.present and distance <= p.signal_range and line_of_sight(gmap, pose, goal.position):
+        detected = rng.random() < goal.detectability
 
     if detected:
         score = p.base_noise_mean + p.signal_amplitude * math.exp(-distance / p.signal_range) + noise
@@ -263,7 +282,9 @@ class Navigator:
         self.pose: Cell = gmap.spawn
         self.mode = NavigatorMode.EXPLORE
         self.believed_target: Optional[Cell] = None
-        self.visited = np.zeros_like(gmap.cells, dtype=bool)
+        # coverage flags indexed like gmap.free, marked through a 2-D view
+        self.visited = bytearray(gmap.cells.size)
+        self._visited_grid = np.frombuffer(self.visited, dtype=bool).reshape(gmap.cells.shape)
         self.sense_radius = sense_radius
         self.approach_trigger = params.base_noise_mean + params.signal_amplitude / 2.0
         self._path: deque[Cell] = deque()
@@ -275,7 +296,7 @@ class Navigator:
     def begin_goal_context(self) -> None:
         """Fresh search for a newly activated goal: coverage, mode and
         any believed target are reset; the pose is kept."""
-        self.visited[:] = False
+        self._visited_grid[:] = False
         self.mode = NavigatorMode.EXPLORE
         self.believed_target = None
         self._path.clear()
@@ -286,36 +307,18 @@ class Navigator:
 
     def coverage_fraction(self) -> float:
         free = self.gmap.cells == FREE
-        return float(np.count_nonzero(self.visited & free)) / float(np.count_nonzero(free))
+        return float(np.count_nonzero(self._visited_grid & free)) / float(np.count_nonzero(free))
 
     def _mark_visited(self) -> None:
         r, c = self.pose
         s = self.sense_radius
-        self.visited[max(0, r - s): r + s + 1, max(0, c - s): c + s + 1] = True
+        self._visited_grid[max(0, r - s): r + s + 1, max(0, c - s): c + s + 1] = True
 
     def _plan_to_nearest_unvisited(self) -> Optional[list[Cell]]:
         """Shortest path (exclusive of the pose) to the nearest
         reachable unvisited free cell, or None when coverage is done."""
-        h, w = self.gmap.cells.shape
-        free = self.gmap.cells
-        parent: dict[Cell, Cell] = {self.pose: self.pose}
-        q = deque([self.pose])
-        while q:
-            cur = q.popleft()
-            r, c = cur
-            for dr, dc in _NEIGHBORS:
-                nxt = (r + dr, c + dc)
-                nr, nc = nxt
-                if 0 <= nr < h and 0 <= nc < w and free[nr, nc] == FREE and nxt not in parent:
-                    parent[nxt] = cur
-                    if not self.visited[nr, nc]:
-                        path = [nxt]
-                        while parent[path[-1]] != path[-1]:
-                            path.append(parent[path[-1]])
-                        path.reverse()
-                        return path[1:]
-                    q.append(nxt)
-        return None
+        visited = self.visited
+        return _path(self.gmap, self.pose, lambda i: not visited[i])
 
     def observe(self, evidence: float, detected: bool, goal: GoalInstance,
                 rng: random.Random) -> None:
@@ -345,14 +348,9 @@ class Navigator:
         # by false positives latches onto a phantom cell near the pose.
         if detected and goal.present:
             return goal.position
-        candidates = []
         r, c = self.pose
-        h, w = self.gmap.cells.shape
-        for dr in range(-6, 7):
-            for dc in range(-6, 7):
-                nr, nc = r + dr, c + dc
-                if 0 <= nr < h and 0 <= nc < w and self.gmap.cells[nr, nc] == FREE:
-                    candidates.append((nr, nc))
+        candidates = [(r + dr, c + dc) for dr in range(-6, 7) for dc in range(-6, 7)
+                      if self.gmap.is_free((r + dr, c + dc))]
         return candidates[rng.randrange(len(candidates))] if candidates else None
 
     def step(self) -> str:

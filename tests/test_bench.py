@@ -9,7 +9,6 @@ from morn.bench import (
     ABSENT,
     FEASIBLE,
     SEALED,
-    ConfigKeyError,
     EpisodeSpec,
     EpisodeTrace,
     GoalOutcome,
@@ -23,7 +22,7 @@ from morn.bench import (
     run_suite,
     sweep,
 )
-from morn.config import RunConfig, load_config
+from morn.config import ConfigError, RunConfig, load_config
 from morn.executive import GoalState, InvalidCallError, MethodVariant
 
 CFG = load_config()
@@ -285,7 +284,7 @@ class TestSuiteAndSweep:
             assert a.total_steps == b.total_steps
 
     def test_unknown_parameter_rejected(self):
-        with pytest.raises(ConfigKeyError):
+        with pytest.raises(ConfigError):
             sweep(small_suite(1, 0), MethodVariant.MORN_FULL, "tau_x", [0.1], CFG)
 
     def test_single_value_sweep_matches_direct_run(self):
@@ -303,3 +302,7 @@ class TestSuiteAndSweep:
         specs = small_suite(1, 0)
         table = sweep(specs, MethodVariant.MORN_FULL, "t_grace", [0.0], CFG)
         assert len(table) == 1
+
+    def test_fractional_grace_sweep_rejected(self):
+        with pytest.raises(ConfigError, match="10.5"):
+            sweep(small_suite(1, 0), MethodVariant.MORN_FULL, "t_grace", [10, 10.5], CFG)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from morn import cli
 from morn.cli import main
 
 FAST = ["--set", "bench.count_k2=4", "--set", "bench.count_k3=2"]
@@ -121,3 +122,15 @@ class TestEnvironment:
                      "--out", out_dir(tmp_path, "b")]) == 0
         summary = json.loads((tmp_path / "b" / "summary.json").read_text())
         assert summary["episodes"] == 2
+
+
+class TestErrors:
+    def test_internal_error_prints_traceback(self, tmp_path, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_run", boom)
+        assert main(["run", "--fixture", "trivial", "--out", out_dir(tmp_path, "a")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: boom" in err
+        assert err.rstrip().endswith("internal error: boom")

@@ -94,6 +94,10 @@ class TestParseGrid:
         with pytest.raises(ValueError):
             parse_grid("###\n#S?\n###")
 
+    def test_free_border_cell_rejected(self):
+        with pytest.raises(ValueError, match=r"border cell \(1, 4\) is free"):
+            parse_grid("#####\n#S...\n#####")
+
     def test_fixtures_parse(self):
         for name in ("trivial", "open", "two_room", "sealed", "maze"):
             gmap, goals = parse_grid(load_fixture(name))
@@ -147,6 +151,11 @@ class TestGeodesic:
                     if math.isfinite(dac) and math.isfinite(dcb):
                         assert dab <= dac + dcb + 1e-9
 
+    def test_bfs_path_tie_break_is_up_down_left_right(self):
+        gmap, goals = parse_grid(OPEN_MAP)
+        assert bfs_path(gmap, gmap.spawn, goals[1]) == [
+            (2, 1), (3, 1), (3, 2), (3, 3), (3, 4)]
+
     def test_bfs_path_is_shortest_and_connected(self):
         rng = random.Random(9)
         gmap, free = random_map(rng, wall_p=0.25)
@@ -186,8 +195,9 @@ class TestEmitEvidence:
         goal = GoalInstance(1, "mug", goals[1], present=False)
         params = PerceptionParams(noise_std=0.0, false_positive_rate=0.0)
         rng = random.Random(0)
+        d = geodesic_distance(gmap, (1, 1), goals[1])
         for _ in range(20):
-            score, detected = emit_evidence(goal, (1, 1), gmap, params, rng)
+            score, detected = emit_evidence(goal, (1, 1), gmap, params, rng, d)
             assert score == params.base_noise_mean
             assert not detected
 
@@ -195,7 +205,7 @@ class TestEmitEvidence:
         gmap, goals = parse_grid(OPEN_MAP)
         goal = GoalInstance(1, "mug", goals[1], detectability=1.0)
         params = PerceptionParams(noise_std=0.0, false_positive_rate=0.0)
-        score, detected = emit_evidence(goal, goals[1], gmap, params, random.Random(0))
+        score, detected = emit_evidence(goal, goals[1], gmap, params, random.Random(0), 0.0)
         assert detected
         expected = min(params.base_noise_mean + params.signal_amplitude, 1.0)
         assert score == pytest.approx(expected, abs=1e-9)
@@ -205,8 +215,9 @@ class TestEmitEvidence:
         goal = GoalInstance(1, "mug", goals[1])
         params = PerceptionParams()
         rng = random.Random(3)
+        d = geodesic_distance(gmap, (2, 2), goals[1])
         for _ in range(500):
-            score, _ = emit_evidence(goal, (2, 2), gmap, params, rng)
+            score, _ = emit_evidence(goal, (2, 2), gmap, params, rng, d)
             assert 0.0 <= score <= 1.0
 
     def test_out_of_range_never_detects(self):
@@ -214,16 +225,18 @@ class TestEmitEvidence:
         gmap, goals = parse_grid(corridor, cell_size=0.5)
         goal = GoalInstance(1, "mug", goals[1], detectability=1.0)
         params = PerceptionParams(noise_std=0.0, false_positive_rate=0.0)
-        score, detected = emit_evidence(goal, (1, 1), gmap, params, random.Random(0))
+        d = geodesic_distance(gmap, (1, 1), goals[1])
+        score, detected = emit_evidence(goal, (1, 1), gmap, params, random.Random(0), d)
         assert not detected and score == params.base_noise_mean
 
     def test_deterministic_given_seed(self):
         gmap, goals = parse_grid(OPEN_MAP)
         goal = GoalInstance(1, "mug", goals[1])
         params = PerceptionParams()
-        a = [emit_evidence(goal, (2, 2), gmap, params, random.Random(8))
+        d = geodesic_distance(gmap, (2, 2), goals[1])
+        a = [emit_evidence(goal, (2, 2), gmap, params, random.Random(8), d)
              for _ in range(1)]
-        b = [emit_evidence(goal, (2, 2), gmap, params, random.Random(8))
+        b = [emit_evidence(goal, (2, 2), gmap, params, random.Random(8), d)
              for _ in range(1)]
         assert a == b
 
@@ -231,7 +244,19 @@ class TestEmitEvidence:
         gmap, goals = parse_grid(OPEN_MAP)
         goal = GoalInstance(1, "mug", goals[1])
         with pytest.raises(OccupiedCellError):
-            emit_evidence(goal, (0, 0), gmap, PerceptionParams(), random.Random(0))
+            emit_evidence(goal, (0, 0), gmap, PerceptionParams(), random.Random(0), math.inf)
+
+    def test_unreachable_goal_draws_like_absent_goal(self):
+        # inf distance: no detectability draw, so the noise and
+        # false-positive stream is exactly that of an absent goal
+        gmap, goals = parse_grid(OPEN_MAP)
+        present = GoalInstance(1, "mug", goals[1], detectability=1.0)
+        absent = GoalInstance(1, "mug", goals[1], present=False)
+        params = PerceptionParams(false_positive_rate=0.3)
+        ra, rb = random.Random(4), random.Random(4)
+        for _ in range(50):
+            assert emit_evidence(present, (1, 1), gmap, params, ra, math.inf) == \
+                emit_evidence(absent, (1, 1), gmap, params, rb, math.inf)
 
 
 class TestNavigator:
@@ -276,6 +301,7 @@ class TestNavigator:
         gmap, goals = parse_grid(load_fixture("two_room"))
         goal = GoalInstance(1, "mug", goals[1])
         params = PerceptionParams()
+        field = distance_field(gmap, goal.position)
 
         def poses(n):
             nav = Navigator(gmap, params)
@@ -283,12 +309,20 @@ class TestNavigator:
             out = []
             for _ in range(n):
                 nav.step()
-                score, detected = emit_evidence(goal, nav.pose, gmap, params, rng)
+                score, detected = emit_evidence(goal, nav.pose, gmap, params, rng,
+                                                float(field[nav.pose]))
                 nav.observe(score, detected, goal, rng)
                 out.append(nav.pose)
             return out
 
         assert poses(120) == poses(120)
+
+    def test_first_frontier_plan_tie_break(self):
+        # two unvisited cells lie 3 steps from the spawn (2, 3): (5, 3)
+        # straight down and (2, 6) to the right; down is expanded first
+        gmap, _ = parse_grid(load_fixture("two_room"))
+        nav = Navigator(gmap, PerceptionParams())
+        assert nav._plan_to_nearest_unvisited() == [(3, 3), (4, 3), (5, 3)]
 
     def test_goal_context_reset(self):
         gmap, _ = parse_grid(load_fixture("open"))
