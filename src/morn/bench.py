@@ -9,7 +9,6 @@ same worlds and the same perception noise stream (paired comparison).
 
 from __future__ import annotations
 
-import copy
 import math
 import random
 from collections import namedtuple
@@ -468,38 +467,34 @@ def run_suite(specs: list[EpisodeSpec], variants: list[MethodVariant],
     """Run every variant over every spec. Worlds are built once per spec
     and shared across variants; results are keyed and ordered so the
     output is independent of scheduling."""
+    arms = [(v, config) for v in variants]
+    return dict(zip(variants, _run_arms(specs, arms, record_steps, workers)))
+
+
+def _run_arms(specs: list[EpisodeSpec], arms: list[tuple[MethodVariant, RunConfig]],
+              record_steps: bool, workers: int) -> list[list[EpisodeTrace]]:
+    """One trace list per arm, a (variant, config) pair, in spec order. Each
+    spec's world is built once and shared by all arms (`run` only reads it);
+    with `workers` > 1 one process pool runs one job per spec, all arms."""
     if workers > 1:
-        return _run_suite_parallel(specs, variants, config, record_steps, workers)
-    out: dict[MethodVariant, list[EpisodeTrace]] = {v: [] for v in variants}
-    for spec in specs:
-        world = build_world(spec)
-        for v in variants:
-            out[v].append(run(spec, v, config, world=world, record_steps=record_steps))
-    return out
+        from concurrent.futures import ProcessPoolExecutor
+
+        jobs = [(spec, arms, record_steps) for spec in specs]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_spec = [traces for _, traces in pool.map(_run_one, jobs, chunksize=8)]
+    else:
+        per_spec = [_run_spec(spec, arms, record_steps) for spec in specs]
+    return [[traces[i] for traces in per_spec] for i in range(len(arms))]
+
+
+def _run_spec(spec, arms, record_steps):
+    world = build_world(spec)
+    return [run(spec, v, cfg, world=world, record_steps=record_steps) for v, cfg in arms]
 
 
 def _run_one(args):
-    spec, variants, config, record_steps = args
-    world = build_world(spec)
-    return spec.episode_id, [
-        run(spec, v, config, world=world, record_steps=record_steps) for v in variants
-    ]
-
-
-def _run_suite_parallel(specs, variants, config, record_steps, workers):
-    from concurrent.futures import ProcessPoolExecutor
-
-    jobs = [(spec, variants, config, record_steps) for spec in specs]
-    results = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for ep_id, traces in pool.map(_run_one, jobs, chunksize=8):
-            results[ep_id] = traces
-    out: dict[MethodVariant, list[EpisodeTrace]] = {v: [] for v in variants}
-    for spec in specs:  # canonical order regardless of completion order
-        traces = results[spec.episode_id]
-        for v, tr in zip(variants, traces):
-            out[v].append(tr)
-    return out
+    """Pool task (serial runs call `_run_spec`): one spec, every arm."""
+    return args[0].episode_id, _run_spec(*args)
 
 
 SWEEP_PARAMETERS = {
@@ -514,23 +509,27 @@ SWEEP_PARAMETERS = {
 def sweep(specs: list[EpisodeSpec], variant: MethodVariant, parameter: str,
           values: list[float], config: RunConfig,
           workers: int = 1) -> list[tuple[float, MetricsReport]]:
-    """Re-run the same episode set at each threshold value (paired
-    comparison; seeds and worlds identical throughout)."""
+    """Re-run the same episodes at each value (paired: each spec's world is
+    built once and shared by every value, one process pool serves the whole
+    sweep, and the rows do not depend on `workers`). Swept thresholds are
+    range-checked up front; the calibration floor is not applied."""
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(
             f"unknown sweep parameter {parameter!r}; "
             f"expected one of {sorted(SWEEP_PARAMETERS)}"
         )
     attr = SWEEP_PARAMETERS[parameter]
-    if attr == "grace":
-        for value in values:
-            if not float(value).is_integer():
-                raise ConfigError(f"t_grace must be a whole number of steps, got {value!r}")
-    out = []
+    arms = []
     for value in values:
-        cfg = copy.deepcopy(config)
-        setattr(cfg.thresholds, attr, int(value) if attr == "grace" else value)
-        traces = run_suite(specs, [variant], cfg, workers=workers)[variant]
-        out.append((value, compute_metrics(
-            traces, reward=cfg.bench.reward, lambda_cost=cfg.bench.lambda_cost)))
-    return out
+        if attr == "grace" and not float(value).is_integer():
+            raise ConfigError(f"t_grace must be a whole number of steps, got {value!r}")
+        swept = int(value) if attr == "grace" else value
+        thresholds = replace(config.thresholds, **{attr: swept})
+        try:
+            thresholds.validate()
+        except ValueError as exc:
+            raise ConfigError(f"sweep {parameter}={value!r}: {exc}") from None
+        arms.append((variant, replace(config, thresholds=thresholds)))
+    bp = config.bench
+    return [(value, compute_metrics(traces, reward=bp.reward, lambda_cost=bp.lambda_cost))
+            for value, traces in zip(values, _run_arms(specs, arms, False, workers))]

@@ -1,10 +1,12 @@
 """Tests for episode generation, the closed-loop runner and metrics."""
 
+import copy
 import math
 import random
 
 import pytest
 
+import morn.bench as bench_mod
 from morn.bench import (
     ABSENT,
     FEASIBLE,
@@ -287,16 +289,44 @@ class TestSuiteAndSweep:
         with pytest.raises(ConfigError):
             sweep(small_suite(1, 0), MethodVariant.MORN_FULL, "tau_x", [0.1], CFG)
 
-    def test_single_value_sweep_matches_direct_run(self):
-        specs = small_suite(2, 0)
-        table = sweep(specs, MethodVariant.MORN_FULL, "tau_c",
-                      [CFG.thresholds.commit], CFG)
-        direct = compute_metrics(run_suite(specs, [MethodVariant.MORN_FULL],
-                                           CFG)[MethodVariant.MORN_FULL])
-        assert len(table) == 1
-        value, report = table[0]
-        assert value == CFG.thresholds.commit
-        assert report.cr == direct.cr and report.wsf == direct.wsf
+    def test_sweep_rows_match_direct_runs(self):
+        specs = small_suite(2, 1)
+        values = [0.5, CFG.thresholds.commit, 0.7]
+        table = sweep(specs, MethodVariant.MORN_FULL, "tau_c", values, CFG)
+        assert [value for value, _ in table] == values
+        for value, report in table:
+            cfg = copy.deepcopy(CFG)
+            cfg.thresholds.commit = value  # 0.5 is below the calibration floor
+            direct = run_suite(specs, [MethodVariant.MORN_FULL], cfg)
+            assert report == compute_metrics(direct[MethodVariant.MORN_FULL])
+
+    def test_sweep_builds_each_world_once(self, monkeypatch):
+        built = []
+
+        def counting(spec):
+            built.append(spec.episode_id)
+            return build_world(spec)
+
+        monkeypatch.setattr(bench_mod, "build_world", counting)
+        sweep(small_suite(3, 0), MethodVariant.MORN_FULL, "tau_c", [0.6, 0.65, 0.7], CFG)
+        assert sorted(built) == [0, 1, 2]
+
+    def test_parallel_sweep_matches_serial(self):
+        specs = small_suite(3, 1)
+        values = [0.55, 0.6, 0.65]
+        serial = sweep(specs, MethodVariant.MORN_FULL, "tau_c", values, CFG)
+        parallel = sweep(specs, MethodVariant.MORN_FULL, "tau_c", values, CFG, workers=2)
+        assert parallel == serial
+
+    @pytest.mark.parametrize("parameter, bad", [("t_grace", -5), ("d_commit", 0.0)])
+    def test_out_of_range_sweep_value_rejected_before_running(self, monkeypatch,
+                                                              parameter, bad):
+        def no_world(spec):
+            raise AssertionError("a world was built before validation")
+
+        monkeypatch.setattr(bench_mod, "build_world", no_world)
+        with pytest.raises(ConfigError, match=f"{parameter}={bad}"):
+            sweep(small_suite(1, 0), MethodVariant.MORN_FULL, parameter, [10, bad], CFG)
 
     def test_zero_grace_sweep_runs(self):
         specs = small_suite(1, 0)

@@ -103,6 +103,12 @@ class TestSweep:
         assert main(["sweep", "--parameter", "tau_c", "--values", ",",
                      *FAST, "--out", out_dir(tmp_path, "s")]) == 2
 
+    def test_negative_grace_is_exit_2(self, tmp_path, capsys):
+        assert main(["sweep", "--parameter", "t_grace", "--values=-5",
+                     *FAST, "--out", out_dir(tmp_path, "s")]) == 2
+        assert "t_grace=-5" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "sweep_t_grace.csv").exists()
+
     def test_sweep_is_byte_stable(self, tmp_path):
         for name in ("s1", "s2"):
             assert main(["sweep", "--parameter", "t_grace", "--values", "10",
