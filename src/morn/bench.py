@@ -22,16 +22,18 @@ from . import world as world_mod
 from .config import ConfigError, RunConfig
 from .executive import (
     BudgetLedger,
-    DecisionReason,
-    GoalState,
+    GoalStatus,
     InvalidCallError,
     MetaAction,
     MethodVariant,
     MissionSchedule,
     allocate,
     apply,
+    below_abort,
+    below_switch,
     decide,
     select_next,
+    streak,
 )
 from .signals import RollingWindow, SignalSample, update
 from .states import MetaStateVector, SunkCost, persistence_gate, potentiality, sufficiency
@@ -227,26 +229,12 @@ StepRecord = namedtuple(
 )
 
 
-@dataclass
-class GoalOutcome:
-    goal_id: int
-    state: GoalState
-    spent: int
-    switch_count: int
-    committed: bool = False
-    found: bool = False
-    commit_distance: Optional[float] = None
-    aborted_by_meta: bool = False
-    gate_switches: int = 0
-    cap_hits: int = 0
-
-
 @dataclass(eq=False)
 class EpisodeTrace:
     spec: EpisodeSpec
     variant: MethodVariant
     steps: list[StepRecord]
-    outcomes: dict[int, GoalOutcome]
+    outcomes: dict[int, GoalStatus]  # the schedule's goal records
     total_steps: int
     commit_sequence: list[int]  # goal ids in true-completion order
 
@@ -283,15 +271,10 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
     thresholds = config.thresholds
     weights = config.weights
     sigpar = config.signal
-    abort_level = thresholds.abort_level()
-    switch_level = thresholds.switch_level()
     success_radius = config.bench.success_radius
 
     steps: list[StepRecord] = []
     commit_sequence: list[int] = []
-    events: dict[int, GoalOutcome] = {
-        g: GoalOutcome(g, GoalState.PENDING, 0, 0) for g in order
-    }
     abort_streak = 0
     switch_streak = 0
 
@@ -322,11 +305,9 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
         sigma = sufficiency(evidence, summary.stability, d, weights)
         states = MetaStateVector(pi, gamma, sigma)
 
-        # Streaks only accumulate once the grace period has elapsed, so the
-        # earliest teardown sits a full patience run beyond the grace window.
-        post_grace = ledger.active_spent >= thresholds.grace
-        abort_streak = abort_streak + 1 if (post_grace and pi < abort_level) else 0
-        switch_streak = switch_streak + 1 if (post_grace and gamma < switch_level) else 0
+        spent = ledger.active_spent
+        abort_streak = streak(abort_streak, below_abort(states, thresholds), spent, thresholds)
+        switch_streak = streak(switch_streak, below_switch(states, thresholds), spent, thresholds)
 
         open_ids = schedule.open_ids()
         decision = decide(states, d, ledger, thresholds, variant,
@@ -337,26 +318,13 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
                                     decision.action.value, decision.reason.value))
 
         if decision.action is not MetaAction.PERSIST:
-            ev = events[gid]
             if decision.action is MetaAction.COMMIT:
-                ev.committed = True
-                ev.commit_distance = d
-                ev.found = bool(goal.present and d_raw <= success_radius)
-                if ev.found:
+                status = schedule.goals[gid]
+                status.commit_distance = d
+                status.found = bool(goal.present and d_raw <= success_radius)
+                if status.found:
                     commit_sequence.append(gid)
-            elif decision.action is MetaAction.ABORT:
-                if decision.reason is DecisionReason.LOW_POTENTIALITY:
-                    ev.aborted_by_meta = True
-                else:
-                    ev.cap_hits += 1
-            else:
-                if decision.reason is DecisionReason.GATE_CLOSED:
-                    ev.gate_switches += 1
-                else:
-                    ev.cap_hits += 1
-
-            agent_m = gmap.to_meters(pose)
-            apply(decision, schedule, ledger, agent_m, world.positions_m, variant)
+            apply(decision, schedule, ledger, gmap.to_meters(pose), world.positions_m, variant)
             window.reset()
             abort_streak = 0
             switch_streak = 0
@@ -364,18 +332,11 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
                 break
             nav.begin_goal_context()
 
-    for g in order:
-        st = schedule.goals[g]
-        ev = events[g]
-        ev.state = st.state
-        ev.spent = st.spent
-        ev.switch_count = st.switch_count
-
     return EpisodeTrace(
         spec=spec,
         variant=variant,
         steps=steps,
-        outcomes=events,
+        outcomes=schedule.goals,
         total_steps=min(ledger.elapsed, spec.budget_max),
         commit_sequence=commit_sequence,
     )

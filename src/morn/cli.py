@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--variants", default=None,
                          help="comma-separated variant list (default: all five)")
     bench_p.add_argument("--episodes", type=int, default=None,
-                         help="scale the suite down to N episodes total")
+                         help="scale the suite down to N >= 1 episodes total")
     bench_p.add_argument("--workers", type=int, default=0,
                          help="parallel episode workers (0 = available parallelism)")
 
@@ -85,8 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated values")
     sweep_p.add_argument("--variant", default="MORN_FULL",
                          choices=[v.value for v in ALL_VARIANTS])
-    sweep_p.add_argument("--episodes", type=int, default=None)
-    sweep_p.add_argument("--workers", type=int, default=0)
+    sweep_p.add_argument("--episodes", type=int, default=None,
+                         help="scale the suite down to N >= 1 episodes total")
+    sweep_p.add_argument("--workers", type=int, default=0,
+                         help="parallel episode workers (0 = available parallelism)")
     return p
 
 
@@ -108,11 +110,21 @@ def _suite(config: RunConfig, episodes: int | None):
     bp = config.bench
     k2, k3 = bp.count_k2, bp.count_k3
     if episodes is not None:
-        total = max(1, episodes)
+        if episodes < 1:
+            raise ConfigError(f"--episodes must be >= 1, got {episodes}")
         frac = k2 / (k2 + k3) if (k2 + k3) else 0.6
-        k2 = round(total * frac)
-        k3 = total - k2
+        k2 = round(episodes * frac)
+        k3 = episodes - k2
+    if k2 + k3 == 0:
+        raise ConfigError("empty benchmark suite")
     return generate(k2, k3, bp.master_seed, config)
+
+
+def _workers(args) -> int:
+    if args.workers < 0:
+        raise ConfigError(f"--workers must be >= 0 (0 = available parallelism), "
+                          f"got {args.workers}")
+    return args.workers or os.cpu_count() or 1
 
 
 def _parse_variants(raw: str | None) -> list[MethodVariant]:
@@ -247,10 +259,7 @@ def cmd_bench(args) -> int:
     config = _load(args)
     variants = _parse_variants(args.variants)
     specs = _suite(config, args.episodes)
-    if not specs:
-        raise ConfigError("empty benchmark suite")
-    workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
-    results = run_suite(specs, variants, config, workers=workers)
+    results = run_suite(specs, variants, config, workers=_workers(args))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -314,8 +323,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad sweep value: {exc}") from None
     specs = _suite(config, args.episodes)
-    workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
-    table = run_sweep(specs, variant, args.parameter, values, config, workers=workers)
+    table = run_sweep(specs, variant, args.parameter, values, config, workers=_workers(args))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -82,10 +82,11 @@ _SECTIONS = ("thresholds", "weights", "signal", "perception", "world", "bench")
 
 def _coerce(raw: str, template: Any) -> Any:
     raw = raw.strip()
-    if template is None or isinstance(template, float):
-        if raw.lower() in ("none", ""):
-            return None
-        return float(raw)
+    if isinstance(template, float):
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError("not a finite number")
+        return value
     if isinstance(template, bool):
         if raw.lower() in ("true", "1", "yes"):
             return True

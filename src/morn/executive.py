@@ -14,7 +14,7 @@ applies directly to the raw sufficiency blend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -97,10 +97,18 @@ class GoalState(Enum):
 
 @dataclass
 class GoalStatus:
+    """One goal's record. `apply` writes the executive's fields; the
+    runner writes the ground truth (`found`, `commit_distance`) at commit."""
+
     goal_id: int
     state: GoalState = GoalState.PENDING
     spent: int = 0
     switch_count: int = 0
+    committed: bool = False
+    found: bool = False
+    commit_distance: Optional[float] = None
+    aborted_by_meta: bool = False  # retired by the low-potentiality branch
+    gate_switches: int = 0  # switched away by the persistence gate
 
 
 @dataclass
@@ -116,7 +124,6 @@ class ExecutiveDecision:
     action: MetaAction
     states: MetaStateVector
     reason: DecisionReason
-    next_goal: Optional[int] = None
 
 
 class MissionSchedule:
@@ -161,6 +168,25 @@ def allocate(budget: BudgetLedger, remaining_goals: int,
     return min(hi, max(share, lo))
 
 
+def below_abort(states: MetaStateVector, thresholds: Thresholds) -> bool:
+    """The abort branch's condition: potentiality under the abort level."""
+    return states.potentiality < thresholds.abort_level()
+
+
+def below_switch(states: MetaStateVector, thresholds: Thresholds) -> bool:
+    """The switch branch's condition: the gate under the switch level."""
+    return states.persistence < thresholds.switch_level()
+
+
+def streak(count: int, below: bool, spent: int, thresholds: Thresholds) -> int:
+    """The patience streak rule, `count` being the streak before this
+    step: a step counts once it is past grace and below the branch's
+    level, any other step resets the streak to 0. Every intervention
+    resets it too. `decide` fires a branch once its streak, this step
+    included, reaches the patience."""
+    return count + 1 if below and spent >= thresholds.grace else 0
+
+
 def decide(
     states: MetaStateVector,
     distance: float,
@@ -182,8 +208,8 @@ def decide(
     """
     spent = ledger.active_spent
     in_grace = spent < thresholds.grace
-    abort_wants = states.potentiality < thresholds.abort_level()
-    switch_wants = states.persistence < thresholds.switch_level()
+    abort_wants = below_abort(states, thresholds)
+    switch_wants = below_switch(states, thresholds)
 
     if spent >= ledger.allocation:
         action = MetaAction.ABORT if remaining_count <= 1 else MetaAction.SWITCH
@@ -255,7 +281,8 @@ def apply(
     goal_positions: dict[int, tuple[float, float]],
     variant: MethodVariant,
 ) -> Optional[int]:
-    """Apply the decision to the schedule and ledger.
+    """Apply the decision to the schedule and ledger: the one place where
+    a meta-action changes a goal's record.
 
     Non-persist actions retire or recycle the active goal, recompute the
     subgoal allocation from the remaining budget and activate the next
@@ -270,16 +297,19 @@ def apply(
     active = schedule.active
     if decision.action is MetaAction.COMMIT:
         active.state = GoalState.COMPLETED
+        active.committed = True
     elif decision.action is MetaAction.ABORT:
         active.state = GoalState.FAILED
+        active.aborted_by_meta = decision.reason is DecisionReason.LOW_POTENTIALITY
     else:
         active.state = GoalState.PENDING
         active.switch_count += 1
+        if decision.reason is DecisionReason.GATE_CLOSED:
+            active.gate_switches += 1
     schedule.active_id = None
 
     remaining = schedule.pending_ids()
     if not remaining:
-        decision.next_goal = None
         return None
 
     candidates = [g for g in remaining if g != prev_id] or remaining
@@ -291,5 +321,4 @@ def apply(
     ledger.allocation = allocate(ledger, len(remaining))
     ledger.active_spent = 0
     schedule.activate(nxt)
-    decision.next_goal = nxt
     return nxt

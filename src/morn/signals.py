@@ -2,15 +2,14 @@
 
 Everything here is windowed: the caller owns a RollingWindow per goal
 context, pushes one (distance, evidence) sample per step, and reads back
-a SignalSummary with the smoothed score, windowed variance, stability,
+a SignalSummary with the window mean, windowed variance, stability,
 progress velocity and information gain.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 
 class InvalidBoundsError(ValueError):
@@ -37,7 +36,6 @@ class SignalSample:
 @dataclass
 class SignalParams:
     window: int = 5
-    ema_alpha: Optional[float] = None  # None = simple moving average
     sigma_norm: float = 0.001
     epsilon: float = 1e-6
     step_length: float = 0.5  # meters per primitive step
@@ -51,15 +49,12 @@ class SignalParams:
             raise ValueError("epsilon must be positive")
         if self.step_length <= 0:
             raise ValueError("step_length must be positive")
-        if self.ema_alpha is not None and not (0.0 < self.ema_alpha < 1.0):
-            raise ValueError("ema_alpha must be in (0, 1)")
 
 
 @dataclass
 class SignalSummary:
     mean: float = 0.0
     variance: float = 0.0
-    prev_variance: float = 0.0
     stability: float = 1.0
     velocity: float = 0.0
     info_gain: float = 0.0
@@ -67,11 +62,11 @@ class SignalSummary:
 
 class RollingWindow:
     """Fixed-capacity window over the most recent evidence values and
-    distances, with running sums for O(1) variance updates.
+    distances, with running sums for O(1) mean and variance updates.
 
     Also remembers the variance from `capacity` steps ago so that the
     information gain (variance reduction across one full window) can be
-    computed without replaying the stream.
+    read without replaying the stream.
     """
 
     def __init__(self, capacity: int):
@@ -84,7 +79,6 @@ class RollingWindow:
         self._sumsq = 0.0
         self._count_total = 0  # samples seen since last reset
         self._var_history: deque[float] = deque(maxlen=capacity + 1)
-        self._ema: Optional[float] = None
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -96,7 +90,6 @@ class RollingWindow:
         self._sumsq = 0.0
         self._count_total = 0
         self._var_history.clear()
-        self._ema = None
 
     def push(self, evidence: float, distance: float) -> None:
         if len(self.samples) == self.capacity:
@@ -108,27 +101,26 @@ class RollingWindow:
         self._sum += evidence
         self._sumsq += evidence * evidence
         self._count_total += 1
-
-    def mean(self, params: SignalParams) -> float:
         n = len(self.samples)
-        if n == 0:
-            return 0.0
-        if params.ema_alpha is None:
-            return self._sum / n
-        a = params.ema_alpha
-        if self._ema is None:
-            self._ema = self.samples[-1]
-        else:
-            self._ema = a * self._ema + (1.0 - a) * self.samples[-1]
-        return self._ema
-
-    def variance_about(self, m: float) -> float:
-        """Population variance of the window contents about mean m."""
-        n = len(self.samples)
-        if n == 0:
-            return 0.0
+        m = self._sum / n
         v = self._sumsq / n - 2.0 * m * (self._sum / n) + m * m
-        return v if v > 0.0 else 0.0
+        self._var_history.append(v if v > 0.0 else 0.0)
+
+    def mean(self) -> float:
+        """Simple moving average of the window contents."""
+        n = len(self.samples)
+        return self._sum / n if n else 0.0
+
+    def variance(self) -> float:
+        """Population variance of the window contents."""
+        return self._var_history[-1] if self._var_history else 0.0
+
+    def variance_drop(self) -> float:
+        """Variance `capacity` steps ago minus the variance now, once both
+        windows are full; 0 before that."""
+        if self._count_total < 2 * self.capacity:
+            return 0.0
+        return self._var_history[0] - self._var_history[-1]
 
 
 def stability(variance: float, params: SignalParams) -> float:
@@ -161,26 +153,11 @@ def update(window: RollingWindow, sample: SignalSample, params: SignalParams) ->
     statistics. Partial windows are allowed: statistics cover whatever
     samples exist."""
     window.push(sample.evidence, sample.distance)
-    m = window.mean(params)
-    var = window.variance_about(m)
-    window._var_history.append(var)
-
-    # info gain needs the variance from W steps back, with both that
-    # window and the current one full
-    prev_var = 0.0
-    gain = 0.0
-    if (
-        window._count_total >= 2 * window.capacity
-        and len(window._var_history) == window.capacity + 1
-    ):
-        prev_var = window._var_history[0]
-        gain = prev_var - var
-
+    var = window.variance()
     return SignalSummary(
-        mean=m,
+        mean=window.mean(),
         variance=var,
-        prev_variance=prev_var,
         stability=stability(var, params),
         velocity=progress_velocity(window, params),
-        info_gain=gain,
+        info_gain=window.variance_drop(),
     )

@@ -441,7 +441,6 @@ def generate_map(
     edges: list[tuple[int, int, tuple[int, int], tuple[int, int]]] = []
     visited_rooms = {(0, 0)}
     stack = [(0, 0)]
-    all_edges = []
     while stack:
         i, j = stack[-1]
         neigh = [(i + di, j + dj) for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))

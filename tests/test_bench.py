@@ -13,7 +13,6 @@ from morn.bench import (
     SEALED,
     EpisodeSpec,
     EpisodeTrace,
-    GoalOutcome,
     GoalSpec,
     build_world,
     compute_metrics,
@@ -25,7 +24,7 @@ from morn.bench import (
     sweep,
 )
 from morn.config import ConfigError, RunConfig, load_config
-from morn.executive import GoalState, InvalidCallError, MethodVariant
+from morn.executive import GoalState, GoalStatus, InvalidCallError, MethodVariant
 
 CFG = load_config()
 
@@ -48,7 +47,7 @@ def synthetic_trace(found_flags, spents, total_steps, goal_count=None,
                        goals=goals)
     outcomes = {}
     for i, (found, spent) in enumerate(zip(found_flags, spents), start=1):
-        outcomes[i] = GoalOutcome(
+        outcomes[i] = GoalStatus(
             i, GoalState.COMPLETED if found else GoalState.FAILED,
             spent, 0, committed=found, found=found)
     return EpisodeTrace(spec=spec, variant=MethodVariant.MORN_FULL, steps=[],

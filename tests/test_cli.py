@@ -54,6 +54,14 @@ class TestRun:
                      "--out", out_dir(tmp_path, "a")])
         assert code == 2
 
+    @pytest.mark.parametrize("setting", ["thresholds.abort=none", "thresholds.commit=nan"])
+    def test_non_finite_float_is_exit_2(self, tmp_path, capsys, setting):
+        code = main(["run", "--fixture", "trivial", "--set", setting,
+                     "--out", out_dir(tmp_path, "a")])
+        assert code == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
 
 class TestBench:
     def test_csv_schema_and_summary(self, tmp_path):
@@ -84,6 +92,22 @@ class TestBench:
                      "--workers", "1", "--out", out_dir(tmp_path, "b")]) == 0
         summary = json.loads((tmp_path / "b" / "summary.json").read_text())
         assert summary["episodes"] == 5
+
+
+@pytest.mark.parametrize("command", [
+    ["bench", "--variants", "MORN_FULL"],
+    ["sweep", "--parameter", "tau_c", "--values", "0.6"],
+])
+@pytest.mark.parametrize("extra,message", [
+    (["--episodes", "0"], "--episodes must be >= 1"),
+    (["--episodes", "-4"], "--episodes must be >= 1"),
+    (["--workers", "-3"], "--workers must be >= 0"),
+    (["--set", "bench.count_k2=0", "--set", "bench.count_k3=0"], "empty benchmark suite"),
+])
+def test_bad_suite_or_workers_is_exit_2(tmp_path, capsys, command, extra, message):
+    assert main([*command, *FAST, *extra, "--out", out_dir(tmp_path, "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 class TestSweep:

@@ -18,7 +18,6 @@ class TestDefaults:
         assert cfg.thresholds.commit_distance == 3.0
         assert cfg.thresholds.grace == 20
         assert cfg.signal.window == 5
-        assert cfg.signal.ema_alpha is None
         assert cfg.weights.pot_v == 0.4
         assert cfg.weights.gate_gain == 0.5
         assert cfg.weights.acc_stab == 0.4
@@ -41,10 +40,12 @@ class TestOverrides:
     def test_dotted_key_override(self):
         cfg = load_config(overrides={"thresholds.commit": "0.65",
                                      "bench.count_k2": "10",
-                                     "signal.ema_alpha": "0.9"})
+                                     "signal.sigma_norm": "0.002"})
         assert cfg.thresholds.commit == 0.65
         assert cfg.bench.count_k2 == 10
-        assert cfg.signal.ema_alpha == 0.9
+        assert cfg.signal.sigma_norm == 0.002
+        with pytest.raises(ConfigError, match="signal.ema_alpha"):
+            load_config(overrides={"signal.ema_alpha": "0.9"})
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
@@ -57,6 +58,11 @@ class TestOverrides:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
             load_config(overrides={"thresholds.grace": "soon"})
+
+    @pytest.mark.parametrize("raw", ["none", "", "nan", "inf", "-inf"])
+    def test_float_must_be_finite(self, raw):
+        with pytest.raises(ConfigError, match="thresholds.abort"):
+            load_config(overrides={"thresholds.abort": raw})
 
     def test_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"

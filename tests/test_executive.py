@@ -20,9 +20,12 @@ from morn.executive import (
     Thresholds,
     allocate,
     apply,
+    below_abort,
+    below_switch,
     decide,
     select_next,
     select_next_fixed,
+    streak,
 )
 from morn.states import MetaStateVector, sigmoid
 
@@ -184,6 +187,82 @@ class TestDecide:
             assert d.action is MetaAction.PERSIST
 
 
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def streak_cases(draw):
+    """An arbitrary step: states, ledger, valid thresholds, variant, open
+    goal count, the streak before this step and any streak values."""
+    th = Thresholds(abort=draw(st.floats(-3.0, 3.0)), switch=draw(st.floats(-3.0, 3.0)),
+                    commit=draw(unit), commit_distance=draw(st.floats(0.1, 10.0)),
+                    grace=draw(st.integers(0, 60)),
+                    abort_patience=draw(st.integers(1, 80)),
+                    switch_patience=draw(st.integers(1, 80)),
+                    commit_warmup=draw(st.integers(0, 10)))
+    th.validate()
+    # spent near the end of grace half the time, where off-by-one rules differ
+    offset = draw(st.one_of(st.integers(-2, 2), st.integers(-60, 300)))
+    led = ledger(allocation=draw(st.integers(1, 300)), spent=max(0, th.grace + offset))
+    return dict(states=states(draw(unit), draw(unit), draw(unit)),
+                distance=draw(st.floats(0.0, 20.0)), ledger=led, thresholds=th,
+                variant=draw(st.sampled_from(list(MethodVariant))),
+                remaining=draw(st.integers(1, 3)), before=draw(st.integers(0, 100)),
+                other=draw(st.integers(0, 100)))
+
+
+class TestStreakRule:
+    """`streak` (what `run` counts) and `decide` agree on every branch the
+    patience guards."""
+
+    @staticmethod
+    def _decide(c, abort_streak, switch_streak):
+        return decide(c["states"], c["distance"], c["ledger"], c["thresholds"], c["variant"],
+                      remaining_count=c["remaining"],
+                      abort_streak=abort_streak, switch_streak=switch_streak)
+
+    @staticmethod
+    def _streaks(c):
+        th, spent = c["thresholds"], c["ledger"].active_spent
+        return (streak(c["before"], below_abort(c["states"], th), spent, th),
+                streak(c["before"], below_switch(c["states"], th), spent, th))
+
+    @settings(max_examples=400, deadline=None)
+    @given(streak_cases())
+    def test_reset_step_never_fires(self, c):
+        abort_now, switch_now = self._streaks(c)
+        if abort_now == 0:
+            d = self._decide(c, c["other"], c["other"])
+            assert d.reason is not DecisionReason.LOW_POTENTIALITY
+        if switch_now == 0:
+            d = self._decide(c, c["other"], c["other"])
+            assert d.reason is not DecisionReason.GATE_CLOSED
+
+    @settings(max_examples=400, deadline=None)
+    @given(streak_cases())
+    def test_counted_step_fires_at_patience(self, c):
+        th, variant = c["thresholds"], c["variant"]
+        abort_now, switch_now = self._streaks(c)
+        capped = c["ledger"].active_spent >= c["ledger"].allocation
+        if abort_now > 0 and variant.abort_enabled:
+            d = self._decide(c, th.abort_patience, c["other"])
+            assert d.reason is (DecisionReason.SUBGOAL_CAP if capped
+                                else DecisionReason.LOW_POTENTIALITY)
+        if switch_now > 0 and variant.switch_enabled and c["remaining"] > 1:
+            d = self._decide(c, c["other"], th.switch_patience)
+            aborts = (variant.abort_enabled and below_abort(c["states"], th)
+                      and c["other"] >= th.abort_patience)
+            expected = (DecisionReason.SUBGOAL_CAP if capped
+                        else DecisionReason.LOW_POTENTIALITY if aborts
+                        else DecisionReason.GATE_CLOSED)
+            assert d.reason is expected
+
+    def test_intervention_and_grace_reset(self):
+        assert streak(7, True, TH.grace, TH) == 8
+        assert streak(7, False, TH.grace, TH) == 0
+        assert streak(7, True, TH.grace - 1, TH) == 0
+
+
 class TestSelectNext:
     POS = {1: (3.0, 4.0), 2: (6.0, 0.0)}
 
@@ -259,8 +338,20 @@ class TestApply:
         nxt = apply(decision, schedule, self.ledger, (0.0, 0.0), self.POS,
                     MethodVariant.MORN_FULL)
         assert nxt is None
-        assert decision.next_goal is None
         assert schedule.done()
+
+    @pytest.mark.parametrize("action,reason,field,value", [
+        (MetaAction.COMMIT, DecisionReason.EVIDENCE_COMMIT, "committed", True),
+        (MetaAction.ABORT, DecisionReason.LOW_POTENTIALITY, "aborted_by_meta", True),
+        (MetaAction.ABORT, DecisionReason.SUBGOAL_CAP, "aborted_by_meta", False),
+        (MetaAction.SWITCH, DecisionReason.GATE_CLOSED, "gate_switches", 1),
+        (MetaAction.SWITCH, DecisionReason.SUBGOAL_CAP, "gate_switches", 0),
+    ])
+    def test_outcome_fields_follow_action_and_reason(self, action, reason, field, value):
+        apply(self._decision(action, reason), self.schedule, self.ledger,
+              (1.0, 1.0), self.POS, MethodVariant.MORN_FULL)
+        assert getattr(self.schedule.goals[1], field) == value
+        assert not self.schedule.goals[1].found  # ground truth is the runner's
 
     def test_persist_is_a_no_op(self):
         nxt = apply(self._decision(MetaAction.PERSIST), self.schedule, self.ledger,

@@ -109,15 +109,6 @@ class TestUpdate:
         _, second = feed(values, params)
         assert first == second
 
-    def test_ema_mean_follows_recursion(self):
-        params = SignalParams(ema_alpha=0.7)
-        values = [0.1, 0.5, 0.9, 0.3]
-        _, summaries = feed(values, params)
-        ema = values[0]
-        for v in values[1:]:
-            ema = 0.7 * ema + 0.3 * v
-        assert summaries[-1].mean == pytest.approx(ema, abs=TOL)
-
 
 class TestStability:
     def test_zero_variance_is_maximally_stable(self):
@@ -224,8 +215,6 @@ class TestParamsValidation:
         {"sigma_norm": -0.1},
         {"epsilon": 0.0},
         {"step_length": 0.0},
-        {"ema_alpha": 1.0},
-        {"ema_alpha": 0.0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
