@@ -90,13 +90,12 @@ class GenerationError(RuntimeError):
 
 
 def generate(count_k2: int, count_k3: int, master_seed: int,
-             config: Optional[RunConfig] = None) -> list[EpisodeSpec]:
+             config: RunConfig) -> list[EpisodeSpec]:
     """Deterministic episode suite: `count_k2` two-goal episodes followed
     by `count_k3` three-goal episodes, with a configured fraction of
     goals infeasible (absent or sealed)."""
     if count_k2 < 0 or count_k3 < 0:
         raise InvalidCallError("episode counts must be nonnegative")
-    config = config or RunConfig()
     bp = config.bench
     specs: list[EpisodeSpec] = []
     for i in range(count_k2 + count_k3):
@@ -136,11 +135,17 @@ class World:
     goals: dict[int, GoalInstance]
     fields: dict[int, np.ndarray]  # geodesic meters to each goal
     positions_m: dict[int, tuple[float, float]]
-    sentinel: float  # finite stand-in for unreachable distance
+    sentinel: float  # finite stand-in for an infinite (disconnected) distance
 
 
 def load_fixture(name: str) -> str:
-    return resources.files("morn").joinpath(f"fixtures/{name}.txt").read_text()
+    fixtures = resources.files("morn").joinpath("fixtures")
+    path = fixtures.joinpath(f"{name}.txt")
+    if not path.is_file():
+        bundled = sorted(p.name.removesuffix(".txt") for p in fixtures.iterdir()
+                         if p.name.endswith(".txt"))
+        raise ConfigError(f"unknown fixture {name!r}; bundled fixtures: {', '.join(bundled)}")
+    return path.read_text()
 
 
 def build_world(spec: EpisodeSpec) -> World:
@@ -160,28 +165,22 @@ def build_world(spec: EpisodeSpec) -> World:
 
     needs_sealed = any(g.feasibility == SEALED for g in spec.goals)
     for _map_attempt in range(8):
+        # generate_map connects every cell of a non-sealed room to the spawn
         gmap, rooms, sealed_idx = generate_map(rng, spec.world, sealed_room=needs_sealed)
-        reach = distance_field(gmap, gmap.spawn)
         open_rooms = [i for i in range(len(rooms)) if i != sealed_idx]
         for _placement in range(30):
             positions: dict[int, tuple[int, int]] = {}
             used_rooms: set[int] = set()
-            ok = True
             for gs in spec.goals:
                 if gs.feasibility == SEALED:
                     room = rooms[sealed_idx]
-                    positions[gs.goal_id] = room[rng.randrange(len(room))]
-                    continue
-                choices = [i for i in open_rooms if i not in used_rooms] or open_rooms
-                room_idx = choices[rng.randrange(len(choices))]
-                room = rooms[room_idx]
-                cand = [c for c in room if math.isfinite(reach[c])]
-                if not cand:
-                    ok = False
-                    break
-                used_rooms.add(room_idx)
-                positions[gs.goal_id] = cand[rng.randrange(len(cand))]
-            fields = _separated_fields(gmap, spec, positions) if ok else None
+                else:
+                    choices = [i for i in open_rooms if i not in used_rooms] or open_rooms
+                    room_idx = choices[rng.randrange(len(choices))]
+                    room = rooms[room_idx]
+                    used_rooms.add(room_idx)
+                positions[gs.goal_id] = room[rng.randrange(len(room))]
+            fields = _separated_fields(gmap, spec, positions)
             if fields is not None:
                 return _assemble(gmap, spec, positions, fields)
     raise GenerationError(
@@ -232,7 +231,6 @@ StepRecord = namedtuple(
 @dataclass(eq=False)
 class EpisodeTrace:
     spec: EpisodeSpec
-    variant: MethodVariant
     steps: list[StepRecord]
     outcomes: dict[int, GoalStatus]  # the schedule's goal records
     total_steps: int
@@ -334,17 +332,16 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
 
     return EpisodeTrace(
         spec=spec,
-        variant=variant,
         steps=steps,
         outcomes=schedule.goals,
-        total_steps=min(ledger.elapsed, spec.budget_max),
+        total_steps=ledger.elapsed,
         commit_sequence=commit_sequence,
     )
 
 
 def world_emit(goal, pose, gmap, config: RunConfig, rng, d_raw: float):
     """Evidence emission with the precomputed geodesic distance (inf when
-    the goal is unreachable)."""
+    no path leads to the goal)."""
     return world_mod.emit_evidence(goal, pose, gmap, config.perception, rng, float(d_raw))
 
 
@@ -423,34 +420,33 @@ def compute_metrics(traces: list[EpisodeTrace], reward: float = 1.0,
 
 
 def run_suite(specs: list[EpisodeSpec], variants: list[MethodVariant],
-              config: RunConfig, record_steps: bool = False,
-              workers: int = 1) -> dict[MethodVariant, list[EpisodeTrace]]:
+              config: RunConfig, workers: int = 1) -> dict[MethodVariant, list[EpisodeTrace]]:
     """Run every variant over every spec. Worlds are built once per spec
     and shared across variants; results are keyed and ordered so the
-    output is independent of scheduling."""
+    output is independent of scheduling. Traces carry no step records."""
     arms = [(v, config) for v in variants]
-    return dict(zip(variants, _run_arms(specs, arms, record_steps, workers)))
+    return dict(zip(variants, _run_arms(specs, arms, workers)))
 
 
 def _run_arms(specs: list[EpisodeSpec], arms: list[tuple[MethodVariant, RunConfig]],
-              record_steps: bool, workers: int) -> list[list[EpisodeTrace]]:
+              workers: int) -> list[list[EpisodeTrace]]:
     """One trace list per arm, a (variant, config) pair, in spec order. Each
     spec's world is built once and shared by all arms (`run` only reads it);
     with `workers` > 1 one process pool runs one job per spec, all arms."""
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        jobs = [(spec, arms, record_steps) for spec in specs]
+        jobs = [(spec, arms) for spec in specs]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_spec = [traces for _, traces in pool.map(_run_one, jobs, chunksize=8)]
     else:
-        per_spec = [_run_spec(spec, arms, record_steps) for spec in specs]
+        per_spec = [_run_spec(spec, arms) for spec in specs]
     return [[traces[i] for traces in per_spec] for i in range(len(arms))]
 
 
-def _run_spec(spec, arms, record_steps):
+def _run_spec(spec, arms):
     world = build_world(spec)
-    return [run(spec, v, cfg, world=world, record_steps=record_steps) for v, cfg in arms]
+    return [run(spec, v, cfg, world=world, record_steps=False) for v, cfg in arms]
 
 
 def _run_one(args):
@@ -493,4 +489,4 @@ def sweep(specs: list[EpisodeSpec], variant: MethodVariant, parameter: str,
         arms.append((variant, replace(config, thresholds=thresholds)))
     bp = config.bench
     return [(value, compute_metrics(traces, reward=bp.reward, lambda_cost=bp.lambda_cost))
-            for value, traces in zip(values, _run_arms(specs, arms, False, workers))]
+            for value, traces in zip(values, _run_arms(specs, arms, workers))]

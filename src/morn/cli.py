@@ -19,7 +19,6 @@ import traceback
 from dataclasses import replace
 from pathlib import Path
 
-from . import bench as bench_mod
 from .bench import (
     EpisodeSpec,
     GoalSpec,
@@ -35,14 +34,6 @@ from .bench import (
 from .config import ConfigError, RunConfig, load_config
 from .world import FREE, parse_grid
 
-ALL_VARIANTS = [
-    MethodVariant.FIXED_ORDER,
-    MethodVariant.REACTIVE_ORDER,
-    MethodVariant.MORN_ABORT_ONLY,
-    MethodVariant.MORN_SWITCH_ONLY,
-    MethodVariant.MORN_FULL,
-]
-
 
 def _fmt(x: float) -> str:
     return f"{x:.4f}"
@@ -52,43 +43,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="morn", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", default=None, help="key=value config file")
-        sp.add_argument("--seed", type=int, default=None, help="master seed override")
-        sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None, help="key=value config file")
+    common.add_argument("--seed", type=int, default=None, help="master seed override")
+    common.add_argument("--out", default="out", help="output directory")
+    common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="dotted-key config override (repeatable)")
+    one_variant = argparse.ArgumentParser(add_help=False)
+    one_variant.add_argument("--variant", default="MORN_FULL",
+                             choices=[v.value for v in MethodVariant])
+    suite = argparse.ArgumentParser(add_help=False)
+    suite.add_argument("--episodes", type=int, default=None,
+                       help="scale the suite down to N >= 1 episodes total")
+    suite.add_argument("--workers", type=int, default=0,
+                       help="parallel episode workers (0 = available parallelism)")
 
-    run_p = sub.add_parser("run", help="run a single episode")
-    common(run_p)
+    run_p = sub.add_parser("run", parents=[common, one_variant], help="run a single episode")
     run_p.add_argument("--episode", type=int, default=None, help="suite episode index")
     run_p.add_argument("--fixture", default=None, help="fixture map name")
-    run_p.add_argument("--variant", default="MORN_FULL",
-                       choices=[v.value for v in ALL_VARIANTS])
     run_p.add_argument("--trace-ascii", action="store_true",
                        help="render text frames of the world and path")
 
-    bench_p = sub.add_parser("bench", help="run the benchmark suite")
-    common(bench_p)
+    bench_p = sub.add_parser("bench", parents=[common, suite], help="run the benchmark suite")
     bench_p.add_argument("--variants", default=None,
                          help="comma-separated variant list (default: all five)")
-    bench_p.add_argument("--episodes", type=int, default=None,
-                         help="scale the suite down to N >= 1 episodes total")
-    bench_p.add_argument("--workers", type=int, default=0,
-                         help="parallel episode workers (0 = available parallelism)")
 
-    sweep_p = sub.add_parser("sweep", help="sweep one controller threshold")
-    common(sweep_p)
+    sweep_p = sub.add_parser("sweep", parents=[common, one_variant, suite],
+                             help="sweep one controller threshold")
     sweep_p.add_argument("--parameter", required=True,
                          help="tau_a | tau_s | tau_c | d_commit | t_grace")
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated values")
-    sweep_p.add_argument("--variant", default="MORN_FULL",
-                         choices=[v.value for v in ALL_VARIANTS])
-    sweep_p.add_argument("--episodes", type=int, default=None,
-                         help="scale the suite down to N >= 1 episodes total")
-    sweep_p.add_argument("--workers", type=int, default=0,
-                         help="parallel episode workers (0 = available parallelism)")
     return p
 
 
@@ -129,7 +114,7 @@ def _workers(args) -> int:
 
 def _parse_variants(raw: str | None) -> list[MethodVariant]:
     if not raw:
-        return list(ALL_VARIANTS)
+        return list(MethodVariant)
     out = []
     for name in raw.split(","):
         name = name.strip()
@@ -222,7 +207,6 @@ def cmd_run(args) -> int:
         f"{'t':>4} {'goal':>4} {'d':>8} {'s':>6} {'pi':>6} {'gamma':>6} "
         f"{'sigma':>6} {'budget':>6}  action"
     ]
-    budget_left = spec.budget_max
     for rec in trace.steps:
         budget_left = spec.budget_max - rec.t
         suffix = "" if rec.action == "PERSIST" else f" [{rec.reason}]"

@@ -8,7 +8,6 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
 
 from .executive import Thresholds
 from .signals import SignalParams
@@ -58,6 +57,7 @@ class RunConfig:
         self.weights.validate()
         self.signal.validate()
         self.perception.validate()
+        self.world.validate()
         self.bench.validate()
         # Calibration constraint: a flat, fully stable baseline evidence
         # stream on an absent goal must not clear the commit threshold at
@@ -77,25 +77,19 @@ class RunConfig:
             )
 
 
-_SECTIONS = ("thresholds", "weights", "signal", "perception", "world", "bench")
+_SECTIONS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
-def _coerce(raw: str, template: Any) -> Any:
+def _coerce(raw: str, template: float | int) -> float | int:
+    """`raw` as the type of `template`; every config field is a float or
+    an int."""
     raw = raw.strip()
     if isinstance(template, float):
         value = float(raw)
         if not math.isfinite(value):
             raise ValueError("not a finite number")
         return value
-    if isinstance(template, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
-    if isinstance(template, int):
-        return int(raw)
-    return raw
+    return int(raw)
 
 
 def apply_overrides(config: RunConfig, overrides: dict[str, str]) -> RunConfig:
@@ -114,7 +108,7 @@ def apply_overrides(config: RunConfig, overrides: dict[str, str]) -> RunConfig:
             value = _coerce(raw, current)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
-        setattr(section, parts[1], value)
+        setattr(config, parts[0], dataclasses.replace(section, **{parts[1]: value}))
     return config
 
 

@@ -60,7 +60,7 @@ class MethodVariant(Enum):
         return self in (MethodVariant.MORN_SWITCH_ONLY, MethodVariant.MORN_FULL)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Thresholds:
     abort: float = 0.30  # tau_A, on the potentiality pre-activation
     switch: float = 0.20  # tau_S, closure margin on the gate pre-activation
@@ -70,6 +70,11 @@ class Thresholds:
     abort_patience: int = 60  # consecutive below-threshold steps
     switch_patience: int = 10
     commit_warmup: int = 5  # steps before commit is meaningful (window fill)
+
+    def __post_init__(self) -> None:
+        # both levels are read every step; compute each sigmoid once
+        object.__setattr__(self, "_abort_level", sigmoid(self.abort))
+        object.__setattr__(self, "_switch_level", sigmoid(-self.switch))
 
     def validate(self) -> None:
         if self.commit_distance <= 0:
@@ -81,11 +86,11 @@ class Thresholds:
 
     def abort_level(self) -> float:
         """Abort threshold mapped onto the potentiality state scale."""
-        return sigmoid(self.abort)
+        return self._abort_level
 
     def switch_level(self) -> float:
         """Switch threshold mapped onto the persistence state scale."""
-        return sigmoid(-self.switch)
+        return self._switch_level
 
 
 class GoalState(Enum):
@@ -104,11 +109,14 @@ class GoalStatus:
     state: GoalState = GoalState.PENDING
     spent: int = 0
     switch_count: int = 0
-    committed: bool = False
     found: bool = False
     commit_distance: Optional[float] = None
     aborted_by_meta: bool = False  # retired by the low-potentiality branch
     gate_switches: int = 0  # switched away by the persistence gate
+
+    @property
+    def committed(self) -> bool:
+        return self.state is GoalState.COMPLETED
 
 
 @dataclass
@@ -122,7 +130,6 @@ class BudgetLedger:
 @dataclass
 class ExecutiveDecision:
     action: MetaAction
-    states: MetaStateVector
     reason: DecisionReason
 
 
@@ -158,14 +165,13 @@ class MissionSchedule:
         return not self.open_ids()
 
 
-def allocate(budget: BudgetLedger, remaining_goals: int,
-             lo: int = ALLOC_MIN, hi: int = ALLOC_MAX) -> int:
+def allocate(budget: BudgetLedger, remaining_goals: int) -> int:
     """Dynamic per-subgoal step allocation: remaining budget split evenly
-    across open goals, clamped into [lo, hi]."""
+    across open goals, clamped into [ALLOC_MIN, ALLOC_MAX]."""
     if remaining_goals < 1:
         raise InvalidCallError("remaining_goals must be >= 1")
     share = (budget.budget_max - budget.elapsed) // remaining_goals
-    return min(hi, max(share, lo))
+    return min(ALLOC_MAX, max(share, ALLOC_MIN))
 
 
 def below_abort(states: MetaStateVector, thresholds: Thresholds) -> bool:
@@ -213,28 +219,28 @@ def decide(
 
     if spent >= ledger.allocation:
         action = MetaAction.ABORT if remaining_count <= 1 else MetaAction.SWITCH
-        return ExecutiveDecision(action, states, DecisionReason.SUBGOAL_CAP)
+        return ExecutiveDecision(action, DecisionReason.SUBGOAL_CAP)
 
     if variant.abort_enabled and abort_wants:
         if in_grace:
-            return ExecutiveDecision(MetaAction.PERSIST, states, DecisionReason.GRACE)
+            return ExecutiveDecision(MetaAction.PERSIST, DecisionReason.GRACE)
         if abort_streak >= thresholds.abort_patience:
-            return ExecutiveDecision(MetaAction.ABORT, states, DecisionReason.LOW_POTENTIALITY)
+            return ExecutiveDecision(MetaAction.ABORT, DecisionReason.LOW_POTENTIALITY)
 
     if variant.switch_enabled and switch_wants:
         if in_grace:
-            return ExecutiveDecision(MetaAction.PERSIST, states, DecisionReason.GRACE)
+            return ExecutiveDecision(MetaAction.PERSIST, DecisionReason.GRACE)
         if switch_streak >= thresholds.switch_patience and remaining_count > 1:
-            return ExecutiveDecision(MetaAction.SWITCH, states, DecisionReason.GATE_CLOSED)
+            return ExecutiveDecision(MetaAction.SWITCH, DecisionReason.GATE_CLOSED)
 
     if (
         states.sufficiency > thresholds.commit
         and distance < thresholds.commit_distance
         and spent >= thresholds.commit_warmup
     ):
-        return ExecutiveDecision(MetaAction.COMMIT, states, DecisionReason.EVIDENCE_COMMIT)
+        return ExecutiveDecision(MetaAction.COMMIT, DecisionReason.EVIDENCE_COMMIT)
 
-    return ExecutiveDecision(MetaAction.PERSIST, states, DecisionReason.DEFAULT)
+    return ExecutiveDecision(MetaAction.PERSIST, DecisionReason.DEFAULT)
 
 
 def select_next(
@@ -255,22 +261,18 @@ def select_next(
     return min(remaining, key=key)
 
 
-def select_next_fixed(remaining: list[int], order: list[int], after: Optional[int]) -> int:
-    """Prescribed-order selection: the next open goal after `after` in the
-    original order, wrapping around."""
+def select_next_fixed(remaining: list[int], order: list[int], after: int) -> int:
+    """Prescribed-order selection: the next open goal after `after` (a goal
+    of `order`, the one just retired) in the original order, wrapping
+    around, so `after` itself comes last."""
     if not remaining:
         raise InvalidCallError("select_next on empty goal set")
-    if after is None or after not in order:
-        for g in order:
-            if g in remaining:
-                return g
     start = order.index(after)
     n = len(order)
     for i in range(1, n + 1):
         g = order[(start + i) % n]
         if g in remaining:
             return g
-    raise InvalidCallError("no selectable goal")
 
 
 def apply(
@@ -297,7 +299,6 @@ def apply(
     active = schedule.active
     if decision.action is MetaAction.COMMIT:
         active.state = GoalState.COMPLETED
-        active.committed = True
     elif decision.action is MetaAction.ABORT:
         active.state = GoalState.FAILED
         active.aborted_by_meta = decision.reason is DecisionReason.LOW_POTENTIALITY

@@ -276,8 +276,9 @@ class Navigator:
 
     TRIGGER_STEPS = 2
     RELEASE_STEPS = 5
+    SENSE_RADIUS = 2  # half-width of the coverage square, in cells
 
-    def __init__(self, gmap: GridMap, params: PerceptionParams, sense_radius: int = 2):
+    def __init__(self, gmap: GridMap, params: PerceptionParams):
         self.gmap = gmap
         self.pose: Cell = gmap.spawn
         self.mode = NavigatorMode.EXPLORE
@@ -285,7 +286,6 @@ class Navigator:
         # coverage flags indexed like gmap.free, marked through a 2-D view
         self.visited = bytearray(gmap.cells.size)
         self._visited_grid = np.frombuffer(self.visited, dtype=bool).reshape(gmap.cells.shape)
-        self.sense_radius = sense_radius
         self.approach_trigger = params.base_noise_mean + params.signal_amplitude / 2.0
         self._path: deque[Cell] = deque()
         self._high_streak = 0
@@ -311,7 +311,7 @@ class Navigator:
 
     def _mark_visited(self) -> None:
         r, c = self.pose
-        s = self.sense_radius
+        s = self.SENSE_RADIUS
         self._visited_grid[max(0, r - s): r + s + 1, max(0, c - s): c + s + 1] = True
 
     def _plan_to_nearest_unvisited(self) -> Optional[list[Cell]]:
@@ -356,7 +356,7 @@ class Navigator:
     def step(self) -> str:
         """Advance one primitive step. Returns the action taken
         ('move' or 'stay')."""
-        if self.mode == NavigatorMode.APPROACH and self.believed_target is not None:
+        if self.mode == NavigatorMode.APPROACH:
             if self.pose == self.believed_target:
                 self._mark_visited()
                 return "stay"
@@ -395,6 +395,17 @@ class WorldParams:
     room_max: int = 10
     extra_door_prob: float = 0.25
     cell_size: float = 0.5
+
+    def validate(self) -> None:
+        if self.cell_size <= 0:
+            raise ValueError("cell_size must be positive")
+        if not (1 <= self.room_min <= self.room_max):
+            raise ValueError("room sizes need 1 <= room_min <= room_max")
+        if not (0.0 <= self.extra_door_prob <= 1.0):
+            raise ValueError("extra_door_prob must be in [0, 1]")
+        # a sealed goal needs a leaf room other than room 0
+        if self.rooms_x < 1 or self.rooms_y < 1 or self.rooms_x * self.rooms_y < 2:
+            raise ValueError("the room lattice needs rooms_x, rooms_y >= 1 and at least 2 rooms")
 
 
 def generate_map(

@@ -111,16 +111,6 @@ def _bfs_hops(cells, start):
     return hops
 
 
-@pytest.fixture(scope="session")
-def bench_run(tmp_path_factory):
-    """One timed full benchmark through the CLI (500 episodes, 5 variants)."""
-    out = tmp_path_factory.mktemp("bench_a")
-    t0 = time.perf_counter()
-    assert main(["bench", "--workers", "1", "--out", str(out)]) == 0
-    elapsed = time.perf_counter() - t0
-    return out, elapsed
-
-
 def _read_bench_csv(out_dir):
     with open(out_dir / "bench.csv", newline="") as fh:
         return {row["variant"]: row for row in csv.DictReader(fh)}

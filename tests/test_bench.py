@@ -1,8 +1,8 @@
 """Tests for episode generation, the closed-loop runner and metrics."""
 
-import copy
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -49,8 +49,8 @@ def synthetic_trace(found_flags, spents, total_steps, goal_count=None,
     for i, (found, spent) in enumerate(zip(found_flags, spents), start=1):
         outcomes[i] = GoalStatus(
             i, GoalState.COMPLETED if found else GoalState.FAILED,
-            spent, 0, committed=found, found=found)
-    return EpisodeTrace(spec=spec, variant=MethodVariant.MORN_FULL, steps=[],
+            spent, 0, found=found)
+    return EpisodeTrace(spec=spec, steps=[],
                         outcomes=outcomes, total_steps=total_steps,
                         commit_sequence=commit_sequence or
                         [i for i, f in enumerate(found_flags, 1) if f])
@@ -262,7 +262,7 @@ class TestFailureDecomposition:
 
     def test_false_commit_dominates(self):
         tr = synthetic_trace([False], [90], total_steps=90, goal_count=1)
-        tr.outcomes[1].committed = True
+        tr.outcomes[1].state = GoalState.COMPLETED  # committed, not found
         assert decompose_failures([tr])["FALSE_COMMIT"] == 1
 
 
@@ -294,8 +294,8 @@ class TestSuiteAndSweep:
         table = sweep(specs, MethodVariant.MORN_FULL, "tau_c", values, CFG)
         assert [value for value, _ in table] == values
         for value, report in table:
-            cfg = copy.deepcopy(CFG)
-            cfg.thresholds.commit = value  # 0.5 is below the calibration floor
+            # 0.5 is below the calibration floor
+            cfg = replace(CFG, thresholds=replace(CFG.thresholds, commit=value))
             direct = run_suite(specs, [MethodVariant.MORN_FULL], cfg)
             assert report == compute_metrics(direct[MethodVariant.MORN_FULL])
 

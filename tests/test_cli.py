@@ -62,6 +62,28 @@ class TestRun:
         assert setting.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
+    def test_unknown_fixture_is_exit_2(self, tmp_path, capsys):
+        assert main(["run", "--fixture", "nope", "--out", out_dir(tmp_path, "a")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown fixture 'nope'" in err
+        assert "maze, open, sealed, trivial, two_room" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("settings,message", [
+        (["world.cell_size=0"], "cell_size must be positive"),
+        (["world.cell_size=-1"], "cell_size must be positive"),
+        (["world.room_min=12"], "room_min <= room_max"),
+        (["world.room_min=0"], "1 <= room_min"),
+        (["world.extra_door_prob=7"], "extra_door_prob must be in [0, 1]"),
+        (["world.rooms_x=1", "world.rooms_y=1"], "at least 2 rooms"),
+    ])
+    def test_bad_world_is_exit_2(self, tmp_path, capsys, settings, message):
+        sets = [arg for kv in settings for arg in ("--set", kv)]
+        assert main(["run", "--episode", "0", *FAST, *sets,
+                     "--out", out_dir(tmp_path, "a")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
 
 class TestBench:
     def test_csv_schema_and_summary(self, tmp_path):

@@ -284,7 +284,6 @@ class TestSelectNext:
         order = [1, 2, 3]
         assert select_next_fixed([1, 3], order, after=3) == 1
         assert select_next_fixed([1, 3], order, after=1) == 3
-        assert select_next_fixed([2], order, after=None) == 2
 
 
 class TestApply:
@@ -297,7 +296,7 @@ class TestApply:
                                    elapsed=200, active_spent=40)
 
     def _decision(self, action, reason=DecisionReason.DEFAULT):
-        return ExecutiveDecision(action, states(), reason)
+        return ExecutiveDecision(action, reason)
 
     def test_commit_completes_and_advances(self):
         nxt = apply(self._decision(MetaAction.COMMIT), self.schedule, self.ledger,
@@ -377,7 +376,7 @@ class TestScheduleInvariants:
                                      MetaAction.ABORT, MetaAction.SWITCH])
                 if action is MetaAction.SWITCH and len(schedule.open_ids()) <= 1:
                     action = MetaAction.ABORT
-                decision = ExecutiveDecision(action, states(), DecisionReason.DEFAULT)
+                decision = ExecutiveDecision(action, DecisionReason.DEFAULT)
                 apply(decision, schedule, led, (0.0, 0.0), pos,
                       MethodVariant.MORN_FULL)
                 active = [g for g, s in schedule.goals.items()

@@ -1,9 +1,11 @@
-"""Golden step log: a digest of every step record and goal outcome of a
+"""Golden outputs: a digest of every step record and goal outcome of a
 fixed set of closed-loop runs, so any change in controller behaviour,
-however small, shows up here. Floats are rounded to 9 places.
+however small, shows up here (floats rounded to 9 places), and the sha256
+of the default benchmark's `bench.csv` and `summary.json`.
 
-If a change is meant to move the step log, recompute the digest with
-`golden_digest()` and say in the change log why it moved.
+If a change is meant to move these, recompute the digests (`golden_digest()`,
+`sha256sum` on the files `morn bench --workers 1` writes) and say in the
+change log why they moved.
 """
 
 import hashlib
@@ -14,6 +16,10 @@ from morn.config import RunConfig
 from morn.executive import MethodVariant, Thresholds
 
 GOLDEN = "05403d557aa26e0f3cb4aae53e670a2a3a41751536143495854c16182d2bbe77"
+BENCH_SHA256 = {
+    "bench.csv": "b185744aee10ce15d507e51c601d09c6282eaa9591aa65377981456e3f25a2de",
+    "summary.json": "cf629647e16af96a1d2523f94bee2ac8457df99f4a5edf10792cab22967c35ec",
+}
 
 OUTCOME_FIELDS = ("goal_id", "state", "spent", "switch_count", "committed", "found",
                   "commit_distance", "aborted_by_meta", "gate_switches")
@@ -68,3 +74,10 @@ def golden_digest():
 
 def test_step_log_matches_golden_digest():
     assert golden_digest() == GOLDEN
+
+
+def test_default_benchmark_output_matches_golden_sha256(bench_run):
+    out, _ = bench_run
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in BENCH_SHA256}
+    assert digests == BENCH_SHA256

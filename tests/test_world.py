@@ -360,6 +360,23 @@ class TestGenerateMap:
         for cell in open_cells:
             assert math.isfinite(field[cell])
 
+    @pytest.mark.parametrize("sealed_room", [False, True])
+    def test_every_open_room_cell_is_reachable_from_spawn(self, sealed_room):
+        # the invariant goal placement relies on: any cell of a non-sealed
+        # room can hold a reachable goal, so placement never checks
+        rng = random.Random(2024 + sealed_room)
+        for _ in range(300):
+            params = WorldParams(rooms_x=rng.randint(1, 4), rooms_y=rng.randint(2, 4),
+                                 room_min=rng.randint(1, 6), room_max=rng.randint(6, 10),
+                                 extra_door_prob=rng.choice([0.0, 0.25, 1.0]))
+            params.validate()
+            gmap, rooms, sealed = generate_map(rng, params, sealed_room=sealed_room)
+            assert (sealed is not None) == sealed_room
+            field = distance_field(gmap, gmap.spawn)
+            for i, room in enumerate(rooms):
+                if i != sealed:
+                    assert all(math.isfinite(field[cell]) for cell in room)
+
     def test_border_is_walled(self):
         gmap, _, _ = generate_map(random.Random(4), WorldParams())
         assert (gmap.cells[0, :] == WALL).all()
