@@ -14,7 +14,7 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,11 +22,13 @@ from . import world as world_mod
 from .config import ConfigError, RunConfig
 from .executive import (
     BudgetLedger,
+    ExecutiveDecision,
     GoalStatus,
     InvalidCallError,
     MetaAction,
     MethodVariant,
     MissionSchedule,
+    Thresholds,
     allocate,
     apply,
     below_abort,
@@ -242,41 +244,40 @@ class EpisodeTrace:
 
 
 def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
-        world: Optional[World] = None, record_steps: bool = True) -> EpisodeTrace:
+        world: Optional[World] = None, record_steps: bool = True,
+        forks: Optional[_Forks] = None) -> EpisodeTrace:
     """Execute one episode under one method variant.
 
     Terminates on goal exhaustion or at the step budget, never later.
     All failure modes are recorded outcomes, not errors.
-    """
-    if world is None:
-        world = build_world(spec)
-    rng = random.Random(spec.seed ^ 0xC0FFEE)
-    gmap = world.gmap
-    nav = Navigator(gmap, config.perception)
-    order = [g.goal_id for g in spec.goals]
-    schedule = MissionSchedule(order)
-    agent_m = gmap.to_meters(nav.pose)
-    if variant is MethodVariant.REACTIVE_ORDER:
-        first = select_next(order, agent_m, world.positions_m)
-    else:
-        first = order[0]
-    schedule.activate(first)
-    ledger = BudgetLedger(budget_max=spec.budget_max, allocation=0)
-    ledger.allocation = allocate(ledger, len(order))
-    window = RollingWindow(config.signal.window)
-    nav.begin_goal_context()
 
-    thresholds = config.thresholds
+    With `forks` (from `_run_spec`, which calls `run` once per arm of a
+    spec, in arm order; it carries the world and `record_steps` for all
+    arms) the arms that decide alike share one simulation: the call for a
+    group's first arm advances every arm riding with it and parks a copy
+    of the state for each part whose decision differs; the call for that
+    part's first arm resumes it, and an arm that rode to the end returns
+    the trace its group finished for it.
+    """
+    if forks is None:
+        forks = _Forks(spec, world if world is not None else build_world(spec),
+                       [(variant, config)], record_steps)
+    index, branch = forks.claim(variant, config)
+    if branch is None:
+        return forks.finished.pop(index)
+    world = forks.world
+    gmap = world.gmap
+    rng, nav, window = branch.rng, branch.nav, branch.window
+    schedule, ledger = branch.mission.schedule, branch.mission.ledger
+    arms = branch.arms
+    record_steps = forks.record_steps
+
+    # every arm riding this branch has this config apart from its thresholds
     weights = config.weights
     sigpar = config.signal
     success_radius = config.bench.success_radius
 
-    steps: list[StepRecord] = []
-    commit_sequence: list[int] = []
-    abort_streak = 0
-    switch_streak = 0
-
-    for t in range(1, spec.budget_max + 1):
+    for t in range(ledger.elapsed + 1, spec.budget_max + 1):
         gid = schedule.active_id
         goal = world.goals[gid]
         dfield = world.fields[gid]
@@ -304,39 +305,60 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
         states = MetaStateVector(pi, gamma, sigma)
 
         spent = ledger.active_spent
-        abort_streak = streak(abort_streak, below_abort(states, thresholds), spent, thresholds)
-        switch_streak = streak(switch_streak, below_switch(states, thresholds), spent, thresholds)
+        open_count = len(schedule.open_ids())
+        acting = False
+        for arm in arms:
+            th = arm.thresholds
+            arm.abort_streak = streak(arm.abort_streak, below_abort(states, th), spent, th)
+            arm.switch_streak = streak(arm.switch_streak, below_switch(states, th), spent, th)
+            decision = arm.decision = decide(
+                states, d, ledger, th, arm.variant, remaining_count=open_count,
+                abort_streak=arm.abort_streak, switch_streak=arm.switch_streak)
+            if record_steps:
+                arm.steps.append(StepRecord(t, gid, pose, d, evidence, pi, gamma, sigma,
+                                            decision.action.value, decision.reason.value))
+            if decision.action is not MetaAction.PERSIST:
+                acting = True
+        if not acting:
+            continue
 
-        open_ids = schedule.open_ids()
-        decision = decide(states, d, ledger, thresholds, variant,
-                          remaining_count=len(open_ids),
-                          abort_streak=abort_streak, switch_streak=switch_streak)
-        if record_steps:
-            steps.append(StepRecord(t, gid, pose, d, evidence, pi, gamma, sigma,
-                                    decision.action.value, decision.reason.value))
+        # Each acting arm applies its decision to its own copy of the
+        # mission; arms stay together while the resulting missions agree.
+        agent_m = gmap.to_meters(pose)
+        parts: dict = {}
+        for arm in arms:
+            decision = arm.decision
+            key = mission = None
+            if decision.action is not MetaAction.PERSIST:
+                mission = branch.mission.copy()
+                if decision.action is MetaAction.COMMIT:
+                    status = mission.schedule.goals[gid]
+                    status.commit_distance = d
+                    status.found = bool(goal.present and d_raw <= success_radius)
+                    if status.found:
+                        mission.commit_sequence.append(gid)
+                nxt = apply(decision, mission.schedule, mission.ledger, agent_m,
+                            world.positions_m, arm.variant)
+                key = (decision.action, decision.reason, nxt)
+                arm.abort_streak = arm.switch_streak = 0
+            parts.setdefault(key, (mission, []))[1].append(arm)
 
-        if decision.action is not MetaAction.PERSIST:
-            if decision.action is MetaAction.COMMIT:
-                status = schedule.goals[gid]
-                status.commit_distance = d
-                status.found = bool(goal.present and d_raw <= success_radius)
-                if status.found:
-                    commit_sequence.append(gid)
-            apply(decision, schedule, ledger, gmap.to_meters(pose), world.positions_m, variant)
-            window.reset()
-            abort_streak = 0
-            switch_streak = 0
-            if schedule.done():
+        (key, (mission, arms)), *others = parts.items()
+        for other_key, (other_mission, other_arms) in others:
+            fork = branch.fork(other_mission or branch.mission.copy(), other_arms)
+            if other_key is not None and fork.next_goal_or_end():
+                forks.finish(fork)
+            else:
+                forks.parked[other_arms[0].index] = fork
+        branch.arms = arms
+        if key is not None:
+            branch.mission = mission
+            schedule, ledger = mission.schedule, mission.ledger
+            if branch.next_goal_or_end():
                 break
-            nav.begin_goal_context()
 
-    return EpisodeTrace(
-        spec=spec,
-        steps=steps,
-        outcomes=schedule.goals,
-        total_steps=ledger.elapsed,
-        commit_sequence=commit_sequence,
-    )
+    forks.finish(branch)
+    return forks.finished.pop(index)
 
 
 def world_emit(goal, pose, gmap, config: RunConfig, rng, d_raw: float):
@@ -446,7 +468,128 @@ def _run_arms(specs: list[EpisodeSpec], arms: list[tuple[MethodVariant, RunConfi
 
 def _run_spec(spec, arms):
     world = build_world(spec)
-    return [run(spec, v, cfg, world=world, record_steps=False) for v, cfg in arms]
+    forks = _Forks(spec, world, arms, record_steps=False)
+    return [run(spec, v, cfg, forks=forks) for v, cfg in arms]
+
+
+@dataclass(slots=True, eq=False)
+class _Arm:
+    """What one arm owns in a shared simulation: its patience streaks, its
+    latest decision and its step records."""
+
+    index: int
+    variant: MethodVariant
+    thresholds: Thresholds
+    abort_streak: int = 0
+    switch_streak: int = 0
+    decision: Optional[ExecutiveDecision] = None
+    steps: list[StepRecord] = field(default_factory=list)
+
+
+class _Mission(NamedTuple):
+    """What `apply` and the commit check write: the goal records, the
+    budget ledger and the goals truly completed, in order."""
+
+    schedule: MissionSchedule
+    ledger: BudgetLedger
+    commit_sequence: list[int]
+
+    def copy(self) -> _Mission:
+        return _Mission(self.schedule.copy(), replace(self.ledger), list(self.commit_sequence))
+
+
+@dataclass(eq=False)
+class _Branch:
+    """The state a group of arms shares: perception noise, navigator,
+    signal window and mission, plus the arms riding it (lowest index
+    first). The mission's ledger holds the last step simulated."""
+
+    rng: random.Random
+    nav: Navigator
+    window: RollingWindow
+    mission: _Mission
+    arms: list[_Arm]
+
+    @classmethod
+    def start(cls, spec: EpisodeSpec, world: World, config: RunConfig, first: int,
+              arms: list[_Arm]) -> _Branch:
+        """The state at the start of the episode, with goal `first` active."""
+        schedule = MissionSchedule([g.goal_id for g in spec.goals])
+        schedule.activate(first)
+        ledger = BudgetLedger(budget_max=spec.budget_max, allocation=0)
+        ledger.allocation = allocate(ledger, len(schedule.order))
+        return cls(random.Random(spec.seed ^ 0xC0FFEE), Navigator(world.gmap, config.perception),
+                   RollingWindow(config.signal.window), _Mission(schedule, ledger, []), arms)
+
+    def fork(self, mission: _Mission, arms: list[_Arm]) -> _Branch:
+        """An independent copy of this state, with `mission`, for `arms`."""
+        rng = random.Random()
+        rng.setstate(self.rng.getstate())
+        return _Branch(rng, self.nav.copy(), self.window.copy(), mission, arms)
+
+    def next_goal_or_end(self) -> bool:
+        """After an intervention: a fresh window and, unless no goal is left
+        open (then True, the episode is over), a fresh search."""
+        self.window.reset()
+        if self.mission.schedule.done():
+            return True
+        self.nav.begin_goal_context()
+        return False
+
+
+class _Forks:
+    """The arms, (variant, config) pairs, of one spec as `run` serves them:
+    the branch parked for each arm that starts or resumes one, and the
+    traces finished for arms not yet called. Arms may share a branch only
+    if their configs are equal apart from the thresholds and their first
+    goals agree."""
+
+    def __init__(self, spec: EpisodeSpec, world: World,
+                 arms: list[tuple[MethodVariant, RunConfig]], record_steps: bool):
+        self.spec = spec
+        self.world = world
+        self.arms = arms
+        self.record_steps = record_steps
+        self.next = 0
+        self.parked: dict[int, _Branch] = {}
+        self.finished: dict[int, EpisodeTrace] = {}
+        order = [g.goal_id for g in spec.goals]
+        spawn_m = world.gmap.to_meters(world.gmap.spawn)
+        groups: list[tuple[RunConfig, int, list[_Arm]]] = []
+        for i, (variant, config) in enumerate(arms):
+            arm = _Arm(i, variant, config.thresholds)
+            if variant is MethodVariant.REACTIVE_ORDER:
+                first = select_next(order, spawn_m, world.positions_m)
+            else:
+                first = order[0]
+            for shared, goal, members in groups:
+                if goal == first and replace(config, thresholds=shared.thresholds) == shared:
+                    members.append(arm)
+                    break
+            else:
+                groups.append((config, first, [arm]))
+        for config, first, members in groups:
+            self.parked[members[0].index] = _Branch.start(spec, world, config, first, members)
+
+    def claim(self, variant: MethodVariant, config: RunConfig) -> tuple[int, Optional[_Branch]]:
+        """The next arm's index and its branch, None if it is finished."""
+        i = self.next
+        if i >= len(self.arms) or self.arms[i][0] is not variant or self.arms[i][1] is not config:
+            raise InvalidCallError("run with forks takes each arm once, in arm order")
+        self.next += 1
+        return i, self.parked.pop(i, None)
+
+    def finish(self, branch: _Branch) -> None:
+        """A trace for every arm riding `branch`, each with its own records."""
+        for n, arm in enumerate(branch.arms):
+            mission = branch.mission.copy() if n else branch.mission
+            self.finished[arm.index] = EpisodeTrace(
+                spec=self.spec,
+                steps=arm.steps,
+                outcomes=mission.schedule.goals,
+                total_steps=mission.ledger.elapsed,
+                commit_sequence=mission.commit_sequence,
+            )
 
 
 def _run_one(args):

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .bench import (
     EpisodeSpec,
+    GenerationError,
     GoalSpec,
     MethodVariant,
     build_world,
@@ -331,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bench":
             return cmd_bench(args)
         return cmd_sweep(args)
-    except ConfigError as exc:
+    except (ConfigError, GenerationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001

@@ -37,6 +37,8 @@ class BenchParams:
             raise ValueError("episode counts must be nonnegative")
         if not (0.0 <= self.infeasible_fraction <= 1.0):
             raise ValueError("infeasible_fraction must be in [0, 1]")
+        if self.min_separation < 0:
+            raise ValueError("min_separation must be nonnegative")
         if self.success_radius <= 0:
             raise ValueError("success_radius must be positive")
         if self.budget_k2 < 1 or self.budget_k3 < 1:

@@ -14,7 +14,7 @@ applies directly to the raw sufficiency blend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -140,6 +140,13 @@ class MissionSchedule:
         self.order = list(goal_ids)
         self.goals = {g: GoalStatus(g) for g in goal_ids}
         self.active_id: Optional[int] = None
+
+    def copy(self) -> MissionSchedule:
+        """An independent schedule with copies of the goal records."""
+        new = MissionSchedule(self.order)
+        new.goals = {g: replace(st) for g, st in self.goals.items()}
+        new.active_id = self.active_id
+        return new
 
     @property
     def active(self) -> GoalStatus:

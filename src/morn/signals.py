@@ -8,6 +8,7 @@ progress velocity and information gain.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass
 
@@ -90,6 +91,14 @@ class RollingWindow:
         self._sumsq = 0.0
         self._count_total = 0
         self._var_history.clear()
+
+    def copy(self) -> RollingWindow:
+        """An independent window with the same contents and sums."""
+        new = copy.copy(self)
+        new.samples = copy.copy(self.samples)
+        new.distances = copy.copy(self.distances)
+        new._var_history = copy.copy(self._var_history)
+        return new
 
     def push(self, evidence: float, distance: float) -> None:
         if len(self.samples) == self.capacity:

@@ -14,6 +14,7 @@ Fixture maps use a plain-text format, one character per cell:
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from collections import deque
@@ -304,6 +305,14 @@ class Navigator:
         self._low_streak = 0
         self._exhausted = False
         self._mark_visited()
+
+    def copy(self) -> Navigator:
+        """An independent navigator in the same state, on the same map."""
+        new = copy.copy(self)
+        new.visited = bytearray(self.visited)
+        new._visited_grid = np.frombuffer(new.visited, dtype=bool).reshape(self.gmap.cells.shape)
+        new._path = deque(self._path)
+        return new
 
     def coverage_fraction(self) -> float:
         free = self.gmap.cells == FREE

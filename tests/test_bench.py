@@ -25,6 +25,8 @@ from morn.bench import (
 )
 from morn.config import ConfigError, RunConfig, load_config
 from morn.executive import GoalState, GoalStatus, InvalidCallError, MethodVariant
+from morn.world import Navigator
+from test_golden import golden_configs, golden_specs
 
 CFG = load_config()
 
@@ -335,3 +337,90 @@ class TestSuiteAndSweep:
     def test_fractional_grace_sweep_rejected(self):
         with pytest.raises(ConfigError, match="10.5"):
             sweep(small_suite(1, 0), MethodVariant.MORN_FULL, "t_grace", [10, 10.5], CFG)
+
+
+def arm_lists(cfg):
+    """Arm lists whose arms share simulation state up to some step, and one
+    whose two weights settings may never share it."""
+    other = replace(cfg, weights=replace(cfg.weights, pot_v=0.6, gate_inertia=0.5))
+    return {
+        "variants": [(v, cfg) for v in MethodVariant],
+        "tau_c": [(MethodVariant.MORN_FULL,
+                   replace(cfg, thresholds=replace(cfg.thresholds, commit=c)))
+                  for c in (0.5, 0.55, 0.6, 0.65, 0.7)],
+        "weights": [(v, c) for c in (cfg, other)
+                    for v in (MethodVariant.FIXED_ORDER, MethodVariant.MORN_FULL)],
+    }
+
+
+def outcome(trace):
+    return trace.outcomes, trace.total_steps, trace.commit_sequence
+
+
+class TestForkedArms:
+    """`_run_arms` simulates the steps arms share once and forks the state
+    where their decisions part; every arm's trace must equal the one an
+    independent `run` gives."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cfg_index", [0, 1])
+    @pytest.mark.parametrize("arms_name", ["variants", "tau_c", "weights"])
+    def test_forked_arms_match_independent_runs(self, arms_name, cfg_index, workers):
+        cfg = golden_configs()[cfg_index]
+        arms = arm_lists(cfg)[arms_name]
+        # the golden episodes have two goals; with three, the next goal
+        # after an intervention depends on the variant
+        specs = golden_specs(golden_configs()[0]) + generate(0, 4, 11, CFG)
+        shared = bench_mod._run_arms(specs, arms, workers)
+        for (variant, arm_cfg), traces in zip(arms, shared):
+            for spec, trace in zip(specs, traces):
+                alone = run(spec, variant, arm_cfg, record_steps=False)
+                assert outcome(trace) == outcome(alone), (arms_name, variant, spec.episode_id)
+
+    def test_configs_differing_beyond_thresholds_never_share(self):
+        arms = arm_lists(CFG)["weights"]
+        for spec in small_suite(3, 1):
+            forks = bench_mod._Forks(spec, build_world(spec), arms, record_steps=False)
+            for branch in forks.parked.values():
+                assert len({id(arms[a.index][1]) for a in branch.arms}) == 1
+
+    def test_run_called_once_per_arm_in_arm_order(self, monkeypatch):
+        calls, returned = [], []
+        real_run = bench_mod.run
+
+        def recording(spec, variant, config, *args, **kwargs):
+            calls.append((spec.episode_id, variant, config))
+            returned.append(real_run(spec, variant, config, *args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(bench_mod, "run", recording)
+        specs = small_suite(3, 1)
+        arms = arm_lists(CFG)["variants"]
+        shared = bench_mod._run_arms(specs, arms, 1)
+        assert calls == [(spec.episode_id, v, c) for spec in specs for v, c in arms]
+        assert returned == [shared[i][j] for j in range(len(specs)) for i in range(len(arms))]
+
+    def test_arms_out_of_order_rejected(self):
+        spec = small_suite(1, 0)[0]
+        arms = arm_lists(CFG)["variants"]
+        forks = bench_mod._Forks(spec, build_world(spec), arms, record_steps=False)
+        with pytest.raises(InvalidCallError, match="arm order"):
+            run(spec, *arms[1], forks=forks)
+
+    def test_shared_steps_are_simulated_once(self, monkeypatch):
+        simulated = 0
+        real_step = Navigator.step
+
+        def counting(nav):
+            nonlocal simulated
+            simulated += 1
+            return real_step(nav)
+
+        monkeypatch.setattr(Navigator, "step", counting)
+        spec = small_suite(1, 0)[0]
+        alone = run(spec, MethodVariant.MORN_FULL, CFG)
+        assert simulated == alone.total_steps
+        simulated = 0
+        results = run_suite(small_suite(6, 4), list(MethodVariant), CFG)
+        reported = sum(tr.total_steps for traces in results.values() for tr in traces)
+        assert simulated < reported

@@ -132,6 +132,20 @@ def test_bad_suite_or_workers_is_exit_2(tmp_path, capsys, command, extra, messag
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", [["run", "--episode", "0"], ["bench", "--workers", "2"]])
+@pytest.mark.parametrize("separation,message", [
+    ("-1", "min_separation must be nonnegative"),
+    ("1000", "episode 0: could not satisfy goal separation >= 1000.0 m"),
+])
+def test_bad_min_separation_is_exit_2(tmp_path, capsys, command, separation, message):
+    assert main([*command, *FAST, "--set", f"bench.min_separation={separation}",
+                 "--out", out_dir(tmp_path, "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 class TestSweep:
     def test_sweep_csv(self, tmp_path):
         assert main(["sweep", "--parameter", "tau_c", "--values", "0.6,0.65",
