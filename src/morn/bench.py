@@ -22,7 +22,6 @@ from . import world as world_mod
 from .config import ConfigError, RunConfig
 from .executive import (
     BudgetLedger,
-    ExecutiveDecision,
     GoalStatus,
     InvalidCallError,
     MetaAction,
@@ -34,7 +33,7 @@ from .executive import (
     below_abort,
     below_switch,
     decide,
-    select_next,
+    first_goal,
     streak,
 )
 from .signals import RollingWindow, SignalSample, update
@@ -244,24 +243,24 @@ class EpisodeTrace:
 
 
 def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
-        world: Optional[World] = None, record_steps: bool = True,
-        forks: Optional[_Forks] = None) -> EpisodeTrace:
-    """Execute one episode under one method variant.
+        world: Optional[World] = None, forks: Optional[_Forks] = None) -> EpisodeTrace:
+    """Execute one episode under one method variant. A standalone call
+    records every step in the trace.
 
     Terminates on goal exhaustion or at the step budget, never later.
     All failure modes are recorded outcomes, not errors.
 
     With `forks` (from `_run_spec`, which calls `run` once per arm of a
-    spec, in arm order; it carries the world and `record_steps` for all
-    arms) the arms that decide alike share one simulation: the call for a
-    group's first arm advances every arm riding with it and parks a copy
-    of the state for each part whose decision differs; the call for that
-    part's first arm resumes it, and an arm that rode to the end returns
-    the trace its group finished for it.
+    spec, in arm order, and records no steps) the arms that decide alike
+    share one simulation: the call for a group's first arm advances every
+    arm riding with it and parks a copy of the state for each part whose
+    decision differs; the call for that part's first arm resumes it, and
+    an arm that rode to the end returns the trace its group finished for
+    it.
     """
     if forks is None:
         forks = _Forks(spec, world if world is not None else build_world(spec),
-                       [(variant, config)], record_steps)
+                       [(variant, config)], record_steps=True)
     index, branch = forks.claim(variant, config)
     if branch is None:
         return forks.finished.pop(index)
@@ -306,14 +305,16 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
 
         spent = ledger.active_spent
         open_count = len(schedule.open_ids())
+        decisions = []
         acting = False
         for arm in arms:
             th = arm.thresholds
             arm.abort_streak = streak(arm.abort_streak, below_abort(states, th), spent, th)
             arm.switch_streak = streak(arm.switch_streak, below_switch(states, th), spent, th)
-            decision = arm.decision = decide(
+            decision = decide(
                 states, d, ledger, th, arm.variant, remaining_count=open_count,
                 abort_streak=arm.abort_streak, switch_streak=arm.switch_streak)
+            decisions.append(decision)
             if record_steps:
                 arm.steps.append(StepRecord(t, gid, pose, d, evidence, pi, gamma, sigma,
                                             decision.action.value, decision.reason.value))
@@ -323,14 +324,14 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
             continue
 
         # Each acting arm applies its decision to its own copy of the
-        # mission; arms stay together while the resulting missions agree.
+        # mission and the persisting arms keep the branch's; arms stay
+        # together while the resulting missions agree.
         agent_m = gmap.to_meters(pose)
         parts: dict = {}
-        for arm in arms:
-            decision = arm.decision
-            key = mission = None
+        for arm, decision in zip(arms, decisions):
+            key, mission = None, branch.mission
             if decision.action is not MetaAction.PERSIST:
-                mission = branch.mission.copy()
+                mission = mission.copy()
                 if decision.action is MetaAction.COMMIT:
                     status = mission.schedule.goals[gid]
                     status.commit_distance = d
@@ -345,14 +346,14 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
 
         (key, (mission, arms)), *others = parts.items()
         for other_key, (other_mission, other_arms) in others:
-            fork = branch.fork(other_mission or branch.mission.copy(), other_arms)
+            fork = branch.fork(other_mission, other_arms)
             if other_key is not None and fork.next_goal_or_end():
                 forks.finish(fork)
             else:
                 forks.parked[other_arms[0].index] = fork
         branch.arms = arms
+        branch.mission = mission
         if key is not None:
-            branch.mission = mission
             schedule, ledger = mission.schedule, mission.ledger
             if branch.next_goal_or_end():
                 break
@@ -474,15 +475,14 @@ def _run_spec(spec, arms):
 
 @dataclass(slots=True, eq=False)
 class _Arm:
-    """What one arm owns in a shared simulation: its patience streaks, its
-    latest decision and its step records."""
+    """What one arm owns in a shared simulation: its patience streaks and
+    its step records."""
 
     index: int
     variant: MethodVariant
     thresholds: Thresholds
     abort_streak: int = 0
     switch_streak: int = 0
-    decision: Optional[ExecutiveDecision] = None
     steps: list[StepRecord] = field(default_factory=list)
 
 
@@ -558,10 +558,7 @@ class _Forks:
         groups: list[tuple[RunConfig, int, list[_Arm]]] = []
         for i, (variant, config) in enumerate(arms):
             arm = _Arm(i, variant, config.thresholds)
-            if variant is MethodVariant.REACTIVE_ORDER:
-                first = select_next(order, spawn_m, world.positions_m)
-            else:
-                first = order[0]
+            first = first_goal(order, variant, spawn_m, world.positions_m)
             for shared, goal, members in groups:
                 if goal == first and replace(config, thresholds=shared.thresholds) == shared:
                     members.append(arm)
@@ -612,7 +609,8 @@ def sweep(specs: list[EpisodeSpec], variant: MethodVariant, parameter: str,
     """Re-run the same episodes at each value (paired: each spec's world is
     built once and shared by every value, one process pool serves the whole
     sweep, and the rows do not depend on `workers`). Swept thresholds are
-    range-checked up front; the calibration floor is not applied."""
+    range-checked up front (a non-finite value is rejected); the
+    calibration floor is not applied."""
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(
             f"unknown sweep parameter {parameter!r}; "
@@ -621,6 +619,8 @@ def sweep(specs: list[EpisodeSpec], variant: MethodVariant, parameter: str,
     attr = SWEEP_PARAMETERS[parameter]
     arms = []
     for value in values:
+        if not math.isfinite(value):
+            raise ConfigError(f"sweep {parameter}={value!r}: not a finite number")
         if attr == "grace" and not float(value).is_integer():
             raise ConfigError(f"t_grace must be a whole number of steps, got {value!r}")
         swept = int(value) if attr == "grace" else value

@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> RunConfig:
-    path = args.config or os.environ.get("MORN_CONFIG")
+    path = args.config or os.environ.get("MORN_CONFIG") or None
     overrides = {}
     for item in args.set:
         if "=" not in item:
@@ -110,7 +110,11 @@ def _workers(args) -> int:
     if args.workers < 0:
         raise ConfigError(f"--workers must be >= 0 (0 = available parallelism), "
                           f"got {args.workers}")
-    return args.workers or os.cpu_count() or 1
+    if args.workers:
+        return args.workers
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _parse_variants(raw: str | None) -> list[MethodVariant]:

@@ -61,6 +61,13 @@ class RunConfig:
         self.perception.validate()
         self.world.validate()
         self.bench.validate()
+        # progress velocity is normalised by the meters one step covers
+        if self.signal.step_length != self.world.cell_size:
+            raise ConfigError(
+                f"signal.step_length ({self.signal.step_length}) must equal "
+                f"world.cell_size ({self.world.cell_size}): the navigator moves "
+                "one cell per step"
+            )
         # Calibration constraint: a flat, fully stable baseline evidence
         # stream on an absent goal must not clear the commit threshold at
         # the commit-distance boundary, otherwise commits become pure
@@ -121,7 +128,11 @@ def load_config(path: str | Path | None = None,
     config = RunConfig()
     file_overrides: dict[str, str] = {}
     if path is not None:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"cannot read config file {str(path)!r}: {reason}") from exc
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:

@@ -268,6 +268,19 @@ def select_next(
     return min(remaining, key=key)
 
 
+def first_goal(
+    order: list[int],
+    variant: MethodVariant,
+    agent_position: tuple[float, float],
+    goal_positions: dict[int, tuple[float, float]],
+) -> int:
+    """The goal an episode starts on: the nearest one (as `select_next`)
+    under REACTIVE_ORDER, the first in `order` under every other variant."""
+    if variant is MethodVariant.REACTIVE_ORDER:
+        return select_next(order, agent_position, goal_positions)
+    return order[0]
+
+
 def select_next_fixed(remaining: list[int], order: list[int], after: int) -> int:
     """Prescribed-order selection: the next open goal after `after` (a goal
     of `order`, the one just retired) in the original order, wrapping

@@ -364,10 +364,11 @@ class Navigator:
 
     def step(self) -> str:
         """Advance one primitive step. Returns the action taken
-        ('move' or 'stay')."""
+        ('move' or 'stay'). A stay leaves coverage as it is: the sensing
+        square around the pose is marked whenever the pose or the coverage
+        changes."""
         if self.mode == NavigatorMode.APPROACH:
             if self.pose == self.believed_target:
-                self._mark_visited()
                 return "stay"
             if not self._path:
                 path = bfs_path(self.gmap, self.pose, self.believed_target)
@@ -384,16 +385,13 @@ class Navigator:
             path = self._plan_to_nearest_unvisited()
             if path is None:
                 self._exhausted = True
-                self._mark_visited()
                 return "stay"
             self._path = deque(path)
 
-        if self._path:
-            self.pose = self._path.popleft()
-            self._mark_visited()
-            return "move"
+        # a planned path is never empty
+        self.pose = self._path.popleft()
         self._mark_visited()
-        return "stay"
+        return "move"
 
 
 @dataclass

@@ -319,7 +319,11 @@ class TestSuiteAndSweep:
         parallel = sweep(specs, MethodVariant.MORN_FULL, "tau_c", values, CFG, workers=2)
         assert parallel == serial
 
-    @pytest.mark.parametrize("parameter, bad", [("t_grace", -5), ("d_commit", 0.0)])
+    @pytest.mark.parametrize("parameter, bad", [
+        ("t_grace", -5), ("d_commit", 0.0),
+        ("tau_c", math.nan), ("tau_c", math.inf), ("tau_a", -math.inf), ("tau_s", math.nan),
+        ("d_commit", math.nan), ("d_commit", math.inf),
+    ])
     def test_out_of_range_sweep_value_rejected_before_running(self, monkeypatch,
                                                               parameter, bad):
         def no_world(spec):
@@ -374,7 +378,7 @@ class TestForkedArms:
         shared = bench_mod._run_arms(specs, arms, workers)
         for (variant, arm_cfg), traces in zip(arms, shared):
             for spec, trace in zip(specs, traces):
-                alone = run(spec, variant, arm_cfg, record_steps=False)
+                alone = run(spec, variant, arm_cfg)
                 assert outcome(trace) == outcome(alone), (arms_name, variant, spec.episode_id)
 
     def test_configs_differing_beyond_thresholds_never_share(self):

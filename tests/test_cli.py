@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import json
+import os
 
 import pytest
 
@@ -76,6 +78,7 @@ class TestRun:
         (["world.room_min=0"], "1 <= room_min"),
         (["world.extra_door_prob=7"], "extra_door_prob must be in [0, 1]"),
         (["world.rooms_x=1", "world.rooms_y=1"], "at least 2 rooms"),
+        (["world.cell_size=0.25"], "signal.step_length (0.5) must equal world.cell_size (0.25)"),
     ])
     def test_bad_world_is_exit_2(self, tmp_path, capsys, settings, message):
         sets = [arg for kv in settings for arg in ("--set", kv)]
@@ -169,6 +172,15 @@ class TestSweep:
         assert "t_grace=-5" in capsys.readouterr().err
         assert not (tmp_path / "s" / "sweep_t_grace.csv").exists()
 
+    @pytest.mark.parametrize("parameter, bad", [
+        ("tau_c", "nan"), ("tau_a", "inf"), ("tau_s", "-inf"), ("d_commit", "nan"),
+    ])
+    def test_non_finite_value_is_exit_2(self, tmp_path, capsys, parameter, bad):
+        assert main(["sweep", "--parameter", parameter, f"--values=0.6,{bad}",
+                     *FAST, "--workers", "1", "--out", out_dir(tmp_path, "s")]) == 2
+        assert f"{parameter}={bad}: not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_sweep_is_byte_stable(self, tmp_path):
         for name in ("s1", "s2"):
             assert main(["sweep", "--parameter", "t_grace", "--values", "10",
@@ -188,6 +200,36 @@ class TestEnvironment:
                      "--out", out_dir(tmp_path, "b")]) == 0
         summary = json.loads((tmp_path / "b" / "summary.json").read_text())
         assert summary["episodes"] == 2
+
+    def test_empty_environment_path_is_unset(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MORN_CONFIG", "")
+        assert main(["bench", "--episodes", "2", "--variants", "MORN_FULL",
+                     "--workers", "1", "--out", out_dir(tmp_path, "b")]) == 0
+
+    @pytest.mark.parametrize("name, message", [
+        ("missing.cfg", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_unreadable_config_is_exit_2(self, tmp_path, capsys, name, message):
+        path = str(tmp_path / name)
+        assert main(["bench", "--config", path, "--episodes", "2",
+                     "--out", out_dir(tmp_path, "b")]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read config file {path!r}: {message}" in err
+        assert "Traceback" not in err
+
+
+class TestWorkers:
+    def test_zero_means_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert cli._workers(argparse.Namespace(workers=0)) == 1
+        assert cli._workers(argparse.Namespace(workers=3)) == 3
+
+    def test_zero_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert cli._workers(argparse.Namespace(workers=0)) == 8
 
 
 class TestErrors:

@@ -102,6 +102,19 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_config(overrides={"bench.infeasible_fraction": "1.5"})
 
+    @pytest.mark.parametrize("key", ["world.cell_size", "signal.step_length"])
+    def test_step_length_must_equal_cell_size(self, key):
+        with pytest.raises(ConfigError, match=r"signal.step_length .* world.cell_size"):
+            load_config(overrides={key: "0.25"})
+        both = load_config(overrides={"world.cell_size": "0.25", "signal.step_length": "0.25"})
+        assert both.signal.step_length == both.world.cell_size == 0.25
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"bench.master_seed = 1  # \xe9\n")
+        with pytest.raises(ConfigError, match="cannot read config file .*latin1.cfg"):
+            load_config(path)
+
     def test_apply_overrides_returns_same_object(self):
         cfg = RunConfig()
         assert apply_overrides(cfg, {"thresholds.grace": "10"}) is cfg

@@ -23,6 +23,7 @@ from morn.executive import (
     below_abort,
     below_switch,
     decide,
+    first_goal,
     select_next,
     select_next_fixed,
     streak,
@@ -284,6 +285,20 @@ class TestSelectNext:
         order = [1, 2, 3]
         assert select_next_fixed([1, 3], order, after=3) == 1
         assert select_next_fixed([1, 3], order, after=1) == 3
+
+    def test_first_goal_nearest_under_reactive_order(self):
+        pos = {1: (9.0, 0.0), 2: (3.0, 4.0), 3: (6.0, 0.0)}
+        assert first_goal([1, 2, 3], MethodVariant.REACTIVE_ORDER, (0.0, 0.0), pos) == 2
+
+    @pytest.mark.parametrize("variant", [v for v in MethodVariant
+                                         if v is not MethodVariant.REACTIVE_ORDER])
+    def test_first_goal_first_in_order_otherwise(self, variant):
+        pos = {1: (9.0, 0.0), 2: (3.0, 4.0), 3: (6.0, 0.0)}
+        assert first_goal([3, 1, 2], variant, (0.0, 0.0), pos) == 3
+
+    def test_first_goal_tie_goes_to_lowest_id(self):
+        pos = {1: (1.0, 0.0), 2: (-1.0, 0.0), 3: (0.0, 1.0)}
+        assert first_goal([3, 2, 1], MethodVariant.REACTIVE_ORDER, (0.0, 0.0), pos) == 1
 
 
 class TestApply:

@@ -62,7 +62,7 @@ def golden_digest():
         world = build_world(spec)
         for cfg in configs:
             for variant in MethodVariant:
-                trace = run(spec, variant, cfg, world=world, record_steps=True)
+                trace = run(spec, variant, cfg, world=world)
                 for rec in trace.steps:
                     h.update(json.dumps([_plain(v) for v in rec]).encode())
                 for gid, o in sorted(trace.outcomes.items()):

@@ -296,6 +296,32 @@ class TestNavigator:
         assert approached
         assert field[nav.pose] <= gmap.cell_size
 
+    def test_stays_only_at_target_or_with_coverage_exhausted(self):
+        # the invariant that lets a stay leave coverage unmarked: the
+        # sensing square around the pose is already marked
+        seen = set()
+        for name, present in (("two_room", True), ("trivial", False)):
+            gmap, goals = parse_grid(load_fixture(name))
+            goal = GoalInstance(1, "mug", goals[1], present=present)
+            params = PerceptionParams()
+            nav = Navigator(gmap, params)
+            rng = random.Random(11)
+            field = distance_field(gmap, goal.position)
+            for _ in range(300):
+                before = bytes(nav.visited)
+                if nav.step() == "stay":
+                    assert bytes(nav.visited) == before
+                    if nav.pose == nav.believed_target:
+                        seen.add((name, "target"))
+                    else:
+                        reachable = np.isfinite(distance_field(gmap, nav.pose)).ravel()
+                        assert all(nav.visited[i] for i in np.flatnonzero(reachable))
+                        seen.add((name, "exhausted"))
+                score, detected = emit_evidence(goal, nav.pose, gmap, params, rng,
+                                                float(field[nav.pose]))
+                nav.observe(score, detected, goal, rng)
+        assert {("two_room", "target"), ("trivial", "exhausted")} <= seen
+
     def test_navigator_is_blind_to_executive(self):
         # the same seed and observations must replay identical poses
         gmap, goals = parse_grid(load_fixture("two_room"))
