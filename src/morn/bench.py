@@ -39,6 +39,7 @@ from .executive import (
 from .signals import RollingWindow, SignalSample, update
 from .states import MetaStateVector, SunkCost, persistence_gate, potentiality, sufficiency
 from .world import (
+    Cell,
     GoalInstance,
     GridMap,
     Navigator,
@@ -84,6 +85,16 @@ class EpisodeSpec:
     min_separation: float = 4.0
     fixture: Optional[str] = None  # fixture map name instead of procedural
     world: WorldParams = field(default_factory=WorldParams)
+
+    def __post_init__(self) -> None:
+        ids = [g.goal_id for g in self.goals]
+        if not ids:
+            raise InvalidCallError(f"episode {self.episode_id}: an episode needs a goal")
+        if self.goal_count != len(ids):
+            raise InvalidCallError(f"episode {self.episode_id}: goal_count {self.goal_count} "
+                                   f"but {len(ids)} goals")
+        if len(set(ids)) != len(ids):
+            raise InvalidCallError(f"episode {self.episode_id}: goal ids {ids} are not unique")
 
 
 class GenerationError(RuntimeError):
@@ -135,8 +146,12 @@ class World:
     gmap: GridMap
     goals: dict[int, GoalInstance]
     fields: dict[int, np.ndarray]  # geodesic meters to each goal
-    positions_m: dict[int, tuple[float, float]]
     sentinel: float  # finite stand-in for an infinite (disconnected) distance
+
+    @property
+    def goal_cells(self) -> dict[int, Cell]:
+        """Each goal's cell, the positions greedy goal selection compares."""
+        return {g: goal.position for g, goal in self.goals.items()}
 
 
 def load_fixture(name: str) -> str:
@@ -207,20 +222,16 @@ def _separated_fields(gmap: GridMap, spec: EpisodeSpec,
 def _assemble(gmap: GridMap, spec: EpisodeSpec, positions: dict[int, tuple[int, int]],
               fields: dict[int, np.ndarray]) -> World:
     goals = {}
-    pos_m = {}
     for gs in spec.goals:
-        cell = positions[gs.goal_id]
         goals[gs.goal_id] = GoalInstance(
             goal_id=gs.goal_id,
             category=gs.category,
-            position=cell,
+            position=positions[gs.goal_id],
             detectability=gs.detectability,
             present=(gs.feasibility != ABSENT),
         )
-        pos_m[gs.goal_id] = gmap.to_meters(cell)
     sentinel = 2.0 * (gmap.height + gmap.width) * gmap.cell_size
-    return World(gmap=gmap, goals=goals, fields=fields,
-                 positions_m=pos_m, sentinel=sentinel)
+    return World(gmap=gmap, goals=goals, fields=fields, sentinel=sentinel)
 
 
 StepRecord = namedtuple(
@@ -261,9 +272,9 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
     if forks is None:
         forks = _Forks(spec, world if world is not None else build_world(spec),
                        [(variant, config)], record_steps=True)
-    index, branch = forks.claim(variant, config)
-    if branch is None:
-        return forks.finished.pop(index)
+    index, branch = forks.claim(spec, variant, config)
+    if isinstance(branch, EpisodeTrace):  # finished by the group it rode with
+        return branch
     world = forks.world
     gmap = world.gmap
     rng, nav, window = branch.rng, branch.nav, branch.window
@@ -326,7 +337,7 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
         # Each acting arm applies its decision to its own copy of the
         # mission and the persisting arms keep the branch's; arms stay
         # together while the resulting missions agree.
-        agent_m = gmap.to_meters(pose)
+        goal_cells = world.goal_cells
         parts: dict = {}
         for arm, decision in zip(arms, decisions):
             key, mission = None, branch.mission
@@ -338,8 +349,8 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
                     status.found = bool(goal.present and d_raw <= success_radius)
                     if status.found:
                         mission.commit_sequence.append(gid)
-                nxt = apply(decision, mission.schedule, mission.ledger, agent_m,
-                            world.positions_m, arm.variant)
+                nxt = apply(decision, mission.schedule, mission.ledger, pose,
+                            goal_cells, arm.variant)
                 key = (decision.action, decision.reason, nxt)
                 arm.abort_streak = arm.switch_streak = 0
             parts.setdefault(key, (mission, []))[1].append(arm)
@@ -350,7 +361,7 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
             if other_key is not None and fork.next_goal_or_end():
                 forks.finish(fork)
             else:
-                forks.parked[other_arms[0].index] = fork
+                forks.ready[other_arms[0].index] = fork
         branch.arms = arms
         branch.mission = mission
         if key is not None:
@@ -359,7 +370,7 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
                 break
 
     forks.finish(branch)
-    return forks.finished.pop(index)
+    return forks.ready.pop(index)
 
 
 def world_emit(goal, pose, gmap, config: RunConfig, rng, d_raw: float):
@@ -539,10 +550,10 @@ class _Branch:
 
 class _Forks:
     """The arms, (variant, config) pairs, of one spec as `run` serves them:
-    the branch parked for each arm that starts or resumes one, and the
-    traces finished for arms not yet called. Arms may share a branch only
-    if their configs are equal apart from the thresholds and their first
-    goals agree."""
+    what each arm not yet called gets when it is, the branch it starts or
+    resumes or the trace its group finished for it. Arms may share a
+    branch only if their configs are equal apart from the thresholds and
+    their first goals agree."""
 
     def __init__(self, spec: EpisodeSpec, world: World,
                  arms: list[tuple[MethodVariant, RunConfig]], record_steps: bool):
@@ -551,14 +562,21 @@ class _Forks:
         self.arms = arms
         self.record_steps = record_steps
         self.next = 0
-        self.parked: dict[int, _Branch] = {}
-        self.finished: dict[int, EpisodeTrace] = {}
+        self.ready: dict[int, _Branch | EpisodeTrace] = {}
         order = [g.goal_id for g in spec.goals]
-        spawn_m = world.gmap.to_meters(world.gmap.spawn)
+        cell_size = world.gmap.cell_size
+        goal_cells = world.goal_cells
         groups: list[tuple[RunConfig, int, list[_Arm]]] = []
         for i, (variant, config) in enumerate(arms):
+            # progress velocity is normalised by the meters one step covers
+            if config.signal.step_length != cell_size:
+                raise ConfigError(
+                    f"episode {spec.episode_id}: signal.step_length "
+                    f"({config.signal.step_length}) must equal the map's cell_size "
+                    f"({cell_size}): the navigator moves one cell per step"
+                )
             arm = _Arm(i, variant, config.thresholds)
-            first = first_goal(order, variant, spawn_m, world.positions_m)
+            first = first_goal(order, variant, world.gmap.spawn, goal_cells)
             for shared, goal, members in groups:
                 if goal == first and replace(config, thresholds=shared.thresholds) == shared:
                     members.append(arm)
@@ -566,21 +584,26 @@ class _Forks:
             else:
                 groups.append((config, first, [arm]))
         for config, first, members in groups:
-            self.parked[members[0].index] = _Branch.start(spec, world, config, first, members)
+            self.ready[members[0].index] = _Branch.start(spec, world, config, first, members)
 
-    def claim(self, variant: MethodVariant, config: RunConfig) -> tuple[int, Optional[_Branch]]:
-        """The next arm's index and its branch, None if it is finished."""
+    def claim(self, spec: EpisodeSpec, variant: MethodVariant,
+              config: RunConfig) -> tuple[int, _Branch | EpisodeTrace]:
+        """The next arm's index and its branch, or its trace if it is
+        finished."""
+        if spec is not self.spec:
+            raise InvalidCallError(f"run with forks built for episode {self.spec.episode_id} "
+                                   f"got episode {spec.episode_id}")
         i = self.next
         if i >= len(self.arms) or self.arms[i][0] is not variant or self.arms[i][1] is not config:
             raise InvalidCallError("run with forks takes each arm once, in arm order")
         self.next += 1
-        return i, self.parked.pop(i, None)
+        return i, self.ready.pop(i)
 
     def finish(self, branch: _Branch) -> None:
         """A trace for every arm riding `branch`, each with its own records."""
         for n, arm in enumerate(branch.arms):
             mission = branch.mission.copy() if n else branch.mission
-            self.finished[arm.index] = EpisodeTrace(
+            self.ready[arm.index] = EpisodeTrace(
                 spec=self.spec,
                 steps=arm.steps,
                 outcomes=mission.schedule.goals,
@@ -611,13 +634,22 @@ def sweep(specs: list[EpisodeSpec], variant: MethodVariant, parameter: str,
     sweep, and the rows do not depend on `workers`). Swept thresholds are
     range-checked up front (a non-finite value is rejected); the
     calibration floor is not applied."""
+    arms = [(variant, swept) for swept in _swept_configs(parameter, values, config)]
+    bp = config.bench
+    return [(value, compute_metrics(traces, reward=bp.reward, lambda_cost=bp.lambda_cost))
+            for value, traces in zip(values, _run_arms(specs, arms, workers))]
+
+
+def _swept_configs(parameter: str, values: list[float], config: RunConfig) -> list[RunConfig]:
+    """`config` with the swept threshold set to each value in turn; every
+    value is range-checked, the calibration floor is not applied."""
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(
             f"unknown sweep parameter {parameter!r}; "
             f"expected one of {sorted(SWEEP_PARAMETERS)}"
         )
     attr = SWEEP_PARAMETERS[parameter]
-    arms = []
+    configs = []
     for value in values:
         if not math.isfinite(value):
             raise ConfigError(f"sweep {parameter}={value!r}: not a finite number")
@@ -629,7 +661,5 @@ def sweep(specs: list[EpisodeSpec], variant: MethodVariant, parameter: str,
             thresholds.validate()
         except ValueError as exc:
             raise ConfigError(f"sweep {parameter}={value!r}: {exc}") from None
-        arms.append((variant, replace(config, thresholds=thresholds)))
-    bp = config.bench
-    return [(value, compute_metrics(traces, reward=bp.reward, lambda_cost=bp.lambda_cost))
-            for value, traces in zip(values, _run_arms(specs, arms, workers))]
+        configs.append(replace(config, thresholds=thresholds))
+    return configs

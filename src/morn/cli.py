@@ -31,6 +31,7 @@ from .bench import (
     run as run_episode,
     run_suite,
     sweep as run_sweep,
+    _swept_configs,
 )
 from .config import ConfigError, RunConfig, load_config
 from .world import FREE, parse_grid
@@ -46,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="key=value config file")
-    common.add_argument("--seed", type=int, default=None, help="master seed override")
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="dotted-key config override (repeatable)")
@@ -86,10 +86,7 @@ def _load(args) -> RunConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         k, v = item.split("=", 1)
         overrides[k.strip()] = v.strip()
-    config = load_config(path, overrides)
-    if args.seed is not None:
-        config.bench.master_seed = args.seed
-    return config
+    return load_config(path, overrides)
 
 
 def _suite(config: RunConfig, episodes: int | None):
@@ -311,6 +308,7 @@ def cmd_sweep(args) -> int:
         values = [float(v) for v in values]
     except ValueError as exc:
         raise ConfigError(f"bad sweep value: {exc}") from None
+    swept = _swept_configs(args.parameter, values, config)
     specs = _suite(config, args.episodes)
     table = run_sweep(specs, variant, args.parameter, values, config, workers=_workers(args))
 
@@ -319,10 +317,11 @@ def cmd_sweep(args) -> int:
     path = out / f"sweep_{args.parameter}.csv"
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([args.parameter, "mgsr", "ssr", "cr", "steps", "wsf"])
-        for value, m in table:
+        writer.writerow([args.parameter, "mgsr", "ssr", "cr", "steps", "wsf", "in_envelope"])
+        for (value, m), cfg in zip(table, swept):
+            in_envelope = int(cfg.thresholds.commit > cfg.commit_floor())
             writer.writerow([_fmt(value), _fmt(m.mgsr), _fmt(m.ssr), _fmt(m.cr),
-                             _fmt(m.mean_steps), _fmt(m.wsf)])
+                             _fmt(m.mean_steps), _fmt(m.wsf), in_envelope])
     sys.stdout.write(path.read_text())
     return 0
 

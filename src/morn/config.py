@@ -68,22 +68,25 @@ class RunConfig:
                 f"world.cell_size ({self.world.cell_size}): the navigator moves "
                 "one cell per step"
             )
-        # Calibration constraint: a flat, fully stable baseline evidence
-        # stream on an absent goal must not clear the commit threshold at
-        # the commit-distance boundary, otherwise commits become pure
-        # proximity triggers.
-        w = self.weights
-        floor = (
-            w.acc_e * self.perception.base_noise_mean
-            + w.acc_stab * 1.0
-            + w.acc_prox * math.exp(-self.thresholds.commit_distance / w.prox_scale)
-        )
+        floor = self.commit_floor()
         if self.thresholds.commit <= floor:
             raise ConfigError(
                 f"commit threshold {self.thresholds.commit} does not exceed the "
                 f"stable-baseline sufficiency floor {floor:.4f}; commits would "
                 "fire on proximity alone"
             )
+
+    def commit_floor(self) -> float:
+        """The calibration constraint: the sufficiency of a flat, fully
+        stable baseline evidence stream on an absent goal at the
+        commit-distance boundary. The commit threshold must exceed it,
+        otherwise commits become pure proximity triggers."""
+        w = self.weights
+        return (
+            w.acc_e * self.perception.base_noise_mean
+            + w.acc_stab * 1.0
+            + w.acc_prox * math.exp(-self.thresholds.commit_distance / w.prox_scale)
+        )
 
 
 _SECTIONS = tuple(f.name for f in dataclasses.fields(RunConfig))

@@ -256,7 +256,8 @@ def select_next(
     goal_positions: dict[int, tuple[float, float]],
 ) -> int:
     """Greedy geometric re-ordering: nearest remaining goal by Euclidean
-    distance, ties broken by lowest goal id."""
+    distance, ties broken by lowest goal id. The runner passes grid cells,
+    so the ordering, ties included, does not depend on the cell size."""
     if not remaining:
         raise InvalidCallError("select_next on empty goal set")
     ax, ay = agent_position
@@ -274,8 +275,9 @@ def first_goal(
     agent_position: tuple[float, float],
     goal_positions: dict[int, tuple[float, float]],
 ) -> int:
-    """The goal an episode starts on: the nearest one (as `select_next`)
-    under REACTIVE_ORDER, the first in `order` under every other variant."""
+    """The goal an episode starts on: the nearest one (as `select_next`,
+    from the grid cells the runner passes) under REACTIVE_ORDER, the first
+    in `order` under every other variant."""
     if variant is MethodVariant.REACTIVE_ORDER:
         return select_next(order, agent_position, goal_positions)
     return order[0]
@@ -308,9 +310,10 @@ def apply(
 
     Non-persist actions retire or recycle the active goal, recompute the
     subgoal allocation from the remaining budget and activate the next
-    goal (greedy geometric, or prescribed order under FIXED_ORDER). A
-    goal just switched away from is not immediately re-selected while an
-    alternative exists. Returns the newly activated goal id, or None.
+    goal (greedy geometric as `select_next`, over the grid cells the runner
+    passes, or prescribed order under FIXED_ORDER). A goal just switched
+    away from is not immediately re-selected while an alternative exists.
+    Returns the newly activated goal id, or None.
     """
     if decision.action is MetaAction.PERSIST:
         return None

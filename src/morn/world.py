@@ -62,11 +62,6 @@ class GridMap:
         r, c = cell
         return 0 <= r < self.height and 0 <= c < self.width and self.free[r * self.width + c]
 
-    def to_meters(self, cell: Cell) -> tuple[float, float]:
-        """Cell center in meters, (x, y) = (col, row) scaled."""
-        r, c = cell
-        return ((c + 0.5) * self.cell_size, (r + 0.5) * self.cell_size)
-
 
 def parse_grid(text: str, cell_size: float = 0.5) -> tuple[GridMap, dict[int, Cell]]:
     """Parse the plain-text fixture format. Returns the map and the goal
@@ -258,20 +253,15 @@ def emit_evidence(
     return (max(0.0, min(score, 1.0)), detected)
 
 
-class NavigatorMode:
-    EXPLORE = "EXPLORE"
-    APPROACH = "APPROACH"
-
-
 class Navigator:
-    """Frontier-coverage explorer with an evidence-triggered approach
-    mode. Never reads meta-states or budgets.
+    """Frontier-coverage explorer with an evidence-triggered approach.
+    Never reads meta-states or budgets.
 
-    EXPLORE plans a shortest path to the nearest unvisited free cell and
-    follows it, marking coverage in a small sensing square around the
-    pose. Evidence above the approach trigger for two consecutive steps
-    locks in a believed target and switches to APPROACH, which descends
-    the geodesic to that target. Sustained low evidence releases the
+    Without a believed target it explores: it plans a shortest path to the
+    nearest unvisited free cell and follows it, marking coverage in a small
+    sensing square around the pose. Evidence above the approach trigger
+    for two consecutive steps locks in a believed target, which it then
+    approaches along the geodesic. Sustained low evidence releases the
     target and resumes exploration.
     """
 
@@ -282,7 +272,7 @@ class Navigator:
     def __init__(self, gmap: GridMap, params: PerceptionParams):
         self.gmap = gmap
         self.pose: Cell = gmap.spawn
-        self.mode = NavigatorMode.EXPLORE
+        # the navigator approaches while it holds a target, else explores
         self.believed_target: Optional[Cell] = None
         # coverage flags indexed like gmap.free, marked through a 2-D view
         self.visited = bytearray(gmap.cells.size)
@@ -295,10 +285,9 @@ class Navigator:
         self._mark_visited()
 
     def begin_goal_context(self) -> None:
-        """Fresh search for a newly activated goal: coverage, mode and
-        any believed target are reset; the pose is kept."""
+        """Fresh search for a newly activated goal: coverage and any
+        believed target are reset; the pose is kept."""
         self._visited_grid[:] = False
-        self.mode = NavigatorMode.EXPLORE
         self.believed_target = None
         self._path.clear()
         self._high_streak = 0
@@ -331,8 +320,8 @@ class Navigator:
 
     def observe(self, evidence: float, detected: bool, goal: GoalInstance,
                 rng: random.Random) -> None:
-        """Feed the current evidence sample before stepping; may flip
-        between EXPLORE and APPROACH."""
+        """Feed the current evidence sample before stepping; may lock in or
+        release a believed target."""
         if evidence > self.approach_trigger:
             self._high_streak += 1
             self._low_streak = 0
@@ -340,15 +329,13 @@ class Navigator:
             self._high_streak = 0
             self._low_streak += 1
 
-        if self.mode == NavigatorMode.EXPLORE and self._high_streak >= self.TRIGGER_STEPS:
+        if self.believed_target is None and self._high_streak >= self.TRIGGER_STEPS:
             target = self._locate_source(detected, goal, rng)
             if target is not None:
                 self.believed_target = target
-                self.mode = NavigatorMode.APPROACH
                 self._path.clear()
-        elif self.mode == NavigatorMode.APPROACH and self._low_streak >= self.RELEASE_STEPS:
+        elif self.believed_target is not None and self._low_streak >= self.RELEASE_STEPS:
             self.believed_target = None
-            self.mode = NavigatorMode.EXPLORE
             self._path.clear()
 
     def _locate_source(self, detected: bool, goal: GoalInstance,
@@ -367,7 +354,7 @@ class Navigator:
         ('move' or 'stay'). A stay leaves coverage as it is: the sensing
         square around the pose is marked whenever the pose or the coverage
         changes."""
-        if self.mode == NavigatorMode.APPROACH:
+        if self.believed_target is not None:
             if self.pose == self.believed_target:
                 return "stay"
             if not self._path:
@@ -375,11 +362,10 @@ class Navigator:
                 if path is None:
                     # phantom or unreachable target: give up on it
                     self.believed_target = None
-                    self.mode = NavigatorMode.EXPLORE
                 else:
                     self._path = deque(path)
 
-        if self.mode == NavigatorMode.EXPLORE and not self._path:
+        if self.believed_target is None and not self._path:
             if self._exhausted:
                 return "stay"
             path = self._plan_to_nearest_unvisited()

@@ -25,7 +25,7 @@ from morn.bench import (
 )
 from morn.config import ConfigError, RunConfig, load_config
 from morn.executive import GoalState, GoalStatus, InvalidCallError, MethodVariant
-from morn.world import Navigator
+from morn.world import Navigator, distance_field, parse_grid
 from test_golden import golden_configs, golden_specs
 
 CFG = load_config()
@@ -98,6 +98,18 @@ class TestGenerate:
     def test_negative_counts_rejected(self):
         with pytest.raises(InvalidCallError):
             generate(-1, 0, 1, CFG)
+
+
+class TestEpisodeSpec:
+    @pytest.mark.parametrize("goal_count, goals, message", [
+        (3, [GoalSpec(1, "mug"), GoalSpec(2, "tv")], "goal_count 3 but 2 goals"),
+        (2, [GoalSpec(1, "mug"), GoalSpec(1, "tv")], r"goal ids \[1, 1\] are not unique"),
+        (0, [], "an episode needs a goal"),
+    ], ids=["count", "duplicate-ids", "no-goals"])
+    def test_inconsistent_spec_rejected(self, goal_count, goals, message):
+        with pytest.raises(InvalidCallError, match=f"episode 7: {message}"):
+            EpisodeSpec(episode_id=7, seed=1, goal_count=goal_count, budget_max=500,
+                        goals=goals)
 
 
 class TestBuildWorld:
@@ -176,6 +188,26 @@ class TestRun:
                         assert rec.reason == "SUBGOAL_CAP"
                     if rec.action == "COMMIT":
                         assert rec.reason == "EVIDENCE_COMMIT"
+
+    def test_exact_tie_goes_to_the_lowest_goal_id(self):
+        # both goals are one cell from the spawn; at 0.7 m per cell their
+        # distances in meters would differ in the last bit
+        config = load_config(overrides={"world.cell_size": "0.7", "signal.step_length": "0.7"})
+        gmap, cells = parse_grid("#####\n#1S2#\n#####", 0.7)
+        spec = EpisodeSpec(episode_id=0, seed=7, goal_count=2, budget_max=30,
+                           goals=[GoalSpec(1, "mug"), GoalSpec(2, "tv")], world=config.world)
+        fields = {g: distance_field(gmap, cell) for g, cell in cells.items()}
+        world = bench_mod._assemble(gmap, spec, cells, fields)
+        tr = run(spec, MethodVariant.REACTIVE_ORDER, config, world=world)
+        assert tr.steps[0].goal_id == 1
+
+    def test_step_length_checked_against_the_map(self):
+        quarter = load_config(overrides={"world.cell_size": "0.25",
+                                         "signal.step_length": "0.25"})
+        spec = generate(1, 0, 314, quarter)[0]
+        with pytest.raises(ConfigError, match=r"step_length \(0.5\) must equal the map's "
+                                              r"cell_size \(0.25\)"):
+            run(spec, MethodVariant.MORN_FULL, RunConfig())
 
     def test_found_requires_true_proximity(self):
         for spec in small_suite(4, 2):
@@ -385,7 +417,7 @@ class TestForkedArms:
         arms = arm_lists(CFG)["weights"]
         for spec in small_suite(3, 1):
             forks = bench_mod._Forks(spec, build_world(spec), arms, record_steps=False)
-            for branch in forks.parked.values():
+            for branch in forks.ready.values():
                 assert len({id(arms[a.index][1]) for a in branch.arms}) == 1
 
     def test_run_called_once_per_arm_in_arm_order(self, monkeypatch):
@@ -410,6 +442,13 @@ class TestForkedArms:
         forks = bench_mod._Forks(spec, build_world(spec), arms, record_steps=False)
         with pytest.raises(InvalidCallError, match="arm order"):
             run(spec, *arms[1], forks=forks)
+
+    def test_forks_of_another_spec_rejected(self):
+        a, b = small_suite(2, 0)
+        arms = arm_lists(CFG)["variants"]
+        forks = bench_mod._Forks(a, build_world(a), arms, record_steps=False)
+        with pytest.raises(InvalidCallError, match="built for episode 0 got episode 1"):
+            run(b, *arms[0], forks=forks)
 
     def test_shared_steps_are_simulated_once(self, monkeypatch):
         simulated = 0

@@ -30,7 +30,7 @@ class TestRun:
 
     def test_trace_files_are_reproducible(self, tmp_path):
         for name in ("r1", "r2"):
-            assert main(["run", "--fixture", "two_room", "--seed", "5",
+            assert main(["run", "--fixture", "two_room", "--set", "bench.master_seed=5",
                          "--out", out_dir(tmp_path, name)]) == 0
         a = (tmp_path / "r1" / "episode_0_morn_full.jsonl").read_bytes()
         b = (tmp_path / "r2" / "episode_0_morn_full.jsonl").read_bytes()
@@ -154,9 +154,18 @@ class TestSweep:
         assert main(["sweep", "--parameter", "tau_c", "--values", "0.6,0.65",
                      *FAST, "--workers", "1", "--out", out_dir(tmp_path, "s")]) == 0
         lines = (tmp_path / "s" / "sweep_tau_c.csv").read_text().strip().splitlines()
-        assert lines[0] == "tau_c,mgsr,ssr,cr,steps,wsf"
+        assert lines[0] == "tau_c,mgsr,ssr,cr,steps,wsf,in_envelope"
         assert len(lines) == 3
         assert lines[1].startswith("0.6000,")
+
+    @pytest.mark.parametrize("parameter, values", [("tau_c", "0.5,0.6"), ("d_commit", "2.8,2.9")])
+    def test_in_envelope_column(self, tmp_path, parameter, values):
+        # the commit threshold 0.6 must exceed the calibration floor: 0.5946
+        # at d_commit 3.0, 0.6014 at 2.8 and 0.5980 at 2.9
+        assert main(["sweep", "--parameter", parameter, "--values", values, *FAST,
+                     "--episodes", "1", "--workers", "1", "--out", out_dir(tmp_path, "s")]) == 0
+        lines = (tmp_path / "s" / f"sweep_{parameter}.csv").read_text().splitlines()
+        assert [line.split(",")[-1] for line in lines] == ["in_envelope", "0", "1"]
 
     def test_unknown_parameter_is_exit_2(self, tmp_path):
         assert main(["sweep", "--parameter", "tau_q", "--values", "0.5",

@@ -14,7 +14,6 @@ from morn.world import (
     GoalInstance,
     GridMap,
     Navigator,
-    NavigatorMode,
     OccupiedCellError,
     PerceptionParams,
     WorldParams,
@@ -288,7 +287,7 @@ class TestNavigator:
             score, detected = emit_evidence(goal, nav.pose, gmap, params, rng,
                                             distance=float(d))
             nav.observe(score, detected, goal, rng)
-            if nav.mode == NavigatorMode.APPROACH:
+            if nav.believed_target is not None:
                 approached = True
                 assert nav.believed_target == goal.position
             if nav.pose == goal.position or d <= gmap.cell_size:
@@ -358,7 +357,6 @@ class TestNavigator:
         covered = nav.coverage_fraction()
         nav.begin_goal_context()
         assert nav.coverage_fraction() < covered or covered == nav.coverage_fraction() == 1.0
-        assert nav.mode == NavigatorMode.EXPLORE
         assert nav.believed_target is None
 
 
