@@ -27,7 +27,6 @@ from .executive import (
     MetaAction,
     MethodVariant,
     MissionSchedule,
-    Thresholds,
     allocate,
     apply,
     below_abort,
@@ -72,7 +71,6 @@ class GoalSpec:
     goal_id: int
     category: str
     feasibility: str = FEASIBLE  # present | absent | sealed
-    detectability: float = 0.9
 
 
 @dataclass
@@ -133,7 +131,7 @@ def generate(count_k2: int, count_k3: int, master_seed: int,
             episode_id=i,
             seed=seed,
             goal_count=k,
-            budget_max=bp.budget_k2 if k == 2 else bp.budget_k3,
+            budget_max=bp.budget(k),
             goals=goals,
             min_separation=bp.min_separation,
             world=replace(config.world),
@@ -155,13 +153,14 @@ class World:
 
 
 def load_fixture(name: str) -> str:
+    """The text of the bundled fixture map `name`; any other name, a path
+    included, is a ConfigError listing the bundled ones."""
     fixtures = resources.files("morn").joinpath("fixtures")
-    path = fixtures.joinpath(f"{name}.txt")
-    if not path.is_file():
-        bundled = sorted(p.name.removesuffix(".txt") for p in fixtures.iterdir()
-                         if p.name.endswith(".txt"))
+    bundled = sorted(p.name.removesuffix(".txt") for p in fixtures.iterdir()
+                     if p.name.endswith(".txt"))
+    if name not in bundled:
         raise ConfigError(f"unknown fixture {name!r}; bundled fixtures: {', '.join(bundled)}")
-    return path.read_text()
+    return fixtures.joinpath(f"{name}.txt").read_text()
 
 
 def build_world(spec: EpisodeSpec) -> World:
@@ -227,7 +226,6 @@ def _assemble(gmap: GridMap, spec: EpisodeSpec, positions: dict[int, tuple[int, 
             goal_id=gs.goal_id,
             category=gs.category,
             position=positions[gs.goal_id],
-            detectability=gs.detectability,
             present=(gs.feasibility != ABSENT),
         )
     sentinel = 2.0 * (gmap.height + gmap.width) * gmap.cell_size
@@ -261,7 +259,7 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
     Terminates on goal exhaustion or at the step budget, never later.
     All failure modes are recorded outcomes, not errors.
 
-    With `forks` (from `_run_spec`, which calls `run` once per arm of a
+    With `forks` (from `_run_one`, which calls `run` once per arm of a
     spec, in arm order, and records no steps) the arms that decide alike
     share one simulation: the call for a group's first arm advances every
     arm riding with it and parks a copy of the state for each part whose
@@ -319,7 +317,7 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
         decisions = []
         acting = False
         for arm in arms:
-            th = arm.thresholds
+            th = arm.config.thresholds
             arm.abort_streak = streak(arm.abort_streak, below_abort(states, th), spent, th)
             arm.switch_streak = streak(arm.switch_streak, below_switch(states, th), spent, th)
             decision = decide(
@@ -466,32 +464,33 @@ def _run_arms(specs: list[EpisodeSpec], arms: list[tuple[MethodVariant, RunConfi
               workers: int) -> list[list[EpisodeTrace]]:
     """One trace list per arm, a (variant, config) pair, in spec order. Each
     spec's world is built once and shared by all arms (`run` only reads it);
-    with `workers` > 1 one process pool runs one job per spec, all arms."""
+    with `workers` > 1 one process pool runs the jobs, one per spec."""
+    jobs = [(spec, arms) for spec in specs]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        jobs = [(spec, arms) for spec in specs]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_spec = [traces for _, traces in pool.map(_run_one, jobs, chunksize=8)]
     else:
-        per_spec = [_run_spec(spec, arms) for spec in specs]
+        per_spec = [traces for _, traces in map(_run_one, jobs)]
     return [[traces[i] for traces in per_spec] for i in range(len(arms))]
 
 
-def _run_spec(spec, arms):
-    world = build_world(spec)
-    forks = _Forks(spec, world, arms, record_steps=False)
-    return [run(spec, v, cfg, forks=forks) for v, cfg in arms]
+def _run_one(job):
+    """One job: a spec's world, then `run` once per arm, in arm order."""
+    spec, arms = job
+    forks = _Forks(spec, build_world(spec), arms, record_steps=False)
+    return spec.episode_id, [run(spec, v, cfg, forks=forks) for v, cfg in arms]
 
 
 @dataclass(slots=True, eq=False)
 class _Arm:
-    """What one arm owns in a shared simulation: its patience streaks and
-    its step records."""
+    """One arm of a spec, its variant and config, and what it owns in a
+    shared simulation: its patience streaks and its step records."""
 
     index: int
     variant: MethodVariant
-    thresholds: Thresholds
+    config: RunConfig
     abort_streak: int = 0
     switch_streak: int = 0
     steps: list[StepRecord] = field(default_factory=list)
@@ -549,25 +548,26 @@ class _Branch:
 
 
 class _Forks:
-    """The arms, (variant, config) pairs, of one spec as `run` serves them:
-    what each arm not yet called gets when it is, the branch it starts or
-    resumes or the trace its group finished for it. Arms may share a
-    branch only if their configs are equal apart from the thresholds and
-    their first goals agree."""
+    """The arms of one spec as `run` serves them: what each arm not yet
+    called gets when it is, the branch it starts or resumes or the trace
+    its group finished for it. Arms may share a branch only if their
+    configs are equal apart from the thresholds and their first goals
+    agree."""
 
     def __init__(self, spec: EpisodeSpec, world: World,
                  arms: list[tuple[MethodVariant, RunConfig]], record_steps: bool):
         self.spec = spec
         self.world = world
-        self.arms = arms
+        self.arms = [_Arm(i, variant, config) for i, (variant, config) in enumerate(arms)]
         self.record_steps = record_steps
         self.next = 0
         self.ready: dict[int, _Branch | EpisodeTrace] = {}
         order = [g.goal_id for g in spec.goals]
         cell_size = world.gmap.cell_size
         goal_cells = world.goal_cells
-        groups: list[tuple[RunConfig, int, list[_Arm]]] = []
-        for i, (variant, config) in enumerate(arms):
+        groups: list[tuple[int, list[_Arm]]] = []  # first goal, arms
+        for arm in self.arms:
+            config = arm.config
             # progress velocity is normalised by the meters one step covers
             if config.signal.step_length != cell_size:
                 raise ConfigError(
@@ -575,16 +575,17 @@ class _Forks:
                     f"({config.signal.step_length}) must equal the map's cell_size "
                     f"({cell_size}): the navigator moves one cell per step"
                 )
-            arm = _Arm(i, variant, config.thresholds)
-            first = first_goal(order, variant, world.gmap.spawn, goal_cells)
-            for shared, goal, members in groups:
+            first = first_goal(order, arm.variant, world.gmap.spawn, goal_cells)
+            for goal, members in groups:
+                shared = members[0].config
                 if goal == first and replace(config, thresholds=shared.thresholds) == shared:
                     members.append(arm)
                     break
             else:
-                groups.append((config, first, [arm]))
-        for config, first, members in groups:
-            self.ready[members[0].index] = _Branch.start(spec, world, config, first, members)
+                groups.append((first, [arm]))
+        for first, members in groups:
+            lead = members[0]
+            self.ready[lead.index] = _Branch.start(spec, world, lead.config, first, members)
 
     def claim(self, spec: EpisodeSpec, variant: MethodVariant,
               config: RunConfig) -> tuple[int, _Branch | EpisodeTrace]:
@@ -594,7 +595,8 @@ class _Forks:
             raise InvalidCallError(f"run with forks built for episode {self.spec.episode_id} "
                                    f"got episode {spec.episode_id}")
         i = self.next
-        if i >= len(self.arms) or self.arms[i][0] is not variant or self.arms[i][1] is not config:
+        arm = self.arms[i] if i < len(self.arms) else None
+        if arm is None or arm.variant is not variant or arm.config is not config:
             raise InvalidCallError("run with forks takes each arm once, in arm order")
         self.next += 1
         return i, self.ready.pop(i)
@@ -610,11 +612,6 @@ class _Forks:
                 total_steps=mission.ledger.elapsed,
                 commit_sequence=mission.commit_sequence,
             )
-
-
-def _run_one(args):
-    """Pool task (serial runs call `_run_spec`): one spec, every arm."""
-    return args[0].episode_id, _run_spec(*args)
 
 
 SWEEP_PARAMETERS = {

@@ -24,6 +24,7 @@ from .bench import (
     GenerationError,
     GoalSpec,
     MethodVariant,
+    SWEEP_PARAMETERS,
     build_world,
     compute_metrics,
     generate,
@@ -72,21 +73,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", parents=[common, one_variant, suite],
                              help="sweep one controller threshold")
     sweep_p.add_argument("--parameter", required=True,
-                         help="tau_a | tau_s | tau_c | d_commit | t_grace")
+                         help=" | ".join(SWEEP_PARAMETERS))
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated values")
     return p
 
 
 def _load(args) -> RunConfig:
-    path = args.config or os.environ.get("MORN_CONFIG") or None
     overrides = {}
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         k, v = item.split("=", 1)
         overrides[k.strip()] = v.strip()
-    return load_config(path, overrides)
+    return load_config(args.config, overrides)
 
 
 def _suite(config: RunConfig, episodes: int | None):
@@ -130,13 +130,11 @@ def _parse_variants(raw: str | None) -> list[MethodVariant]:
 def _fixture_spec(name: str, config: RunConfig) -> EpisodeSpec:
     gmap, digits = parse_grid(load_fixture(name), config.world.cell_size)
     ids = sorted(digits)
-    k = len(ids)
-    budget = config.bench.budget_k2 if k <= 2 else config.bench.budget_k3
     return EpisodeSpec(
         episode_id=0,
         seed=config.bench.master_seed,
-        goal_count=k,
-        budget_max=budget,
+        goal_count=len(ids),
+        budget_max=config.bench.budget(len(ids)),
         goals=[GoalSpec(goal_id=g, category=f"goal{g}") for g in ids],
         fixture=name,
         world=replace(config.world),
@@ -266,26 +264,16 @@ def cmd_bench(args) -> int:
                 row[f"{label}_wsf"] = _fmt(m.wsf)
             else:
                 row[f"{label}_mgsr"] = row[f"{label}_cr"] = row[f"{label}_wsf"] = ""
-        row.update({
-            "mgsr": _fmt(overall.mgsr),
-            "ssr": _fmt(overall.ssr),
-            "cr": _fmt(overall.cr),
-            "steps": _fmt(overall.mean_steps),
-            "wsf": _fmt(overall.wsf),
-            "utility": _fmt(overall.utility_mean),
-            "no_detection": str(overall.failure_counts["NO_DETECTION"]),
-            "aborted": str(overall.failure_counts["ABORTED"]),
-            "switched_unresolved": str(overall.failure_counts["SWITCHED_UNRESOLVED"]),
-            "false_commit": str(overall.failure_counts["FALSE_COMMIT"]),
-        })
-        rows.append(row)
-        summary[v.value] = {
+        entry = summary[v.value] = {
             "mgsr": overall.mgsr, "ssr": overall.ssr, "cr": overall.cr,
             "steps": overall.mean_steps, "wsf": overall.wsf,
             "utility": overall.utility_mean,
             "failures": overall.failure_counts,
             "episodes": overall.episodes,
         }
+        row.update({name: _fmt(entry[name]) for name in BENCH_COLUMNS if name in entry})
+        row.update({mode.lower(): str(n) for mode, n in overall.failure_counts.items()})
+        rows.append(row)
 
     with (out / "bench.csv").open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=BENCH_COLUMNS, lineterminator="\n")

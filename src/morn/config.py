@@ -44,6 +44,10 @@ class BenchParams:
         if self.budget_k2 < 1 or self.budget_k3 < 1:
             raise ValueError("budgets must be positive")
 
+    def budget(self, goal_count: int) -> int:
+        """The step budget of an episode with `goal_count` goals."""
+        return self.budget_k2 if goal_count <= 2 else self.budget_k3
+
 
 @dataclass
 class RunConfig:

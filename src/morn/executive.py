@@ -215,9 +215,11 @@ def decide(
     Branch priority: subgoal cap, abort, switch, commit, persist. The cap
     is a benchmark-level rule and fires in every variant; with a single
     open goal it aborts that goal outright so the episode terminates
-    instead of re-cycling the same goal forever. Grace protects abort and
-    switch only; commit is exempt from grace but needs a short warmup so
-    a freshly reset window (trivially stable) cannot trigger it.
+    instead of re-cycling the same goal forever. During grace an enabled
+    abort or switch branch whose condition holds returns PERSIST/GRACE
+    before commit is checked; otherwise commit ignores grace and needs only
+    a short warmup, so a freshly reset window (trivially stable) cannot
+    trigger it.
     """
     spent = ledger.active_spent
     in_grace = spent < thresholds.grace

@@ -36,6 +36,10 @@ class StateWeights:
     def validate(self) -> None:
         if self.prox_scale <= 0:
             raise ValueError("prox_scale must be positive")
+        for name in ("acc_e", "acc_stab", "acc_prox"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}; "
+                                 "otherwise sufficiency leaves the unit interval")
         total = self.acc_e + self.acc_stab + self.acc_prox
         if abs(total - 1.0) > 1e-9:
             raise ValueError(

@@ -71,6 +71,18 @@ class TestRun:
         assert "maze, open, sealed, trivial, two_room" in err
         assert "Traceback" not in err
 
+    def test_fixture_path_is_exit_2(self, tmp_path, capsys):
+        # a name is looked up among the bundled maps, never joined as a path
+        assert main(["run", "--fixture", "../fixtures/trivial",
+                     "--out", out_dir(tmp_path, "a")]) == 2
+        assert "unknown fixture '../fixtures/trivial'" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+    def test_episode_outside_suite_is_exit_2(self, tmp_path, capsys):
+        assert main(["run", "--episode", "999", *FAST, "--out", out_dir(tmp_path, "a")]) == 2
+        assert "episode index 999 outside suite of 6" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
     @pytest.mark.parametrize("settings,message", [
         (["world.cell_size=0"], "cell_size must be positive"),
         (["world.cell_size=-1"], "cell_size must be positive"),
@@ -79,6 +91,9 @@ class TestRun:
         (["world.extra_door_prob=7"], "extra_door_prob must be in [0, 1]"),
         (["world.rooms_x=1", "world.rooms_y=1"], "at least 2 rooms"),
         (["world.cell_size=0.25"], "signal.step_length (0.5) must equal world.cell_size (0.25)"),
+        (["perception.false_positive_rate=1.5"], "false_positive_rate must be in [0, 1]"),
+        (["perception.signal_range=0"], "signal_range must be positive"),
+        (["perception.noise_std=-0.1"], "noise_std must be nonnegative"),
     ])
     def test_bad_world_is_exit_2(self, tmp_path, capsys, settings, message):
         sets = [arg for kv in settings for arg in ("--set", kv)]
@@ -128,6 +143,10 @@ class TestBench:
     (["--episodes", "-4"], "--episodes must be >= 1"),
     (["--workers", "-3"], "--workers must be >= 0"),
     (["--set", "bench.count_k2=0", "--set", "bench.count_k3=0"], "empty benchmark suite"),
+    (["--set", "bench.count_k2=-1"], "episode counts must be nonnegative"),
+    (["--set", "bench.budget_k2=0"], "budgets must be positive"),
+    (["--set", "bench.success_radius=0"], "success_radius must be positive"),
+    (["--set", "foo"], "--set expects KEY=VALUE, got 'foo'"),
 ])
 def test_bad_suite_or_workers_is_exit_2(tmp_path, capsys, command, extra, message):
     assert main([*command, *FAST, *extra, "--out", out_dir(tmp_path, "o")]) == 2
@@ -175,6 +194,13 @@ class TestSweep:
         assert main(["sweep", "--parameter", "tau_c", "--values", ",",
                      *FAST, "--out", out_dir(tmp_path, "s")]) == 2
 
+    def test_non_numeric_value_is_exit_2(self, tmp_path, capsys):
+        assert main(["sweep", "--parameter", "tau_c", "--values", "abc",
+                     *FAST, "--out", out_dir(tmp_path, "s")]) == 2
+        assert "bad sweep value: could not convert string to float: 'abc'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_negative_grace_is_exit_2(self, tmp_path, capsys):
         assert main(["sweep", "--parameter", "t_grace", "--values=-5",
                      *FAST, "--out", out_dir(tmp_path, "s")]) == 2
@@ -201,19 +227,13 @@ class TestSweep:
 
 
 class TestEnvironment:
-    def test_config_path_from_environment(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "env.cfg"
+    def test_config_file_sets_the_suite(self, tmp_path):
+        cfg = tmp_path / "suite.cfg"
         cfg.write_text("bench.count_k2 = 2\nbench.count_k3 = 0\n")
-        monkeypatch.setenv("MORN_CONFIG", str(cfg))
-        assert main(["bench", "--variants", "MORN_FULL", "--workers", "1",
-                     "--out", out_dir(tmp_path, "b")]) == 0
+        assert main(["bench", "--config", str(cfg), "--variants", "MORN_FULL",
+                     "--workers", "1", "--out", out_dir(tmp_path, "b")]) == 0
         summary = json.loads((tmp_path / "b" / "summary.json").read_text())
         assert summary["episodes"] == 2
-
-    def test_empty_environment_path_is_unset(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MORN_CONFIG", "")
-        assert main(["bench", "--episodes", "2", "--variants", "MORN_FULL",
-                     "--workers", "1", "--out", out_dir(tmp_path, "b")]) == 0
 
     @pytest.mark.parametrize("name, message", [
         ("missing.cfg", "No such file or directory"),

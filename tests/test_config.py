@@ -98,6 +98,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_config(overrides={"weights.acc_e": "0.9"})
 
+    def test_negative_accumulation_weight_rejected(self):
+        # the weights sum to 1, yet sufficiency(1, 0, 0) would be 1.1
+        with pytest.raises(ConfigError, match="acc_stab must be nonnegative"):
+            load_config(overrides={"weights.acc_e": "0.6", "weights.acc_stab": "-0.1",
+                                   "weights.acc_prox": "0.5"})
+
     def test_bad_fraction_rejected(self):
         with pytest.raises(ConfigError):
             load_config(overrides={"bench.infeasible_fraction": "1.5"})

@@ -137,6 +137,17 @@ class TestDecide:
                        th, MethodVariant.MORN_FULL)
         assert fresh.action is MetaAction.PERSIST
 
+    @pytest.mark.parametrize("variant, action, reason", [
+        (MethodVariant.MORN_FULL, MetaAction.PERSIST, DecisionReason.GRACE),
+        (MethodVariant.MORN_SWITCH_ONLY, MetaAction.COMMIT, DecisionReason.EVIDENCE_COMMIT),
+        (MethodVariant.FIXED_ORDER, MetaAction.COMMIT, DecisionReason.EVIDENCE_COMMIT),
+    ])
+    def test_grace_hold_outranks_commit(self, variant, action, reason):
+        # low potentiality in grace: an enabled abort branch holds the goal
+        # before the commit branch is reached, though all commit conditions hold
+        d = decide(MetaStateVector(0.3, 0.9, 0.9), 1.0, ledger(spent=10), TH, variant)
+        assert (d.action, d.reason) == (action, reason)
+
     def test_cap_forces_switch(self):
         d = decide(states(), 10.0, ledger(allocation=250, spent=250), TH,
                    MethodVariant.FIXED_ORDER)
