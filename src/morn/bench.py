@@ -16,8 +16,6 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from . import world as world_mod
 from .config import ConfigError, RunConfig
 from .executive import (
@@ -143,7 +141,7 @@ def generate(count_k2: int, count_k3: int, master_seed: int,
 class World:
     gmap: GridMap
     goals: dict[int, GoalInstance]
-    fields: dict[int, np.ndarray]  # geodesic meters to each goal
+    fields: dict[int, dict[Cell, float]]  # geodesic meters to each goal, per cell
     sentinel: float  # finite stand-in for an infinite (disconnected) distance
 
     @property
@@ -205,7 +203,7 @@ def build_world(spec: EpisodeSpec) -> World:
 
 
 def _separated_fields(gmap: GridMap, spec: EpisodeSpec,
-                      positions: dict[int, tuple[int, int]]) -> Optional[dict[int, np.ndarray]]:
+                      positions: dict[int, Cell]) -> Optional[dict[int, dict[Cell, float]]]:
     """Distance field to each goal, or None as soon as two goals are
     closer than the minimum separation."""
     ids = list(positions)
@@ -218,8 +216,8 @@ def _separated_fields(gmap: GridMap, spec: EpisodeSpec,
     return fields
 
 
-def _assemble(gmap: GridMap, spec: EpisodeSpec, positions: dict[int, tuple[int, int]],
-              fields: dict[int, np.ndarray]) -> World:
+def _assemble(gmap: GridMap, spec: EpisodeSpec, positions: dict[int, Cell],
+              fields: dict[int, dict[Cell, float]]) -> World:
     goals = {}
     for gs in spec.goals:
         goals[gs.goal_id] = GoalInstance(
@@ -284,6 +282,8 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
     weights = config.weights
     sigpar = config.signal
     success_radius = config.bench.success_radius
+    # goals still open; only `apply` changes it
+    open_count = len(schedule.open_ids())
 
     for t in range(ledger.elapsed + 1, spec.budget_max + 1):
         gid = schedule.active_id
@@ -293,7 +293,7 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
         nav.step()
         pose = nav.pose
         d_raw = dfield[pose]
-        d = float(d_raw) if math.isfinite(d_raw) else world.sentinel
+        d = d_raw if math.isfinite(d_raw) else world.sentinel
         evidence, detected = world_emit(goal, pose, gmap, config, rng, d_raw)
         nav.observe(evidence, detected, goal, rng)
 
@@ -313,7 +313,6 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
         states = MetaStateVector(pi, gamma, sigma)
 
         spent = ledger.active_spent
-        open_count = len(schedule.open_ids())
         decisions = []
         acting = False
         for arm in arms:
@@ -366,6 +365,7 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
             schedule, ledger = mission.schedule, mission.ledger
             if branch.next_goal_or_end():
                 break
+            open_count = len(schedule.open_ids())
 
     forks.finish(branch)
     return forks.ready.pop(index)
@@ -374,7 +374,7 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
 def world_emit(goal, pose, gmap, config: RunConfig, rng, d_raw: float):
     """Evidence emission with the precomputed geodesic distance (inf when
     no path leads to the goal)."""
-    return world_mod.emit_evidence(goal, pose, gmap, config.perception, rng, float(d_raw))
+    return world_mod.emit_evidence(goal, pose, gmap, config.perception, rng, d_raw)
 
 
 FAILURE_MODES = ("NO_DETECTION", "ABORTED", "SWITCHED_UNRESOLVED", "FALSE_COMMIT")

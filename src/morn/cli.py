@@ -144,11 +144,12 @@ def _fixture_spec(name: str, config: RunConfig) -> EpisodeSpec:
 def ascii_frames(world, trace) -> str:
     """Text rendering of the map with the agent path per goal segment."""
     frames = []
+    gmap = world.gmap
     base = []
-    for r in range(world.gmap.height):
+    for r in range(gmap.height):
         row = []
-        for c in range(world.gmap.width):
-            row.append("." if world.gmap.cells[r, c] == FREE else "#")
+        for c in range(gmap.width):
+            row.append("." if gmap.cells[r * gmap.width + c] == FREE else "#")
         base.append(row)
     for gid, goal in world.goals.items():
         r, c = goal.position

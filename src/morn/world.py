@@ -19,9 +19,8 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Optional
-
-import numpy as np
 
 FREE = 0
 WALL = 1
@@ -35,28 +34,26 @@ class OccupiedCellError(ValueError):
 
 @dataclass
 class GridMap:
-    cells: np.ndarray  # uint8, WALL/FREE; the border must be wall
+    # WALL/FREE in row-major order (cell (r, c) at index r * width + c);
+    # the border must be wall
+    cells: list[int]
+    height: int
+    width: int
     cell_size: float  # meters per cell
     spawn: Cell
-    # free flags in row-major order (index r * width + c)
+    # free flags, indexed like cells
     free: list[bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        border = np.ones(self.cells.shape, dtype=bool)
-        border[1:-1, 1:-1] = False
-        open_border = np.argwhere(border & (self.cells == FREE)).tolist()
-        if open_border:
-            raise ValueError(f"map border cell {tuple(open_border[0])} is free; "
-                             "the border must be wall")
-        self.free = (self.cells.ravel() == FREE).tolist()
-
-    @property
-    def height(self) -> int:
-        return self.cells.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.cells.shape[1]
+        h, w, cells = self.height, self.width, self.cells
+        if len(cells) != h * w:
+            raise ValueError(f"{len(cells)} cells do not fill a {h} x {w} map")
+        middle_rows = (i for r in range(1, h - 1) for i in (r * w, r * w + w - 1))
+        for i in (*range(w), *middle_rows, *range((h - 1) * w, h * w)):
+            if cells[i] == FREE:
+                raise ValueError(f"map border cell {divmod(i, w)} is free; "
+                                 "the border must be wall")
+        self.free = [x == FREE for x in cells]
 
     def is_free(self, cell: Cell) -> bool:
         r, c = cell
@@ -69,7 +66,7 @@ def parse_grid(text: str, cell_size: float = 0.5) -> tuple[GridMap, dict[int, Ce
     lines = [ln for ln in text.splitlines() if ln.strip()]
     h = len(lines)
     w = max(len(ln) for ln in lines)
-    cells = np.full((h, w), WALL, dtype=np.uint8)
+    cells = [WALL] * (h * w)
     spawn: Optional[Cell] = None
     goals: dict[int, Cell] = {}
     for r, ln in enumerate(lines):
@@ -77,12 +74,12 @@ def parse_grid(text: str, cell_size: float = 0.5) -> tuple[GridMap, dict[int, Ce
             if ch == "#":
                 continue
             if ch == ".":
-                cells[r, c] = FREE
+                cells[r * w + c] = FREE
             elif ch == "S":
-                cells[r, c] = FREE
+                cells[r * w + c] = FREE
                 spawn = (r, c)
             elif ch.isdigit() and ch != "0":
-                cells[r, c] = FREE
+                cells[r * w + c] = FREE
                 goals[int(ch)] = (r, c)
             elif ch == " ":
                 continue
@@ -90,7 +87,7 @@ def parse_grid(text: str, cell_size: float = 0.5) -> tuple[GridMap, dict[int, Ce
                 raise ValueError(f"unknown map character {ch!r} at {(r, c)}")
     if spawn is None:
         raise ValueError("map has no spawn cell 'S'")
-    return GridMap(cells=cells, cell_size=cell_size, spawn=spawn), goals
+    return GridMap(cells, h, w, cell_size, spawn), goals
 
 
 def _search(gmap: GridMap, start: int, stop: Optional[Callable[[int], bool]] = None
@@ -136,14 +133,16 @@ def _path(gmap: GridMap, start: Cell, stop: Callable[[int], bool]) -> Optional[l
     return path
 
 
-def distance_field(gmap: GridMap, target: Cell) -> np.ndarray:
-    """Geodesic distance in meters from every free cell to `target` over
-    the 4-connected free grid; inf where disconnected or walled."""
+def distance_field(gmap: GridMap, target: Cell) -> dict[Cell, float]:
+    """Geodesic distance in meters from every cell, keyed by (row, col), to
+    `target` over the 4-connected free grid; inf where disconnected or
+    walled."""
     if not gmap.is_free(target):
         raise OccupiedCellError(f"target cell {target} is not free")
     dist, _, _ = _search(gmap, target[0] * gmap.width + target[1])
-    hops = np.array(dist, dtype=np.float64).reshape(gmap.cells.shape)
-    return np.where(hops < 0, np.inf, hops * gmap.cell_size)
+    size = gmap.cell_size
+    return dict(zip(product(range(gmap.height), range(gmap.width)),
+                    [hops * size if hops >= 0 else math.inf for hops in dist]))
 
 
 def geodesic_distance(gmap: GridMap, start: Cell, goal: Cell) -> float:
@@ -166,6 +165,7 @@ def bfs_path(gmap: GridMap, start: Cell, target: Cell) -> Optional[list[Cell]]:
 
 def line_of_sight(gmap: GridMap, a: Cell, b: Cell) -> bool:
     """Integer-grid ray cast (Bresenham) with no wall intersection."""
+    free, w = gmap.free, gmap.width
     r0, c0 = a
     r1, c1 = b
     dr = abs(r1 - r0)
@@ -175,7 +175,7 @@ def line_of_sight(gmap: GridMap, a: Cell, b: Cell) -> bool:
     err = dr - dc
     r, c = r0, c0
     while True:
-        if gmap.cells[r, c] == WALL:
+        if not free[r * w + c]:
             return False
         if (r, c) == (r1, c1):
             return True
@@ -274,9 +274,8 @@ class Navigator:
         self.pose: Cell = gmap.spawn
         # the navigator approaches while it holds a target, else explores
         self.believed_target: Optional[Cell] = None
-        # coverage flags indexed like gmap.free, marked through a 2-D view
-        self.visited = bytearray(gmap.cells.size)
-        self._visited_grid = np.frombuffer(self.visited, dtype=bool).reshape(gmap.cells.shape)
+        # coverage flags, indexed like gmap.cells
+        self.visited = bytearray(len(gmap.cells))
         self.approach_trigger = params.base_noise_mean + params.signal_amplitude / 2.0
         self._path: deque[Cell] = deque()
         self._high_streak = 0
@@ -287,7 +286,7 @@ class Navigator:
     def begin_goal_context(self) -> None:
         """Fresh search for a newly activated goal: coverage and any
         believed target are reset; the pose is kept."""
-        self._visited_grid[:] = False
+        self.visited[:] = bytes(len(self.visited))
         self.believed_target = None
         self._path.clear()
         self._high_streak = 0
@@ -299,18 +298,22 @@ class Navigator:
         """An independent navigator in the same state, on the same map."""
         new = copy.copy(self)
         new.visited = bytearray(self.visited)
-        new._visited_grid = np.frombuffer(new.visited, dtype=bool).reshape(self.gmap.cells.shape)
         new._path = deque(self._path)
         return new
 
     def coverage_fraction(self) -> float:
-        free = self.gmap.cells == FREE
-        return float(np.count_nonzero(self._visited_grid & free)) / float(np.count_nonzero(free))
+        free = self.gmap.free
+        return sum(v for v, f in zip(self.visited, free) if f) / sum(free)
 
     def _mark_visited(self) -> None:
+        """Mark the whole sensing square around the pose."""
         r, c = self.pose
         s = self.SENSE_RADIUS
-        self._visited_grid[max(0, r - s): r + s + 1, max(0, c - s): c + s + 1] = True
+        h, w = self.gmap.height, self.gmap.width
+        lo, hi = max(0, c - s), min(w, c + s + 1)
+        marks = b"\x01" * (hi - lo)
+        for row in range(max(0, r - s), min(h, r + s + 1)):
+            self.visited[row * w + lo: row * w + hi] = marks
 
     def _plan_to_nearest_unvisited(self) -> Optional[list[Cell]]:
         """Shortest path (exclusive of the pose) to the nearest
@@ -374,9 +377,23 @@ class Navigator:
                 return "stay"
             self._path = deque(path)
 
-        # a planned path is never empty
-        self.pose = self._path.popleft()
-        self._mark_visited()
+        # A planned path is never empty and leads from cell to neighbouring
+        # cell, so the sensing square around the old pose is marked and of
+        # the new square only the edge row or column it moved into is not.
+        r0, c0 = self.pose
+        self.pose = r, c = self._path.popleft()
+        s = self.SENSE_RADIUS
+        h, w = self.gmap.height, self.gmap.width
+        if r != r0:
+            row = r + s if r > r0 else r - s
+            if 0 <= row < h:
+                lo, hi = max(0, c - s), min(w, c + s + 1)
+                self.visited[row * w + lo: row * w + hi] = b"\x01" * (hi - lo)
+        else:
+            col = c + s if c > c0 else c - s
+            if 0 <= col < w:
+                lo, hi = max(0, r - s), min(h, r + s + 1)
+                self.visited[lo * w + col: hi * w: w] = b"\x01" * (hi - lo)
         return "move"
 
 
@@ -428,13 +445,14 @@ def generate_map(
         row_off.append(row_off[-1] + hgt + 1)
     total_w = col_off[-1]
     total_h = row_off[-1]
-    cells = np.full((total_h, total_w), WALL, dtype=np.uint8)
+    cells = [WALL] * (total_h * total_w)
 
     rooms: list[list[Cell]] = []
     for j in range(ry):
         for i in range(rx):
             r0, c0 = row_off[j], col_off[i]
-            cells[r0: r0 + heights[j], c0: c0 + widths[i]] = FREE
+            for r in range(r0, r0 + heights[j]):
+                cells[r * total_w + c0: r * total_w + c0 + widths[i]] = [FREE] * widths[i]
             rooms.append([(r, c) for r in range(r0, r0 + heights[j])
                           for c in range(c0, c0 + widths[i])])
 
@@ -473,12 +491,12 @@ def generate_map(
             j_hi = max(j0, j1)
             wall_r = row_off[j_hi] - 1
             c = col_off[i0] + rng.randrange(widths[i0])
-            cells[wall_r, c] = FREE
+            cells[wall_r * total_w + c] = FREE
         else:
             i_hi = max(i0, i1)
             wall_c = col_off[i_hi] - 1
             r = row_off[j0] + rng.randrange(heights[j0])
-            cells[r, wall_c] = FREE
+            cells[r * total_w + wall_c] = FREE
 
     for a, b, ra, rb in edges:
         if sealed_idx is not None and sealed_idx in (a, b):
@@ -502,4 +520,4 @@ def generate_map(
     open_rooms = [k for k in range(rx * ry) if k != sealed_idx]
     spawn_room = rooms[open_rooms[rng.randrange(len(open_rooms))]]
     spawn = spawn_room[rng.randrange(len(spawn_room))]
-    return GridMap(cells=cells, cell_size=params.cell_size, spawn=spawn), rooms, sealed_idx
+    return GridMap(cells, total_h, total_w, params.cell_size, spawn), rooms, sealed_idx

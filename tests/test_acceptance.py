@@ -96,15 +96,15 @@ def _two_pass(values, capacity):
     return mean, sum((x - mean) ** 2 for x in window) / n
 
 
-def _bfs_hops(cells, start):
-    """Independent shortest-hop oracle over the free 4-grid."""
-    h, w = cells.shape
+def _bfs_hops(cells, h, w, start):
+    """Independent shortest-hop oracle over the free 4-grid of the
+    row-major `cells` of an h x w map."""
     hops = {start: 0}
     q = deque([start])
     while q:
         r, c = q.popleft()
         for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if 0 <= nr < h and 0 <= nc < w and cells[nr, nc] == 0 \
+            if 0 <= nr < h and 0 <= nc < w and cells[nr * w + nc] == 0 \
                     and (nr, nc) not in hops:
                 hops[(nr, nc)] = hops[(r, c)] + 1
                 q.append((nr, nc))
@@ -227,11 +227,11 @@ class TestCriterion2:
             map_rng = random.Random(1000 + m)
             gmap, _, _ = generate_map(map_rng, wp, sealed_room=(m % 3 == 0))
             field = distance_field(gmap, gmap.spawn)
-            hops = _bfs_hops(gmap.cells, gmap.spawn)
-            h, w = gmap.cells.shape
+            h, w = gmap.height, gmap.width
+            hops = _bfs_hops(gmap.cells, h, w, gmap.spawn)
             for r in range(h):
                 for c in range(w):
-                    if gmap.cells[r, c] != 0:
+                    if gmap.cells[r * w + c] != 0:
                         continue
                     expected = hops.get((r, c))
                     got = field[r, c]

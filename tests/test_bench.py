@@ -139,7 +139,7 @@ class TestBuildWorld:
     def test_deterministic(self):
         spec = small_suite(1, 0)[0]
         a, b = build_world(spec), build_world(spec)
-        assert (a.gmap.cells == b.gmap.cells).all()
+        assert a.gmap.cells == b.gmap.cells
         assert {g: v.position for g, v in a.goals.items()} == \
                {g: v.position for g, v in b.goals.items()}
 

@@ -3,6 +3,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -271,3 +273,25 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "Traceback" in err and "RuntimeError: boom" in err
         assert err.rstrip().endswith("internal error: boom")
+
+
+def test_program_imports_no_numpy():
+    # the program has no third-party runtime dependency: importing the CLI
+    # and running a suite must not load numpy
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import sys\n"
+        "import morn.cli\n"
+        "from morn.bench import generate, run_suite\n"
+        "from morn.config import RunConfig\n"
+        "from morn.executive import MethodVariant\n"
+        "config = RunConfig()\n"
+        "traces = run_suite(generate(1, 0, 3, config), [MethodVariant.MORN_FULL], config)\n"
+        "assert traces[MethodVariant.MORN_FULL][0].total_steps > 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

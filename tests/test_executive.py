@@ -128,7 +128,7 @@ class TestDecide:
                    MethodVariant.MORN_FULL)
         assert d.action is MetaAction.PERSIST
 
-    def test_commit_exempt_from_grace_but_needs_warmup(self):
+    def test_commit_needs_no_grace_only_warmup(self):
         th = Thresholds(commit=0.300)
         in_grace = decide(states(sigma=0.90), 1.0, ledger(spent=10), th,
                           MethodVariant.MORN_FULL)

@@ -4,8 +4,9 @@ import math
 import random
 from collections import deque
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morn.bench import load_fixture
 from morn.world import (
@@ -55,7 +56,7 @@ def oracle_bfs_meters(gmap, start, goal):
         for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
             if not (0 <= nr < gmap.height and 0 <= nc < gmap.width):
                 continue
-            if gmap.cells[nr, nc] != FREE or (nr, nc) in seen:
+            if gmap.cells[nr * gmap.width + nc] != FREE or (nr, nc) in seen:
                 continue
             if (nr, nc) == goal:
                 return (d + 1) * gmap.cell_size
@@ -65,16 +66,16 @@ def oracle_bfs_meters(gmap, start, goal):
 
 
 def random_map(rng, h=14, w=14, wall_p=0.3):
-    cells = np.full((h, w), WALL, dtype=np.uint8)
+    cells = [WALL] * (h * w)
     for r in range(1, h - 1):
         for c in range(1, w - 1):
             if rng.random() > wall_p:
-                cells[r, c] = FREE
-    free = [(r, c) for r in range(h) for c in range(w) if cells[r, c] == FREE]
+                cells[r * w + c] = FREE
+    free = [(r, c) for r in range(h) for c in range(w) if cells[r * w + c] == FREE]
     if not free:
-        cells[1, 1] = FREE
+        cells[1 * w + 1] = FREE
         free = [(1, 1)]
-    return GridMap(cells=cells, cell_size=0.5, spawn=free[0]), free
+    return GridMap(cells=cells, height=h, width=w, cell_size=0.5, spawn=free[0]), free
 
 
 class TestParseGrid:
@@ -96,6 +97,10 @@ class TestParseGrid:
     def test_free_border_cell_rejected(self):
         with pytest.raises(ValueError, match=r"border cell \(1, 4\) is free"):
             parse_grid("#####\n#S...\n#####")
+
+    def test_cells_must_fill_the_map(self):
+        with pytest.raises(ValueError, match="14 cells do not fill a 3 x 5 map"):
+            GridMap(cells=[WALL] * 14, height=3, width=5, cell_size=0.5, spawn=(1, 1))
 
     def test_fixtures_parse(self):
         for name in ("trivial", "open", "two_room", "sealed", "maze"):
@@ -135,6 +140,28 @@ class TestGeodesic:
             for _ in range(10):
                 start = free[rng.randrange(len(free))]
                 assert field[start] == oracle_bfs_meters(gmap, start, goal)
+
+    def test_field_holds_a_python_float_for_every_cell(self):
+        # keyed by every (row, col) in row-major order; hop count x cell
+        # size where a path leads to the target, inf on a wall and on a
+        # free cell with no path
+        rng = random.Random(8)
+        maps = [random_map(rng, wall_p=0.35)[0] for _ in range(15)]
+        maps += [parse_grid(load_fixture(name), cell_size=0.3)[0]
+                 for name in ("two_room", "sealed", "maze")]
+        disconnected = 0
+        for gmap in maps:
+            field = distance_field(gmap, gmap.spawn)
+            assert list(field) == [(r, c) for r in range(gmap.height)
+                                   for c in range(gmap.width)]
+            for (r, c), d in field.items():
+                assert type(d) is float
+                if gmap.cells[r * gmap.width + c] == WALL:
+                    assert d == math.inf
+                    continue
+                assert d == oracle_bfs_meters(gmap, (r, c), gmap.spawn)
+                disconnected += d == math.inf
+        assert disconnected > 0
 
     def test_symmetry_and_triangle_inequality(self):
         rng = random.Random(5)
@@ -313,8 +340,8 @@ class TestNavigator:
                     if nav.pose == nav.believed_target:
                         seen.add((name, "target"))
                     else:
-                        reachable = np.isfinite(distance_field(gmap, nav.pose)).ravel()
-                        assert all(nav.visited[i] for i in np.flatnonzero(reachable))
+                        reachable = [math.isfinite(d) for d in distance_field(gmap, nav.pose).values()]
+                        assert all(nav.visited[i] for i, ok in enumerate(reachable) if ok)
                         seen.add((name, "exhausted"))
                 score, detected = emit_evidence(goal, nav.pose, gmap, params, rng,
                                                 float(field[nav.pose]))
@@ -348,6 +375,45 @@ class TestNavigator:
         gmap, _ = parse_grid(load_fixture("two_room"))
         nav = Navigator(gmap, PerceptionParams())
         assert nav._plan_to_nearest_unvisited() == [(3, 3), (4, 3), (5, 3)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 16), st.integers(3, 16),
+           st.lists(st.sampled_from(["step", "step", "step", "observe", "copy", "begin"]),
+                    max_size=150))
+    def test_visited_is_the_union_of_sensing_squares(self, seed, h, w, walk):
+        # oracle: the full clipped square around every pose since the last
+        # context start, whatever mix of exploring, approaching a phantom
+        # target, copying and resetting led there
+        rng = random.Random(seed)
+        gmap, _ = random_map(rng, h, w, wall_p=0.25)
+        s = Navigator.SENSE_RADIUS
+
+        def sensed(poses):
+            return {(r, c) for pr, pc in poses
+                    for r in range(max(0, pr - s), min(h, pr + s + 1))
+                    for c in range(max(0, pc - s), min(w, pc + s + 1))}
+
+        goal = GoalInstance(1, "mug", gmap.spawn, present=False)
+        walks = [[Navigator(gmap, PerceptionParams()), [gmap.spawn]]]  # navigator, poses
+        for op in walk:
+            current = walks[-1]
+            nav = current[0]
+            if op == "step":
+                nav.step()
+                current[1].append(nav.pose)
+            elif op == "observe":
+                # two high readings in a row lock a phantom target near the pose
+                nav.observe(1.0 if rng.random() < 0.7 else 0.0, False, goal, rng)
+            elif op == "copy":
+                walks.append([nav.copy(), list(current[1])])
+            else:
+                nav.begin_goal_context()
+                current[1] = [nav.pose]
+        for nav, poses in walks:
+            assert len(nav.visited) == h * w
+            marked = {divmod(i, w) for i, v in enumerate(nav.visited) if v}
+            assert set(nav.visited) <= {0, 1}
+            assert marked == sensed(poses)
 
     def test_goal_context_reset(self):
         gmap, _ = parse_grid(load_fixture("open"))
@@ -403,12 +469,14 @@ class TestGenerateMap:
 
     def test_border_is_walled(self):
         gmap, _, _ = generate_map(random.Random(4), WorldParams())
-        assert (gmap.cells[0, :] == WALL).all()
-        assert (gmap.cells[-1, :] == WALL).all()
-        assert (gmap.cells[:, 0] == WALL).all()
-        assert (gmap.cells[:, -1] == WALL).all()
+        w = gmap.width
+        rows = [gmap.cells[r * w: (r + 1) * w] for r in range(gmap.height)]
+        assert all(x == WALL for x in rows[0])
+        assert all(x == WALL for x in rows[-1])
+        assert all(row[0] == WALL for row in rows)
+        assert all(row[-1] == WALL for row in rows)
 
     def test_deterministic_given_seed(self):
         a, _, _ = generate_map(random.Random(21), WorldParams())
         b, _, _ = generate_map(random.Random(21), WorldParams())
-        assert (a.cells == b.cells).all() and a.spawn == b.spawn
+        assert a.cells == b.cells and a.spawn == b.spawn
