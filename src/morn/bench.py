@@ -259,116 +259,112 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
 
     With `forks` (from `_run_one`, which calls `run` once per arm of a
     spec, in arm order, and records no steps) the arms that decide alike
-    share one simulation: the call for a group's first arm advances every
-    arm riding with it and parks a copy of the state for each part whose
-    decision differs; the call for that part's first arm resumes it, and
-    an arm that rode to the end returns the trace its group finished for
-    it.
+    share one simulation: the first call runs the work list `forks.pending`
+    until it is empty, and every call returns its arm's finished trace.
     """
     if forks is None:
         forks = _Forks(spec, world if world is not None else build_world(spec),
                        [(variant, config)], record_steps=True)
-    index, branch = forks.claim(spec, variant, config)
-    if isinstance(branch, EpisodeTrace):  # finished by the group it rode with
-        return branch
+    index = forks.claim(spec, variant, config)
     world = forks.world
     gmap = world.gmap
-    rng, nav, window = branch.rng, branch.nav, branch.window
-    schedule, ledger = branch.mission.schedule, branch.mission.ledger
-    arms = branch.arms
     record_steps = forks.record_steps
 
-    # every arm riding this branch has this config apart from its thresholds
-    weights = config.weights
-    sigpar = config.signal
-    success_radius = config.bench.success_radius
-    # goals still open; only `apply` changes it
-    open_count = len(schedule.open_ids())
+    while forks.pending:
+        branch = forks.pending.pop()
+        rng, nav, window = branch.rng, branch.nav, branch.window
+        schedule, ledger = branch.mission.schedule, branch.mission.ledger
+        arms = branch.arms
+        shared = arms[0].config  # every arm's config apart from the thresholds
+        weights = shared.weights
+        sigpar = shared.signal
+        success_radius = shared.bench.success_radius
+        # goals still open; only `apply` changes it
+        open_count = len(schedule.open_ids())
 
-    for t in range(ledger.elapsed + 1, spec.budget_max + 1):
-        gid = schedule.active_id
-        goal = world.goals[gid]
-        dfield = world.fields[gid]
+        for t in range(ledger.elapsed + 1, spec.budget_max + 1):
+            gid = schedule.active_id
+            goal = world.goals[gid]
+            dfield = world.fields[gid]
 
-        nav.step()
-        pose = nav.pose
-        d_raw = dfield[pose]
-        d = d_raw if math.isfinite(d_raw) else world.sentinel
-        evidence, detected = world_emit(goal, pose, gmap, config, rng, d_raw)
-        nav.observe(evidence, detected, goal, rng)
+            nav.step()
+            pose = nav.pose
+            d_raw = dfield[pose]
+            d = d_raw if math.isfinite(d_raw) else world.sentinel
+            evidence, detected = world_emit(goal, pose, gmap, shared, rng, d_raw)
+            nav.observe(evidence, detected, goal, rng)
 
-        ledger.elapsed = t
-        ledger.active_spent += 1
-        schedule.goals[gid].spent += 1
+            ledger.elapsed = t
+            ledger.active_spent += 1
+            schedule.goals[gid].spent += 1
 
-        summary = update(window, SignalSample(t, d, evidence), sigpar)
-        pi = potentiality(summary.velocity, evidence, summary.stability, weights)
-        gamma = persistence_gate(
-            summary.info_gain,
-            SunkCost(ledger.active_spent, ledger.allocation),
-            summary.velocity,
-            weights,
-        )
-        sigma = sufficiency(evidence, summary.stability, d, weights)
-        states = MetaStateVector(pi, gamma, sigma)
+            summary = update(window, SignalSample(t, d, evidence), sigpar)
+            pi = potentiality(summary.velocity, evidence, summary.stability, weights)
+            gamma = persistence_gate(
+                summary.info_gain,
+                SunkCost(ledger.active_spent, ledger.allocation),
+                summary.velocity,
+                weights,
+            )
+            sigma = sufficiency(evidence, summary.stability, d, weights)
+            states = MetaStateVector(pi, gamma, sigma)
 
-        spent = ledger.active_spent
-        decisions = []
-        acting = False
-        for arm in arms:
-            th = arm.config.thresholds
-            arm.abort_streak = streak(arm.abort_streak, below_abort(states, th), spent, th)
-            arm.switch_streak = streak(arm.switch_streak, below_switch(states, th), spent, th)
-            decision = decide(
-                states, d, ledger, th, arm.variant, remaining_count=open_count,
-                abort_streak=arm.abort_streak, switch_streak=arm.switch_streak)
-            decisions.append(decision)
-            if record_steps:
-                arm.steps.append(StepRecord(t, gid, pose, d, evidence, pi, gamma, sigma,
-                                            decision.action.value, decision.reason.value))
-            if decision.action is not MetaAction.PERSIST:
-                acting = True
-        if not acting:
-            continue
+            spent = ledger.active_spent
+            decisions = []
+            acting = False
+            for arm in arms:
+                th = arm.config.thresholds
+                arm.abort_streak = streak(arm.abort_streak, below_abort(states, th), spent, th)
+                arm.switch_streak = streak(arm.switch_streak, below_switch(states, th), spent, th)
+                decision = decide(
+                    states, d, ledger, th, arm.variant, remaining_count=open_count,
+                    abort_streak=arm.abort_streak, switch_streak=arm.switch_streak)
+                decisions.append(decision)
+                if record_steps:
+                    arm.steps.append(StepRecord(t, gid, pose, d, evidence, pi, gamma, sigma,
+                                                decision.action.value, decision.reason.value))
+                if decision.action is not MetaAction.PERSIST:
+                    acting = True
+            if not acting:
+                continue
 
-        # Each acting arm applies its decision to its own copy of the
-        # mission and the persisting arms keep the branch's; arms stay
-        # together while the resulting missions agree.
-        goal_cells = world.goal_cells
-        parts: dict = {}
-        for arm, decision in zip(arms, decisions):
-            key, mission = None, branch.mission
-            if decision.action is not MetaAction.PERSIST:
-                mission = mission.copy()
-                if decision.action is MetaAction.COMMIT:
-                    status = mission.schedule.goals[gid]
-                    status.commit_distance = d
-                    status.found = bool(goal.present and d_raw <= success_radius)
-                    if status.found:
-                        mission.commit_sequence.append(gid)
-                nxt = apply(decision, mission.schedule, mission.ledger, pose,
-                            goal_cells, arm.variant)
-                key = (decision.action, decision.reason, nxt)
-                arm.abort_streak = arm.switch_streak = 0
-            parts.setdefault(key, (mission, []))[1].append(arm)
+            # Each acting arm applies its decision to its own copy of the
+            # mission and the persisting arms keep the branch's; arms stay
+            # together while the resulting missions agree.
+            goal_cells = world.goal_cells
+            parts: dict = {}
+            for arm, decision in zip(arms, decisions):
+                key, mission = None, branch.mission
+                if decision.action is not MetaAction.PERSIST:
+                    mission = mission.copy()
+                    if decision.action is MetaAction.COMMIT:
+                        status = mission.schedule.goals[gid]
+                        status.commit_distance = d
+                        status.found = bool(goal.present and d_raw <= success_radius)
+                        if status.found:
+                            mission.commit_sequence.append(gid)
+                    nxt = apply(decision, mission.schedule, mission.ledger, pose,
+                                goal_cells, arm.variant)
+                    key = (decision.action, decision.reason, nxt)
+                    arm.abort_streak = arm.switch_streak = 0
+                parts.setdefault(key, (mission, []))[1].append(arm)
 
-        (key, (mission, arms)), *others = parts.items()
-        for other_key, (other_mission, other_arms) in others:
-            fork = branch.fork(other_mission, other_arms)
-            if other_key is not None and fork.next_goal_or_end():
-                forks.finish(fork)
-            else:
-                forks.ready[other_arms[0].index] = fork
-        branch.arms = arms
-        branch.mission = mission
-        if key is not None:
-            schedule, ledger = mission.schedule, mission.ledger
-            if branch.next_goal_or_end():
-                break
-            open_count = len(schedule.open_ids())
-
-    forks.finish(branch)
-    return forks.ready.pop(index)
+            # The other groups fork the live state before the first takes it
+            # over. A group that acted with no goal left open is finished;
+            # every other group goes back on the work list.
+            (key, (mission, members)), *others = parts.items()
+            groups = [(other_key, branch.fork(other_mission, other_arms))
+                      for other_key, (other_mission, other_arms) in others]
+            branch.mission, branch.arms = mission, members
+            for acted, group in [*groups, (key, branch)]:
+                if acted is not None and group.next_goal_or_end():
+                    forks.finish(group)
+                else:
+                    forks.pending.append(group)
+            break
+        else:
+            forks.finish(branch)
+    return forks.traces.pop(index)
 
 
 def world_emit(goal, pose, gmap, config: RunConfig, rng, d_raw: float):
@@ -463,9 +459,11 @@ def run_suite(specs: list[EpisodeSpec], variants: list[MethodVariant],
 def _run_arms(specs: list[EpisodeSpec], arms: list[tuple[MethodVariant, RunConfig]],
               workers: int) -> list[list[EpisodeTrace]]:
     """One trace list per arm, a (variant, config) pair, in spec order. Each
-    spec's world is built once and shared by all arms (`run` only reads it);
-    with `workers` > 1 one process pool runs the jobs, one per spec."""
+    spec's world is built once and shared by all arms (`run` only reads it).
+    A pool of `workers` processes, but never more than the jobs (one per
+    spec), runs them; with one process or fewer they run in this one."""
     jobs = [(spec, arms) for spec in specs]
+    workers = min(workers, len(jobs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -548,11 +546,10 @@ class _Branch:
 
 
 class _Forks:
-    """The arms of one spec as `run` serves them: what each arm not yet
-    called gets when it is, the branch it starts or resumes or the trace
-    its group finished for it. Arms may share a branch only if their
-    configs are equal apart from the thresholds and their first goals
-    agree."""
+    """The arms of one spec as `run` serves them: `pending`, the work list
+    of branches to simulate, and `traces`, the finished arms' traces by
+    index. Arms may share a branch only if their configs are equal apart
+    from the thresholds and their first goals agree."""
 
     def __init__(self, spec: EpisodeSpec, world: World,
                  arms: list[tuple[MethodVariant, RunConfig]], record_steps: bool):
@@ -561,7 +558,8 @@ class _Forks:
         self.arms = [_Arm(i, variant, config) for i, (variant, config) in enumerate(arms)]
         self.record_steps = record_steps
         self.next = 0
-        self.ready: dict[int, _Branch | EpisodeTrace] = {}
+        self.pending: list[_Branch] = []
+        self.traces: dict[int, EpisodeTrace] = {}
         order = [g.goal_id for g in spec.goals]
         cell_size = world.gmap.cell_size
         goal_cells = world.goal_cells
@@ -584,13 +582,10 @@ class _Forks:
             else:
                 groups.append((first, [arm]))
         for first, members in groups:
-            lead = members[0]
-            self.ready[lead.index] = _Branch.start(spec, world, lead.config, first, members)
+            self.pending.append(_Branch.start(spec, world, members[0].config, first, members))
 
-    def claim(self, spec: EpisodeSpec, variant: MethodVariant,
-              config: RunConfig) -> tuple[int, _Branch | EpisodeTrace]:
-        """The next arm's index and its branch, or its trace if it is
-        finished."""
+    def claim(self, spec: EpisodeSpec, variant: MethodVariant, config: RunConfig) -> int:
+        """The next arm's index."""
         if spec is not self.spec:
             raise InvalidCallError(f"run with forks built for episode {self.spec.episode_id} "
                                    f"got episode {spec.episode_id}")
@@ -599,13 +594,13 @@ class _Forks:
         if arm is None or arm.variant is not variant or arm.config is not config:
             raise InvalidCallError("run with forks takes each arm once, in arm order")
         self.next += 1
-        return i, self.ready.pop(i)
+        return i
 
     def finish(self, branch: _Branch) -> None:
         """A trace for every arm riding `branch`, each with its own records."""
         for n, arm in enumerate(branch.arms):
             mission = branch.mission.copy() if n else branch.mission
-            self.ready[arm.index] = EpisodeTrace(
+            self.traces[arm.index] = EpisodeTrace(
                 spec=self.spec,
                 steps=arm.steps,
                 outcomes=mission.schedule.goals,

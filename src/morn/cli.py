@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              choices=[v.value for v in MethodVariant])
     suite = argparse.ArgumentParser(add_help=False)
     suite.add_argument("--episodes", type=int, default=None,
-                       help="scale the suite down to N >= 1 episodes total")
+                       help="scale the suite to N >= 1 episodes total")
     suite.add_argument("--workers", type=int, default=0,
                        help="parallel episode workers (0 = available parallelism)")
 
@@ -92,14 +92,14 @@ def _load(args) -> RunConfig:
 def _suite(config: RunConfig, episodes: int | None):
     bp = config.bench
     k2, k3 = bp.count_k2, bp.count_k3
+    if k2 + k3 == 0:
+        raise ConfigError("empty benchmark suite")
     if episodes is not None:
         if episodes < 1:
             raise ConfigError(f"--episodes must be >= 1, got {episodes}")
-        frac = k2 / (k2 + k3) if (k2 + k3) else 0.6
+        frac = k2 / (k2 + k3)
         k2 = round(episodes * frac)
         k3 = episodes - k2
-    if k2 + k3 == 0:
-        raise ConfigError("empty benchmark suite")
     return generate(k2, k3, bp.master_seed, config)
 
 

@@ -83,6 +83,8 @@ class Thresholds:
             raise ValueError("grace must be nonnegative")
         if self.abort_patience < 1 or self.switch_patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.commit_warmup < 0:
+            raise ValueError("commit_warmup must be nonnegative")
 
     def abort_level(self) -> float:
         """Abort threshold mapped onto the potentiality state scale."""

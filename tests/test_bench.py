@@ -417,7 +417,7 @@ class TestForkedArms:
         arms = arm_lists(CFG)["weights"]
         for spec in small_suite(3, 1):
             forks = bench_mod._Forks(spec, build_world(spec), arms, record_steps=False)
-            for branch in forks.ready.values():
+            for branch in forks.pending:
                 assert len({id(arms[a.index][1]) for a in branch.arms}) == 1
 
     def test_run_called_once_per_arm_in_arm_order(self, monkeypatch):
@@ -450,6 +450,28 @@ class TestForkedArms:
         with pytest.raises(InvalidCallError, match="built for episode 0 got episode 1"):
             run(b, *arms[0], forks=forks)
 
+    @pytest.mark.parametrize("arms_name", ["variants", "weights"])
+    def test_first_call_simulates_every_arm(self, monkeypatch, arms_name):
+        simulated = 0
+        real_step = Navigator.step
+
+        def counting(nav):
+            nonlocal simulated
+            simulated += 1
+            return real_step(nav)
+
+        monkeypatch.setattr(Navigator, "step", counting)
+        arms = arm_lists(CFG)[arms_name]
+        for spec in small_suite(3, 1) + generate(0, 4, 11, CFG):
+            forks = bench_mod._Forks(spec, build_world(spec), arms, record_steps=False)
+            per_call = []
+            for variant, config in arms:
+                simulated = 0
+                run(spec, variant, config, forks=forks)
+                per_call.append(simulated)
+            assert per_call[0] > 0 and per_call[1:] == [0] * (len(arms) - 1), spec.episode_id
+            assert not forks.pending and not forks.traces
+
     def test_shared_steps_are_simulated_once(self, monkeypatch):
         simulated = 0
         real_step = Navigator.step
@@ -467,3 +489,34 @@ class TestForkedArms:
         results = run_suite(small_suite(6, 4), list(MethodVariant), CFG)
         reported = sum(tr.total_steps for traces in results.values() for tr in traces)
         assert simulated < reported
+
+
+@pytest.mark.parametrize("workers,spec_count,pool_size", [
+    (3, 1, None), (3, 2, 2), (2, 5, 2), (1, 5, None), (0, 3, None),
+])
+def test_pool_no_larger_than_its_jobs(monkeypatch, workers, spec_count, pool_size):
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        """Records its size and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    specs = small_suite(spec_count, 0)
+    arms = [(MethodVariant.MORN_FULL, CFG)]
+    (traces,) = bench_mod._run_arms(specs, arms, workers)
+    assert sizes == ([] if pool_size is None else [pool_size])
+    assert [outcome(tr) for tr in traces] == [outcome(run(s, *arms[0])) for s in specs]

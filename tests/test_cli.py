@@ -66,6 +66,13 @@ class TestRun:
         assert setting.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
+    def test_negative_commit_warmup_is_exit_2(self, tmp_path, capsys):
+        code = main(["run", "--fixture", "trivial", "--set", "thresholds.commit_warmup=-3",
+                     "--out", out_dir(tmp_path, "a")])
+        assert code == 2
+        assert "commit_warmup must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
     def test_unknown_fixture_is_exit_2(self, tmp_path, capsys):
         assert main(["run", "--fixture", "nope", "--out", out_dir(tmp_path, "a")]) == 2
         err = capsys.readouterr().err
@@ -149,6 +156,8 @@ class TestBench:
     (["--set", "bench.budget_k2=0"], "budgets must be positive"),
     (["--set", "bench.success_radius=0"], "success_radius must be positive"),
     (["--set", "foo"], "--set expects KEY=VALUE, got 'foo'"),
+    (["--set", "bench.count_k2=0", "--set", "bench.count_k3=0", "--episodes", "5"],
+     "empty benchmark suite"),
 ])
 def test_bad_suite_or_workers_is_exit_2(tmp_path, capsys, command, extra, message):
     assert main([*command, *FAST, *extra, "--out", out_dir(tmp_path, "o")]) == 2

@@ -78,6 +78,7 @@ class TestThresholds:
         {"grace": -1},
         {"abort_patience": 0},
         {"switch_patience": 0},
+        {"commit_warmup": -1},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
