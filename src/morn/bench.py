@@ -269,6 +269,7 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
     world = forks.world
     gmap = world.gmap
     record_steps = forks.record_steps
+    persist = MetaAction.PERSIST  # a local: read per arm and step
 
     while forks.pending:
         branch = forks.pending.pop()
@@ -314,16 +315,22 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
             acting = False
             for arm in arms:
                 th = arm.config.thresholds
-                arm.abort_streak = streak(arm.abort_streak, below_abort(states, th), spent, th)
-                arm.switch_streak = streak(arm.switch_streak, below_switch(states, th), spent, th)
+                variant = arm.variant
+                # `decide` reads only the streaks of the branches it enables
+                if variant.abort_enabled:
+                    arm.abort_streak = streak(arm.abort_streak, below_abort(states, th),
+                                              spent, th)
+                if variant.switch_enabled:
+                    arm.switch_streak = streak(arm.switch_streak, below_switch(states, th),
+                                               spent, th)
                 decision = decide(
-                    states, d, ledger, th, arm.variant, remaining_count=open_count,
+                    states, d, ledger, th, variant, remaining_count=open_count,
                     abort_streak=arm.abort_streak, switch_streak=arm.switch_streak)
                 decisions.append(decision)
                 if record_steps:
                     arm.steps.append(StepRecord(t, gid, pose, d, evidence, pi, gamma, sigma,
                                                 decision.action.value, decision.reason.value))
-                if decision.action is not MetaAction.PERSIST:
+                if decision.action is not persist:
                     acting = True
             if not acting:
                 continue
@@ -335,7 +342,7 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
             parts: dict = {}
             for arm, decision in zip(arms, decisions):
                 key, mission = None, branch.mission
-                if decision.action is not MetaAction.PERSIST:
+                if decision.action is not persist:
                     mission = mission.copy()
                     if decision.action is MetaAction.COMMIT:
                         status = mission.schedule.goals[gid]
@@ -484,7 +491,9 @@ def _run_one(job):
 @dataclass(slots=True, eq=False)
 class _Arm:
     """One arm of a spec, its variant and config, and what it owns in a
-    shared simulation: its patience streaks and its step records."""
+    shared simulation: its patience streaks and its step records. Only the
+    streaks of the branches its variant enables are counted; the others
+    stay 0, which `decide` never reads. An intervention resets both."""
 
     index: int
     variant: MethodVariant

@@ -51,13 +51,11 @@ class MethodVariant(Enum):
     MORN_SWITCH_ONLY = "MORN_SWITCH_ONLY"
     MORN_FULL = "MORN_FULL"
 
-    @property
-    def abort_enabled(self) -> bool:
-        return self in (MethodVariant.MORN_ABORT_ONLY, MethodVariant.MORN_FULL)
-
-    @property
-    def switch_enabled(self) -> bool:
-        return self in (MethodVariant.MORN_SWITCH_ONLY, MethodVariant.MORN_FULL)
+    def __init__(self, value: str) -> None:
+        # plain attributes, set once per member: `run` reads them per arm
+        # and step, where a property costs several times an attribute
+        self.abort_enabled = value in ("MORN_ABORT_ONLY", "MORN_FULL")
+        self.switch_enabled = value in ("MORN_SWITCH_ONLY", "MORN_FULL")
 
 
 @dataclass(frozen=True)
@@ -129,10 +127,20 @@ class BudgetLedger:
     active_spent: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExecutiveDecision:
     action: MetaAction
     reason: DecisionReason
+
+
+# The seven decisions `decide` can return, shared by every call.
+_CAP_SWITCH = ExecutiveDecision(MetaAction.SWITCH, DecisionReason.SUBGOAL_CAP)
+_CAP_ABORT = ExecutiveDecision(MetaAction.ABORT, DecisionReason.SUBGOAL_CAP)
+_GRACE = ExecutiveDecision(MetaAction.PERSIST, DecisionReason.GRACE)
+_LOW_POTENTIALITY = ExecutiveDecision(MetaAction.ABORT, DecisionReason.LOW_POTENTIALITY)
+_GATE_CLOSED = ExecutiveDecision(MetaAction.SWITCH, DecisionReason.GATE_CLOSED)
+_COMMIT = ExecutiveDecision(MetaAction.COMMIT, DecisionReason.EVIDENCE_COMMIT)
+_PERSIST = ExecutiveDecision(MetaAction.PERSIST, DecisionReason.DEFAULT)
 
 
 class MissionSchedule:
@@ -185,12 +193,12 @@ def allocate(budget: BudgetLedger, remaining_goals: int) -> int:
 
 def below_abort(states: MetaStateVector, thresholds: Thresholds) -> bool:
     """The abort branch's condition: potentiality under the abort level."""
-    return states.potentiality < thresholds.abort_level()
+    return states.potentiality < thresholds._abort_level
 
 
 def below_switch(states: MetaStateVector, thresholds: Thresholds) -> bool:
     """The switch branch's condition: the gate under the switch level."""
-    return states.persistence < thresholds.switch_level()
+    return states.persistence < thresholds._switch_level
 
 
 def streak(count: int, below: bool, spent: int, thresholds: Thresholds) -> int:
@@ -198,7 +206,8 @@ def streak(count: int, below: bool, spent: int, thresholds: Thresholds) -> int:
     step: a step counts once it is past grace and below the branch's
     level, any other step resets the streak to 0. Every intervention
     resets it too. `decide` fires a branch once its streak, this step
-    included, reaches the patience."""
+    included, reaches the patience, and never reads the streak of a branch
+    the variant disables, so `run` counts only the enabled branches'."""
     return count + 1 if below and spent >= thresholds.grace else 0
 
 
@@ -222,36 +231,37 @@ def decide(
     before commit is checked; otherwise commit ignores grace and needs only
     a short warmup, so a freshly reset window (trivially stable) cannot
     trigger it.
+
+    Evaluation order follows the priority: the cap first, then
+    `below_abort` only if the variant enables abort, `below_switch` only
+    if it enables switch, then commit. The result is one of the module's
+    shared, frozen decisions; nothing is allocated.
     """
     spent = ledger.active_spent
-    in_grace = spent < thresholds.grace
-    abort_wants = below_abort(states, thresholds)
-    switch_wants = below_switch(states, thresholds)
-
     if spent >= ledger.allocation:
-        action = MetaAction.ABORT if remaining_count <= 1 else MetaAction.SWITCH
-        return ExecutiveDecision(action, DecisionReason.SUBGOAL_CAP)
+        return _CAP_ABORT if remaining_count <= 1 else _CAP_SWITCH
+    in_grace = spent < thresholds.grace
 
-    if variant.abort_enabled and abort_wants:
+    if variant.abort_enabled and below_abort(states, thresholds):
         if in_grace:
-            return ExecutiveDecision(MetaAction.PERSIST, DecisionReason.GRACE)
+            return _GRACE
         if abort_streak >= thresholds.abort_patience:
-            return ExecutiveDecision(MetaAction.ABORT, DecisionReason.LOW_POTENTIALITY)
+            return _LOW_POTENTIALITY
 
-    if variant.switch_enabled and switch_wants:
+    if variant.switch_enabled and below_switch(states, thresholds):
         if in_grace:
-            return ExecutiveDecision(MetaAction.PERSIST, DecisionReason.GRACE)
+            return _GRACE
         if switch_streak >= thresholds.switch_patience and remaining_count > 1:
-            return ExecutiveDecision(MetaAction.SWITCH, DecisionReason.GATE_CLOSED)
+            return _GATE_CLOSED
 
     if (
         states.sufficiency > thresholds.commit
         and distance < thresholds.commit_distance
         and spent >= thresholds.commit_warmup
     ):
-        return ExecutiveDecision(MetaAction.COMMIT, DecisionReason.EVIDENCE_COMMIT)
+        return _COMMIT
 
-    return ExecutiveDecision(MetaAction.PERSIST, DecisionReason.DEFAULT)
+    return _PERSIST
 
 
 def select_next(

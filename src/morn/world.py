@@ -213,6 +213,15 @@ class PerceptionParams:
             raise ValueError("signal_range must be positive")
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
+        # a detection must raise the score, whose floor is 0, and the
+        # navigator's approach trigger (base + signal_amplitude / 2) must
+        # sit above what noise alone emits
+        if self.signal_amplitude <= 0:
+            raise ValueError("signal_amplitude must be positive")
+        if self.spike_amplitude < 0:
+            raise ValueError("spike_amplitude must be nonnegative")
+        if self.base_noise_mean < 0:
+            raise ValueError("base_noise_mean must be nonnegative")
 
 
 def emit_evidence(

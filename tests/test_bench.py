@@ -386,6 +386,12 @@ def arm_lists(cfg):
                   for c in (0.5, 0.55, 0.6, 0.65, 0.7)],
         "weights": [(v, c) for c in (cfg, other)
                     for v in (MethodVariant.FIXED_ORDER, MethodVariant.MORN_FULL)],
+        # one branch whose arms count different streaks: none, abort only,
+        # switch only, under two abort/switch/grace settings
+        "streaks": [(v, replace(cfg, thresholds=replace(cfg.thresholds, **th)))
+                    for th in ({}, {"abort": 0.6, "switch": 0.0, "grace": 5})
+                    for v in (MethodVariant.FIXED_ORDER, MethodVariant.MORN_ABORT_ONLY,
+                              MethodVariant.MORN_SWITCH_ONLY)],
     }
 
 
@@ -400,7 +406,7 @@ class TestForkedArms:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("cfg_index", [0, 1])
-    @pytest.mark.parametrize("arms_name", ["variants", "tau_c", "weights"])
+    @pytest.mark.parametrize("arms_name", ["variants", "tau_c", "weights", "streaks"])
     def test_forked_arms_match_independent_runs(self, arms_name, cfg_index, workers):
         cfg = golden_configs()[cfg_index]
         arms = arm_lists(cfg)[arms_name]

@@ -103,6 +103,10 @@ class TestRun:
         (["perception.false_positive_rate=1.5"], "false_positive_rate must be in [0, 1]"),
         (["perception.signal_range=0"], "signal_range must be positive"),
         (["perception.noise_std=-0.1"], "noise_std must be nonnegative"),
+        (["perception.signal_amplitude=-0.8"], "signal_amplitude must be positive"),
+        (["perception.signal_amplitude=0"], "signal_amplitude must be positive"),
+        (["perception.spike_amplitude=-5"], "spike_amplitude must be nonnegative"),
+        (["perception.base_noise_mean=-0.5"], "base_noise_mean must be nonnegative"),
     ])
     def test_bad_world_is_exit_2(self, tmp_path, capsys, settings, message):
         sets = [arg for kv in settings for arg in ("--set", kv)]

@@ -1,6 +1,7 @@
 """Unit and property tests for the meta-controller."""
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -161,6 +162,12 @@ class TestDecide:
         assert d.action is MetaAction.ABORT
         assert d.reason is DecisionReason.SUBGOAL_CAP
 
+    def test_decisions_are_shared_and_frozen(self):
+        d = decide(states(), 10.0, ledger(), TH, MethodVariant.MORN_FULL)
+        assert d is decide(states(), 10.0, ledger(), TH, MethodVariant.FIXED_ORDER)
+        with pytest.raises(FrozenInstanceError):
+            d.action = MetaAction.ABORT
+
     def test_branch_priority_cap_abort_switch_commit(self):
         # one step satisfying every branch resolves in declared order
         everything = states(pi=0.0, gamma=0.0, sigma=1.0)
@@ -269,6 +276,22 @@ class TestStreakRule:
                         else DecisionReason.LOW_POTENTIALITY if aborts
                         else DecisionReason.GATE_CLOSED)
             assert d.reason is expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(streak_cases())
+    def test_disabled_branch_streak_is_never_read(self, c):
+        variant = c["variant"]
+        for patience_attr, enabled, position in (
+                ("abort_patience", variant.abort_enabled, 0),
+                ("switch_patience", variant.switch_enabled, 1)):
+            if enabled:
+                continue
+            decisions = []
+            for value in (0, getattr(c["thresholds"], patience_attr), 999):
+                streaks = [c["other"], c["other"]]
+                streaks[position] = value
+                decisions.append(self._decide(c, *streaks))
+            assert decisions == [decisions[0]] * 3, (variant, patience_attr)
 
     def test_intervention_and_grace_reset(self):
         assert streak(7, True, TH.grace, TH) == 8
