@@ -62,13 +62,14 @@ def mix_seed(master_seed: int, index: int) -> int:
 FEASIBLE = "present"
 ABSENT = "absent"
 SEALED = "sealed"
+FEASIBILITIES = (FEASIBLE, ABSENT, SEALED)
 
 
 @dataclass
 class GoalSpec:
     goal_id: int
     category: str
-    feasibility: str = FEASIBLE  # present | absent | sealed
+    feasibility: str = FEASIBLE  # one of FEASIBILITIES
 
 
 @dataclass
@@ -91,6 +92,11 @@ class EpisodeSpec:
                                    f"but {len(ids)} goals")
         if len(set(ids)) != len(ids):
             raise InvalidCallError(f"episode {self.episode_id}: goal ids {ids} are not unique")
+        for g in self.goals:
+            if g.feasibility not in FEASIBILITIES:
+                raise InvalidCallError(
+                    f"episode {self.episode_id}: goal {g.goal_id} feasibility "
+                    f"{g.feasibility!r} is not one of {', '.join(FEASIBILITIES)}")
 
 
 class GenerationError(RuntimeError):
@@ -143,11 +149,6 @@ class World:
     goals: dict[int, GoalInstance]
     fields: dict[int, dict[Cell, float]]  # geodesic meters to each goal, per cell
     sentinel: float  # finite stand-in for an infinite (disconnected) distance
-
-    @property
-    def goal_cells(self) -> dict[int, Cell]:
-        """Each goal's cell, the positions greedy goal selection compares."""
-        return {g: goal.position for g, goal in self.goals.items()}
 
 
 def load_fixture(name: str) -> str:
@@ -280,14 +281,15 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
         weights = shared.weights
         sigpar = shared.signal
         success_radius = shared.bench.success_radius
-        # goals still open; only `apply` changes it
+        # Every intervention ends the pop, so one pop runs one goal context:
+        # the active goal and the open goals change only in `apply`.
+        gid = schedule.active_id
+        goal = world.goals[gid]
+        dfield = world.fields[gid]
+        status = schedule.goals[gid]
         open_count = len(schedule.open_ids())
 
         for t in range(ledger.elapsed + 1, spec.budget_max + 1):
-            gid = schedule.active_id
-            goal = world.goals[gid]
-            dfield = world.fields[gid]
-
             nav.step()
             pose = nav.pose
             d_raw = dfield[pose]
@@ -297,7 +299,7 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
 
             ledger.elapsed = t
             ledger.active_spent += 1
-            schedule.goals[gid].spent += 1
+            status.spent += 1
 
             summary = update(window, SignalSample(t, d, evidence), sigpar)
             pi = potentiality(summary.velocity, evidence, summary.stability, weights)
@@ -338,36 +340,42 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
             # Each acting arm applies its decision to its own copy of the
             # mission and the persisting arms keep the branch's; arms stay
             # together while the resulting missions agree.
-            goal_cells = world.goal_cells
+            found = goal.present and d_raw <= success_radius
             parts: dict = {}
             for arm, decision in zip(arms, decisions):
                 key, mission = None, branch.mission
                 if decision.action is not persist:
                     mission = mission.copy()
                     if decision.action is MetaAction.COMMIT:
-                        status = mission.schedule.goals[gid]
-                        status.commit_distance = d
-                        status.found = bool(goal.present and d_raw <= success_radius)
-                        if status.found:
+                        committed = mission.schedule.active  # still goal `gid`
+                        committed.commit_distance = d
+                        committed.found = found
+                        if found:
                             mission.commit_sequence.append(gid)
                     nxt = apply(decision, mission.schedule, mission.ledger, pose,
-                                goal_cells, arm.variant)
+                                forks.goal_cells, arm.variant)
                     key = (decision.action, decision.reason, nxt)
                     arm.abort_streak = arm.switch_streak = 0
                 parts.setdefault(key, (mission, []))[1].append(arm)
 
             # The other groups fork the live state before the first takes it
-            # over. A group that acted with no goal left open is finished;
-            # every other group goes back on the work list.
-            (key, (mission, members)), *others = parts.items()
+            # over. A group that persisted goes back on the work list as it
+            # is. A group that acted gets a fresh window; it is finished when
+            # `apply` activated no next goal, else it starts a fresh search
+            # and goes back on the list.
+            (first_key, (mission, members)), *others = parts.items()
             groups = [(other_key, branch.fork(other_mission, other_arms))
                       for other_key, (other_mission, other_arms) in others]
             branch.mission, branch.arms = mission, members
-            for acted, group in [*groups, (key, branch)]:
-                if acted is not None and group.next_goal_or_end():
-                    forks.finish(group)
-                else:
-                    forks.pending.append(group)
+            for key, group in [*groups, (first_key, branch)]:
+                if key is not None:
+                    _action, _reason, nxt = key
+                    group.window.reset()
+                    if nxt is None:
+                        forks.finish(group)
+                        continue
+                    group.nav.begin_goal_context()
+                forks.pending.append(group)
             break
         else:
             forks.finish(branch)
@@ -544,21 +552,13 @@ class _Branch:
         rng.setstate(self.rng.getstate())
         return _Branch(rng, self.nav.copy(), self.window.copy(), mission, arms)
 
-    def next_goal_or_end(self) -> bool:
-        """After an intervention: a fresh window and, unless no goal is left
-        open (then True, the episode is over), a fresh search."""
-        self.window.reset()
-        if self.mission.schedule.done():
-            return True
-        self.nav.begin_goal_context()
-        return False
-
 
 class _Forks:
     """The arms of one spec as `run` serves them: `pending`, the work list
     of branches to simulate, and `traces`, the finished arms' traces by
-    index. Arms may share a branch only if their configs are equal apart
-    from the thresholds and their first goals agree."""
+    index, and `goal_cells`, each goal's cell, the positions greedy goal
+    selection compares. Arms may share a branch only if their configs are
+    equal apart from the thresholds and their first goals agree."""
 
     def __init__(self, spec: EpisodeSpec, world: World,
                  arms: list[tuple[MethodVariant, RunConfig]], record_steps: bool):
@@ -569,9 +569,9 @@ class _Forks:
         self.next = 0
         self.pending: list[_Branch] = []
         self.traces: dict[int, EpisodeTrace] = {}
+        self.goal_cells = {g: goal.position for g, goal in world.goals.items()}
         order = [g.goal_id for g in spec.goals]
         cell_size = world.gmap.cell_size
-        goal_cells = world.goal_cells
         groups: list[tuple[int, list[_Arm]]] = []  # first goal, arms
         for arm in self.arms:
             config = arm.config
@@ -582,7 +582,7 @@ class _Forks:
                     f"({config.signal.step_length}) must equal the map's cell_size "
                     f"({cell_size}): the navigator moves one cell per step"
                 )
-            first = first_goal(order, arm.variant, world.gmap.spawn, goal_cells)
+            first = first_goal(order, arm.variant, world.gmap.spawn, self.goal_cells)
             for goal, members in groups:
                 shared = members[0].config
                 if goal == first and replace(config, thresholds=shared.thresholds) == shared:

@@ -35,7 +35,7 @@ from .bench import (
     _swept_configs,
 )
 from .config import ConfigError, RunConfig, load_config
-from .world import FREE, parse_grid
+from .world import parse_grid
 
 
 def _fmt(x: float) -> str:
@@ -121,9 +121,12 @@ def _parse_variants(raw: str | None) -> list[MethodVariant]:
     for name in raw.split(","):
         name = name.strip()
         try:
-            out.append(MethodVariant(name))
+            variant = MethodVariant(name)
         except ValueError:
             raise ConfigError(f"unknown variant {name!r}") from None
+        if variant in out:
+            raise ConfigError(f"variant {name!r} is listed twice in --variants")
+        out.append(variant)
     return out
 
 
@@ -149,7 +152,7 @@ def ascii_frames(world, trace) -> str:
     for r in range(gmap.height):
         row = []
         for c in range(gmap.width):
-            row.append("." if gmap.cells[r * gmap.width + c] == FREE else "#")
+            row.append("." if gmap.is_free((r, c)) else "#")
         base.append(row)
     for gid, goal in world.goals.items():
         r, c = goal.position

@@ -105,7 +105,11 @@ class TestEpisodeSpec:
         (3, [GoalSpec(1, "mug"), GoalSpec(2, "tv")], "goal_count 3 but 2 goals"),
         (2, [GoalSpec(1, "mug"), GoalSpec(1, "tv")], r"goal ids \[1, 1\] are not unique"),
         (0, [], "an episode needs a goal"),
-    ], ids=["count", "duplicate-ids", "no-goals"])
+        (2, [GoalSpec(1, "mug"), GoalSpec(2, "tv", feasibility="Sealed")],
+         "goal 2 feasibility 'Sealed' is not one of present, absent, sealed"),
+        (1, [GoalSpec(1, "mug", feasibility="absnt")],
+         "goal 1 feasibility 'absnt' is not one of present, absent, sealed"),
+    ], ids=["count", "duplicate-ids", "no-goals", "feasibility-case", "feasibility-typo"])
     def test_inconsistent_spec_rejected(self, goal_count, goals, message):
         with pytest.raises(InvalidCallError, match=f"episode 7: {message}"):
             EpisodeSpec(episode_id=7, seed=1, goal_count=goal_count, budget_max=500,

@@ -140,6 +140,12 @@ class TestBench:
         assert main(["bench", *FAST, "--variants", "WISHFUL",
                      "--out", out_dir(tmp_path, "b")]) == 2
 
+    def test_repeated_variant_is_exit_2(self, tmp_path, capsys):
+        assert main(["bench", *FAST, "--variants", "MORN_FULL, MORN_FULL",
+                     "--out", out_dir(tmp_path, "b")]) == 2
+        assert "variant 'MORN_FULL' is listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "b" / "bench.csv").exists()
+
     def test_episodes_flag_scales_suite(self, tmp_path):
         assert main(["bench", "--episodes", "5", "--variants", "MORN_FULL",
                      "--workers", "1", "--out", out_dir(tmp_path, "b")]) == 0
