@@ -288,12 +288,13 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
         dfield = world.fields[gid]
         status = schedule.goals[gid]
         open_count = len(schedule.open_ids())
+        isfinite, sentinel = math.isfinite, world.sentinel
 
         for t in range(ledger.elapsed + 1, spec.budget_max + 1):
             nav.step()
             pose = nav.pose
             d_raw = dfield[pose]
-            d = d_raw if math.isfinite(d_raw) else world.sentinel
+            d = d_raw if isfinite(d_raw) else sentinel
             evidence, detected = world_emit(goal, pose, gmap, shared, rng, d_raw)
             nav.observe(evidence, detected, goal, rng)
 

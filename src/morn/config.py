@@ -134,6 +134,7 @@ def load_config(path: str | Path | None = None,
     flat dotted-key namespace, and optional overrides; then validate."""
     config = RunConfig()
     file_overrides: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     if path is not None:
         try:
             text = Path(path).read_text()
@@ -147,7 +148,12 @@ def load_config(path: str | Path | None = None,
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, raw = line.split("=", 1)
-            file_overrides[key.strip()] = raw.strip()
+            key = key.strip()
+            if key in key_lines:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} is set again "
+                                  f"(first set on line {key_lines[key]})")
+            key_lines[key] = lineno
+            file_overrides[key] = raw.strip()
     apply_overrides(config, file_overrides)
     if overrides:
         apply_overrides(config, overrides)

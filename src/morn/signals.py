@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class InvalidBoundsError(ValueError):
@@ -18,16 +19,17 @@ class InvalidBoundsError(ValueError):
 
 
 def clip(x: float, lo: float, hi: float) -> float:
-    """Saturate x into [lo, hi]."""
+    """Saturate x into [lo, hi]; exactly max(lo, min(x, hi)), NaN and
+    signed zeros included, without the two builtin calls."""
     if lo > hi:
         raise InvalidBoundsError(f"lower bound {lo} exceeds upper bound {hi}")
-    return max(lo, min(x, hi))
+    m = hi if hi < x else x
+    return m if m > lo else lo
 
 
-@dataclass(frozen=True)
-class SignalSample:
+class SignalSample(NamedTuple):
     """One step of telemetry: geodesic distance to the active goal and the
-    raw evidence score in [0, 1]."""
+    raw evidence score in [0, 1]. An immutable named tuple."""
 
     step: int
     distance: float
@@ -52,7 +54,7 @@ class SignalParams:
             raise ValueError("step_length must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class SignalSummary:
     mean: float = 0.0
     variance: float = 0.0
@@ -101,18 +103,21 @@ class RollingWindow:
         return new
 
     def push(self, evidence: float, distance: float) -> None:
-        if len(self.samples) == self.capacity:
-            old = self.samples[0]
-            self._sum -= old
-            self._sumsq -= old * old
-        self.samples.append(evidence)
+        samples = self.samples
+        total, sumsq = self._sum, self._sumsq
+        if len(samples) == self.capacity:
+            old = samples[0]
+            total -= old
+            sumsq -= old * old
+        samples.append(evidence)
         self.distances.append(distance)
-        self._sum += evidence
-        self._sumsq += evidence * evidence
+        total += evidence
+        sumsq += evidence * evidence
+        self._sum, self._sumsq = total, sumsq
         self._count_total += 1
-        n = len(self.samples)
-        m = self._sum / n
-        v = self._sumsq / n - 2.0 * m * (self._sum / n) + m * m
+        n = len(samples)
+        m = total / n
+        v = sumsq / n - 2.0 * m * (total / n) + m * m
         self._var_history.append(v if v > 0.0 else 0.0)
 
     def mean(self) -> float:
@@ -163,10 +168,6 @@ def update(window: RollingWindow, sample: SignalSample, params: SignalParams) ->
     samples exist."""
     window.push(sample.evidence, sample.distance)
     var = window.variance()
-    return SignalSummary(
-        mean=window.mean(),
-        variance=var,
-        stability=stability(var, params),
-        velocity=progress_velocity(window, params),
-        info_gain=window.variance_drop(),
-    )
+    # mean, variance, stability, velocity, info gain
+    return SignalSummary(window.mean(), var, stability(var, params),
+                         progress_velocity(window, params), window.variance_drop())

@@ -48,7 +48,7 @@ class StateWeights:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class SunkCost:
     """Steps already charged to the active goal versus its allocation."""
 
@@ -62,7 +62,7 @@ class SunkCost:
         return self.spent / self.allocation
 
 
-@dataclass
+@dataclass(slots=True)
 class MetaStateVector:
     potentiality: float
     persistence: float

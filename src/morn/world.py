@@ -20,7 +20,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Optional
+from typing import Optional
 
 FREE = 0
 WALL = 1
@@ -76,9 +76,15 @@ def parse_grid(text: str, cell_size: float = 0.5) -> tuple[GridMap, dict[int, Ce
             if ch == ".":
                 cells[r * w + c] = FREE
             elif ch == "S":
+                if spawn is not None:
+                    raise ValueError(f"map has a second spawn 'S' at {(r, c)}; "
+                                     f"the first is at {spawn}")
                 cells[r * w + c] = FREE
                 spawn = (r, c)
             elif ch.isdigit() and ch != "0":
+                if int(ch) in goals:
+                    raise ValueError(f"goal {ch} appears twice, at {goals[int(ch)]} "
+                                     f"and {(r, c)}")
                 cells[r * w + c] = FREE
                 goals[int(ch)] = (r, c)
             elif ch == " ":
@@ -90,45 +96,54 @@ def parse_grid(text: str, cell_size: float = 0.5) -> tuple[GridMap, dict[int, Ce
     return GridMap(cells, h, w, cell_size, spawn), goals
 
 
-def _search(gmap: GridMap, start: int, stop: Optional[Callable[[int], bool]] = None
-            ) -> tuple[list[int], list[int], Optional[int]]:
+def _search(gmap: GridMap, start: int, done: bytes | bytearray
+            ) -> tuple[list[list[int]], Optional[int]]:
     """Breadth-first search of the free cells from flat index `start`,
-    expanding neighbours up, down, left, right. Returns hop counts (-1 where
-    not reached), parents (`start` is its own) and the first discovered
-    cell that satisfies `stop`, where the search ends (None if none did)."""
+    expanding neighbours up, down, left, right; the first discovered cell
+    whose `done` flag (indexed like the cells) is 0 ends it. Returns the
+    hop levels (level k lists the cells first reached in k hops, in
+    discovery order) and the cell the search ended at, None if every
+    reached cell was done. Beside one zeroed reached mark per cell it
+    builds only the levels, which grow with the cells it reaches."""
     free = gmap.free
     w = gmap.width
-    dist = [-1] * len(free)
-    parent = [-1] * len(free)
-    dist[start] = 0
-    parent[start] = start
-    q = deque([start])
-    while q:
-        cur = q.popleft()
-        d = dist[cur] + 1
-        for nxt in (cur - w, cur + w, cur - 1, cur + 1):
-            if free[nxt] and dist[nxt] < 0:
-                dist[nxt] = d
-                parent[nxt] = cur
-                if stop is not None and stop(nxt):
-                    return dist, parent, nxt
-                q.append(nxt)
-    return dist, parent, None
+    reached = bytearray(len(free))
+    reached[start] = 1
+    level = [start]
+    levels = [level]
+    while True:
+        nxt_level = []
+        for cur in level:
+            for nxt in (cur - w, cur + w, cur - 1, cur + 1):
+                if free[nxt] and not reached[nxt]:
+                    reached[nxt] = 1
+                    if not done[nxt]:
+                        return levels, nxt
+                    nxt_level.append(nxt)
+        if not nxt_level:
+            return levels, None
+        levels.append(nxt_level)
+        level = nxt_level
 
 
-def _path(gmap: GridMap, start: Cell, stop: Callable[[int], bool]) -> Optional[list[Cell]]:
-    """Shortest path from start (exclusive) to the nearest cell matching
-    `stop`, or None if none is reachable."""
+def _path(gmap: GridMap, start: Cell, done: bytes | bytearray) -> Optional[list[Cell]]:
+    """Shortest path from start (exclusive) to the nearest cell whose
+    `done` flag is 0, or None if none is reachable."""
     if not gmap.is_free(start):
         raise OccupiedCellError(f"start cell {start} is not free")
     w = gmap.width
-    _, parent, cell = _search(gmap, start[0] * w + start[1], stop)
+    levels, cell = _search(gmap, start[0] * w + start[1], done)
     if cell is None:
         return None
-    path = []
-    while parent[cell] != cell:
+    # a cell's parent is the cell that discovered it: the first cell of
+    # the level before it that neighbours it
+    path = [divmod(cell, w)]
+    for level in reversed(levels[1:]):
+        for prev in level:
+            if abs(prev - cell) in (1, w):
+                cell = prev
+                break
         path.append(divmod(cell, w))
-        cell = parent[cell]
     path.reverse()
     return path
 
@@ -139,10 +154,15 @@ def distance_field(gmap: GridMap, target: Cell) -> dict[Cell, float]:
     walled."""
     if not gmap.is_free(target):
         raise OccupiedCellError(f"target cell {target} is not free")
-    dist, _, _ = _search(gmap, target[0] * gmap.width + target[1])
+    n = len(gmap.cells)
+    levels, _ = _search(gmap, target[0] * gmap.width + target[1], b"\x01" * n)
+    meters = [math.inf] * n
     size = gmap.cell_size
-    return dict(zip(product(range(gmap.height), range(gmap.width)),
-                    [hops * size if hops >= 0 else math.inf for hops in dist]))
+    for hops, level in enumerate(levels):
+        m = hops * size
+        for i in level:
+            meters[i] = m
+    return dict(zip(product(range(gmap.height), range(gmap.width)), meters))
 
 
 def geodesic_distance(gmap: GridMap, start: Cell, goal: Cell) -> float:
@@ -159,8 +179,11 @@ def bfs_path(gmap: GridMap, start: Cell, target: Cell) -> Optional[list[Cell]]:
     start), or None if unreachable."""
     if start == target:
         return []
-    t = target[0] * gmap.width + target[1]
-    return _path(gmap, start, lambda i: i == t) if gmap.is_free(target) else None
+    if not gmap.is_free(target):
+        return None
+    done = bytearray(b"\x01") * len(gmap.cells)
+    done[target[0] * gmap.width + target[1]] = 0
+    return _path(gmap, start, done)
 
 
 def line_of_sight(gmap: GridMap, a: Cell, b: Cell) -> bool:
@@ -259,7 +282,9 @@ def emit_evidence(
         score = p.base_noise_mean + p.spike_amplitude + noise
     else:
         score = p.base_noise_mean + noise
-    return (max(0.0, min(score, 1.0)), detected)
+    # max(0.0, min(score, 1.0)) without the two builtin calls
+    score = 1.0 if 1.0 < score else score
+    return (score if score > 0.0 else 0.0, detected)
 
 
 class Navigator:
@@ -327,8 +352,7 @@ class Navigator:
     def _plan_to_nearest_unvisited(self) -> Optional[list[Cell]]:
         """Shortest path (exclusive of the pose) to the nearest
         reachable unvisited free cell, or None when coverage is done."""
-        visited = self.visited
-        return _path(self.gmap, self.pose, lambda i: not visited[i])
+        return _path(self.gmap, self.pose, self.visited)
 
     def observe(self, evidence: float, detected: bool, goal: GoalInstance,
                 rng: random.Random) -> None:

@@ -87,6 +87,22 @@ class TestOverrides:
         cfg = load_config(path, overrides={"bench.master_seed": "2"})
         assert cfg.bench.master_seed == 2
 
+    def test_repeated_file_key_rejected(self, tmp_path):
+        # the second value used to win without a word
+        path = tmp_path / "run.cfg"
+        path.write_text("thresholds.abort = 0.2\n"
+                        "# a comment line\n"
+                        "thresholds.abort = 0.4\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:3: key 'thresholds\.abort' "
+                                              r"is set again \(first set on line 1\)"):
+            load_config(path)
+
+    def test_override_of_a_file_key_is_not_a_repeat(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("thresholds.abort = 0.2\n")
+        cfg = load_config(path, overrides={"thresholds.abort": "0.25"})
+        assert cfg.thresholds.abort == 0.25
+
 
 class TestValidation:
     def test_commit_below_floor_rejected(self):

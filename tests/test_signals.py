@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,12 @@ from morn.signals import (
 )
 
 TOL = 1e-9
+SPECIAL_FLOATS = (math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 0.5, 1e-300, -2.5)
+
+
+def same_float(a, b):
+    """Bit-identical floats (so 0.0 and -0.0 differ and NaN equals NaN)."""
+    return struct.pack("<d", a) == struct.pack("<d", b)
 
 
 def two_pass_window_stats(values, capacity):
@@ -65,6 +72,45 @@ class TestClip:
         y = clip(x, lo, hi)
         assert lo <= y <= hi
         assert clip(y, lo, hi) == y  # idempotent
+
+    @given(*[st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))] * 3)
+    def test_equals_max_of_min(self, x, lo, hi):
+        # the fast path is bit for bit the builtin composition, NaN and
+        # signed zeros included, whenever the bounds pass the check
+        if lo > hi:
+            return
+        assert same_float(clip(x, lo, hi), max(lo, min(x, hi)))
+
+    def test_equals_max_of_min_on_every_special_triple(self):
+        checked = 0
+        for x in SPECIAL_FLOATS:
+            for lo in SPECIAL_FLOATS:
+                for hi in SPECIAL_FLOATS:
+                    if lo > hi:
+                        with pytest.raises(InvalidBoundsError):
+                            clip(x, lo, hi)
+                        continue
+                    assert same_float(clip(x, lo, hi), max(lo, min(x, hi))), (x, lo, hi)
+                    checked += 1
+        assert checked > 500
+
+
+class TestSignalSample:
+    def test_positional_and_keyword_constructors(self):
+        a = SignalSample(3, 2.5, 0.4)
+        b = SignalSample(step=3, distance=2.5, evidence=0.4)
+        assert a == b
+        assert (a.step, a.distance, a.evidence) == (3, 2.5, 0.4)
+        assert SignalSample._fields == ("step", "distance", "evidence")
+
+    def test_rejects_assignment(self):
+        sample = SignalSample(1, 1.0, 0.1)
+        for name in SignalSample._fields:
+            with pytest.raises(AttributeError):
+                setattr(sample, name, 0)
+        with pytest.raises(AttributeError):
+            sample.extra = 0
+        assert sample == SignalSample(1, 1.0, 0.1)
 
 
 class TestUpdate:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 from collections import deque
 
 import pytest
@@ -65,6 +66,28 @@ def oracle_bfs_meters(gmap, start, goal):
     return math.inf
 
 
+def oracle_frontier_path(gmap, start, visited):
+    """FIFO breadth-first search from `start`, expanding up, down, left,
+    right, to the first discovered free cell with no coverage mark; the
+    path excludes `start`, None when no such cell is reachable."""
+    parent = {start: None}
+    q = deque([start])
+    while q:
+        r, c = cell = q.popleft()
+        for nxt in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if nxt in parent or not gmap.is_free(nxt):
+                continue
+            parent[nxt] = cell
+            if not visited[nxt[0] * gmap.width + nxt[1]]:
+                path = []
+                while nxt != start:
+                    path.append(nxt)
+                    nxt = parent[nxt]
+                return path[::-1]
+            q.append(nxt)
+    return None
+
+
 def random_map(rng, h=14, w=14, wall_p=0.3):
     cells = [WALL] * (h * w)
     for r in range(1, h - 1):
@@ -89,6 +112,17 @@ class TestParseGrid:
     def test_missing_spawn_rejected(self):
         with pytest.raises(ValueError):
             parse_grid("###\n#1#\n###")
+
+    def test_second_spawn_rejected(self):
+        # the last 'S' used to win without a word
+        with pytest.raises(ValueError, match=r"second spawn 'S' at \(1, 5\); "
+                                             r"the first is at \(1, 1\)"):
+            parse_grid("#######\n#S...S#\n#..1..#\n#######")
+
+    def test_repeated_goal_digit_rejected(self):
+        with pytest.raises(ValueError, match=r"goal 1 appears twice, at \(1, 3\) "
+                                             r"and \(2, 3\)"):
+            parse_grid("#######\n#S.1..#\n#..1..#\n#######")
 
     def test_unknown_character_rejected(self):
         with pytest.raises(ValueError):
@@ -181,6 +215,20 @@ class TestGeodesic:
         gmap, goals = parse_grid(OPEN_MAP)
         assert bfs_path(gmap, gmap.spawn, goals[1]) == [
             (2, 1), (3, 1), (3, 2), (3, 3), (3, 4)]
+
+    def test_bfs_path_matches_fifo_oracle(self):
+        # the path to one target is the frontier oracle's path when only
+        # the target lacks a mark, ties included
+        rng = random.Random(12)
+        for wall_p in (0.0, 0.2, 0.35):
+            gmap, free = random_map(rng, wall_p=wall_p)
+            for _ in range(40):
+                a = free[rng.randrange(len(free))]
+                b = free[rng.randrange(len(free))]
+                marks = [1] * len(gmap.cells)
+                marks[b[0] * gmap.width + b[1]] = 0
+                expected = [] if a == b else oracle_frontier_path(gmap, a, marks)
+                assert bfs_path(gmap, a, b) == expected
 
     def test_bfs_path_is_shortest_and_connected(self):
         rng = random.Random(9)
@@ -285,6 +333,26 @@ class TestEmitEvidence:
                 emit_evidence(absent, (1, 1), gmap, params, rb, math.inf)
 
 
+class TestEmissionClamp:
+    SPECIAL = (math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 0.5, 1.5, 1e-300)
+
+    @staticmethod
+    def emitted(level):
+        # absent goal, no noise, no spikes: the raw score is level + 0.0
+        gmap, goals = parse_grid(OPEN_MAP)
+        goal = GoalInstance(1, "mug", goals[1], present=False)
+        params = PerceptionParams(base_noise_mean=level, noise_std=0.0,
+                                  false_positive_rate=0.0)
+        return emit_evidence(goal, gmap.spawn, gmap, params, random.Random(0), 1.0)[0]
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.floats(), st.sampled_from(SPECIAL)))
+    def test_equals_max_of_min(self, level):
+        raw = level + 0.0
+        expected = max(0.0, min(raw, 1.0))
+        assert struct.pack("<d", self.emitted(level)) == struct.pack("<d", expected)
+
+
 class TestNavigator:
     def test_coverage_grows_until_complete(self):
         gmap, _ = parse_grid(load_fixture("open"))
@@ -375,6 +443,21 @@ class TestNavigator:
         gmap, _ = parse_grid(load_fixture("two_room"))
         nav = Navigator(gmap, PerceptionParams())
         assert nav._plan_to_nearest_unvisited() == [(3, 3), (4, 3), (5, 3)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 16), st.integers(3, 16),
+           st.sampled_from([0.0, 0.3, 0.7, 0.95, 1.0]), st.booleans())
+    def test_frontier_plan_matches_fifo_oracle(self, seed, h, w, covered, open_map):
+        # random maps (open ones are all ties) with random coverage, from
+        # every free pose: the plan is the oracle's path, ties included
+        rng = random.Random(seed)
+        gmap, free = random_map(rng, h, w, wall_p=0.0 if open_map else 0.3)
+        nav = Navigator(gmap, PerceptionParams())
+        for pose in free:
+            nav.pose = pose
+            nav.visited[:] = bytes(rng.random() < covered for _ in nav.visited)
+            assert nav._plan_to_nearest_unvisited() == oracle_frontier_path(
+                gmap, pose, nav.visited)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(3, 16), st.integers(3, 16),
