@@ -85,7 +85,10 @@ def _load(args) -> RunConfig:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         k, v = item.split("=", 1)
-        overrides[k.strip()] = v.strip()
+        k = k.strip()
+        if k in overrides:
+            raise ConfigError(f"--set key {k!r} is given twice")
+        overrides[k] = v.strip()
     return load_config(args.config, overrides)
 
 

@@ -70,9 +70,10 @@ class Thresholds:
     commit_warmup: int = 5  # steps before commit is meaningful (window fill)
 
     def __post_init__(self) -> None:
-        # both levels are read every step; compute each sigmoid once
-        object.__setattr__(self, "_abort_level", sigmoid(self.abort))
-        object.__setattr__(self, "_switch_level", sigmoid(-self.switch))
+        # tau_A and -tau_S on the state scales, read every step: each sigmoid
+        # once. Plain attributes, not fields, so no config key names them.
+        object.__setattr__(self, "abort_level", sigmoid(self.abort))
+        object.__setattr__(self, "switch_level", sigmoid(-self.switch))
 
     def validate(self) -> None:
         if self.commit_distance <= 0:
@@ -83,14 +84,6 @@ class Thresholds:
             raise ValueError("patience must be >= 1")
         if self.commit_warmup < 0:
             raise ValueError("commit_warmup must be nonnegative")
-
-    def abort_level(self) -> float:
-        """Abort threshold mapped onto the potentiality state scale."""
-        return self._abort_level
-
-    def switch_level(self) -> float:
-        """Switch threshold mapped onto the persistence state scale."""
-        return self._switch_level
 
 
 class GoalState(Enum):
@@ -178,9 +171,6 @@ class MissionSchedule:
     def pending_ids(self) -> list[int]:
         return [g for g in self.order if self.goals[g].state is GoalState.PENDING]
 
-    def done(self) -> bool:
-        return not self.open_ids()
-
 
 def allocate(budget: BudgetLedger, remaining_goals: int) -> int:
     """Dynamic per-subgoal step allocation: remaining budget split evenly
@@ -193,12 +183,12 @@ def allocate(budget: BudgetLedger, remaining_goals: int) -> int:
 
 def below_abort(states: MetaStateVector, thresholds: Thresholds) -> bool:
     """The abort branch's condition: potentiality under the abort level."""
-    return states.potentiality < thresholds._abort_level
+    return states.potentiality < thresholds.abort_level
 
 
 def below_switch(states: MetaStateVector, thresholds: Thresholds) -> bool:
     """The switch branch's condition: the gate under the switch level."""
-    return states.persistence < thresholds._switch_level
+    return states.persistence < thresholds.switch_level
 
 
 def streak(count: int, below: bool, spent: int, thresholds: Thresholds) -> int:

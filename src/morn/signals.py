@@ -69,7 +69,8 @@ class RollingWindow:
 
     Also remembers the variance from `capacity` steps ago so that the
     information gain (variance reduction across one full window) can be
-    read without replaying the stream.
+    read without replaying the stream. The window has no read methods:
+    `update` reads this running state once per step.
     """
 
     def __init__(self, capacity: int):
@@ -120,22 +121,6 @@ class RollingWindow:
         v = sumsq / n - 2.0 * m * (total / n) + m * m
         self._var_history.append(v if v > 0.0 else 0.0)
 
-    def mean(self) -> float:
-        """Simple moving average of the window contents."""
-        n = len(self.samples)
-        return self._sum / n if n else 0.0
-
-    def variance(self) -> float:
-        """Population variance of the window contents."""
-        return self._var_history[-1] if self._var_history else 0.0
-
-    def variance_drop(self) -> float:
-        """Variance `capacity` steps ago minus the variance now, once both
-        windows are full; 0 before that."""
-        if self._count_total < 2 * self.capacity:
-            return 0.0
-        return self._var_history[0] - self._var_history[-1]
-
 
 def stability(variance: float, params: SignalParams) -> float:
     """Map windowed variance to a stability score in [0, 1] by inverting
@@ -167,7 +152,10 @@ def update(window: RollingWindow, sample: SignalSample, params: SignalParams) ->
     statistics. Partial windows are allowed: statistics cover whatever
     samples exist."""
     window.push(sample.evidence, sample.distance)
-    var = window.variance()
-    # mean, variance, stability, velocity, info gain
-    return SignalSummary(window.mean(), var, stability(var, params),
-                         progress_velocity(window, params), window.variance_drop())
+    history = window._var_history
+    var = history[-1]
+    # information gain: the variance `capacity` steps ago minus now, once
+    # both windows are full; 0 before that
+    gain = history[0] - var if window._count_total >= 2 * window.capacity else 0.0
+    return SignalSummary(window._sum / len(window.samples), var, stability(var, params),
+                         progress_velocity(window, params), gain)

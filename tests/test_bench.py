@@ -1,7 +1,12 @@
 """Tests for episode generation, the closed-loop runner and metrics."""
 
 import math
+import multiprocessing
+import os
+import pickle
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -304,6 +309,24 @@ class TestFailureDecomposition:
         assert decompose_failures([tr])["FALSE_COMMIT"] == 1
 
 
+POOL_SCRIPT = """\
+import multiprocessing
+import pickle
+import sys
+
+from morn.bench import generate, run_suite
+from morn.config import RunConfig
+from morn.executive import MethodVariant
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    config = RunConfig()
+    results = run_suite(generate(3, 2, 11, config), list(MethodVariant), config, workers=2)
+    with open(sys.argv[2], "wb") as f:
+        pickle.dump(results, f)
+"""
+
+
 class TestSuiteAndSweep:
     def test_variants_share_worlds_and_specs(self):
         specs = small_suite(2, 1)
@@ -321,6 +344,27 @@ class TestSuiteAndSweep:
                         parallel[MethodVariant.MORN_FULL]):
             assert a.outcomes == b.outcomes
             assert a.total_steps == b.total_steps
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_under_start_method_matches_serial(self, tmp_path, method):
+        # `fork` is the Linux default before Python 3.14, `forkserver` from
+        # 3.14 and `spawn` on macOS; the children of the last two re-import
+        # __main__, so the script must be a file
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        script = tmp_path / "pool_run.py"
+        script.write_text(POOL_SCRIPT)
+        src = os.path.dirname(os.path.dirname(bench_mod.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, str(script), method, str(tmp_path / "out")],
+                                env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        with open(tmp_path / "out", "rb") as f:
+            parallel = pickle.load(f)
+        config = RunConfig()
+        serial = run_suite(generate(3, 2, 11, config), list(MethodVariant), config, workers=1)
+        assert suite_outcomes(parallel) == suite_outcomes(serial)
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigError):
@@ -401,6 +445,11 @@ def arm_lists(cfg):
 
 def outcome(trace):
     return trace.outcomes, trace.total_steps, trace.commit_sequence
+
+
+def suite_outcomes(results):
+    return {variant.value: [(trace.spec, outcome(trace)) for trace in traces]
+            for variant, traces in results.items()}
 
 
 class TestForkedArms:

@@ -58,6 +58,15 @@ class TestRun:
                      "--out", out_dir(tmp_path, "a")])
         assert code == 2
 
+    def test_threshold_level_is_not_a_config_key(self, tmp_path, capsys):
+        # the levels are derived from thresholds.abort and .switch, not set
+        code = main(["run", "--fixture", "trivial", "--set", "thresholds.abort_level=0.5",
+                     "--out", out_dir(tmp_path, "a")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown configuration key: 'thresholds.abort_level'" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("setting", ["thresholds.abort=none", "thresholds.commit=nan"])
     def test_non_finite_float_is_exit_2(self, tmp_path, capsys, setting):
         code = main(["run", "--fixture", "trivial", "--set", setting,
@@ -170,7 +179,10 @@ class TestBench:
      "empty benchmark suite"),
 ])
 def test_bad_suite_or_workers_is_exit_2(tmp_path, capsys, command, extra, message):
-    assert main([*command, *FAST, *extra, "--out", out_dir(tmp_path, "o")]) == 2
+    # a --set key may be given once, so FAST gives way on the keys `extra` sets
+    keys = {arg.split("=")[0] for arg in extra if "=" in arg}
+    fast = [arg for kv in FAST[1::2] if kv.split("=")[0] not in keys for arg in ("--set", kv)]
+    assert main([*command, *fast, *extra, "--out", out_dir(tmp_path, "o")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
@@ -255,6 +267,24 @@ class TestEnvironment:
                      "--workers", "1", "--out", out_dir(tmp_path, "b")]) == 0
         summary = json.loads((tmp_path / "b" / "summary.json").read_text())
         assert summary["episodes"] == 2
+
+    def test_repeated_set_key_is_exit_2(self, tmp_path, capsys):
+        # the last value would silently win; a config file rejects a repeat too
+        assert main(["run", "--fixture", "trivial", "--set", "thresholds.abort=0.2",
+                     "--set", " thresholds.abort = 0.4", "--out", out_dir(tmp_path, "a")]) == 2
+        err = capsys.readouterr().err
+        assert "--set key 'thresholds.abort' is given twice" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "a").exists()
+
+    def test_set_overrides_a_config_file_key(self, tmp_path):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text("bench.count_k2 = 2\nbench.count_k3 = 0\n")
+        assert main(["bench", "--config", str(cfg), "--set", "bench.count_k2=3",
+                     "--variants", "MORN_FULL", "--workers", "1",
+                     "--out", out_dir(tmp_path, "b")]) == 0
+        summary = json.loads((tmp_path / "b" / "summary.json").read_text())
+        assert summary["episodes"] == 3
 
     @pytest.mark.parametrize("name, message", [
         ("missing.cfg", "No such file or directory"),

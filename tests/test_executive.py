@@ -1,7 +1,7 @@
 """Unit and property tests for the meta-controller."""
 
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -68,11 +68,20 @@ class TestThresholds:
         TH.validate()
 
     def test_abort_level_on_state_scale(self):
-        assert TH.abort_level() == sigmoid(TH.abort)
+        assert TH.abort_level == sigmoid(TH.abort)
 
     def test_switch_level_below_neutral(self):
-        assert TH.switch_level() == sigmoid(-TH.switch)
-        assert TH.switch_level() < 0.5
+        assert TH.switch_level == sigmoid(-TH.switch)
+        assert TH.switch_level < 0.5
+
+    def test_levels_follow_replace_and_are_frozen(self):
+        th = replace(TH, abort=0.5, switch=0.4)
+        assert (th.abort_level, th.switch_level) == (sigmoid(0.5), sigmoid(-0.4))
+        for name in ("abort_level", "switch_level"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(th, name, 0.1)
+        # derived values, not fields: neither a config key nor a replace argument
+        assert "abort_level" not in {f.name for f in fields(Thresholds)}
 
     @pytest.mark.parametrize("kwargs", [
         {"commit_distance": 0.0},
@@ -387,7 +396,7 @@ class TestApply:
         nxt = apply(decision, schedule, self.ledger, (0.0, 0.0), self.POS,
                     MethodVariant.MORN_FULL)
         assert nxt is None
-        assert schedule.done()
+        assert not schedule.open_ids()
 
     @pytest.mark.parametrize("action,reason,field,value", [
         (MetaAction.COMMIT, DecisionReason.EVIDENCE_COMMIT, "committed", True),
@@ -419,7 +428,7 @@ class TestScheduleInvariants:
             led = BudgetLedger(budget_max=650, allocation=216, elapsed=0,
                                active_spent=0)
             pos = {g: (rng.uniform(0, 10), rng.uniform(0, 10)) for g in (1, 2, 3)}
-            while not schedule.done():
+            while schedule.open_ids():
                 led.elapsed += 1
                 led.active_spent += 1
                 action = rng.choice([MetaAction.PERSIST, MetaAction.COMMIT,
@@ -431,14 +440,58 @@ class TestScheduleInvariants:
                       MethodVariant.MORN_FULL)
                 active = [g for g, s in schedule.goals.items()
                           if s.state is GoalState.ACTIVE]
-                if schedule.done():
+                if not schedule.open_ids():
                     assert not active
                 else:
                     assert len(active) == 1 and active[0] == schedule.active_id
                 if led.elapsed > 650:
                     break
             for s in schedule.goals.values():
-                assert s.state is not GoalState.ACTIVE or not schedule.done()
+                assert s.state is not GoalState.ACTIVE or schedule.open_ids()
+
+    def test_copy_continued_alike_matches_and_shares_no_record(self):
+        pos = {1: (2.0, 1.0), 2: (5.0, 5.0), 3: (9.0, 2.0), 4: (1.0, 8.0)}
+
+        def snapshot(schedule):
+            return (schedule.order, schedule.active_id,
+                    {g: replace(st) for g, st in schedule.goals.items()})
+
+        def step(schedule, ledger, action):
+            if action is MetaAction.SWITCH and len(schedule.open_ids()) <= 1:
+                action = MetaAction.ABORT
+            ledger.elapsed += 7
+            ledger.active_spent += 7
+            apply(ExecutiveDecision(action, DecisionReason.DEFAULT), schedule, ledger,
+                  (0.0, 0.0), pos, MethodVariant.MORN_FULL)
+
+        schedule = MissionSchedule([1, 2, 3, 4])
+        schedule.activate(1)
+        led = BudgetLedger(budget_max=900, allocation=200)
+        for action in (MetaAction.SWITCH, MetaAction.PERSIST, MetaAction.SWITCH):
+            step(schedule, led, action)
+        clone, clone_led = schedule.copy(), replace(led)
+        assert snapshot(clone) == snapshot(schedule)
+
+        # changing the copy leaves the original as it was, and back
+        before = snapshot(schedule)
+        clone.goals[schedule.active_id].found = True
+        step(clone, clone_led, MetaAction.COMMIT)
+        assert snapshot(schedule) == before
+        clone, clone_led = schedule.copy(), replace(led)
+        step(schedule, led, MetaAction.ABORT)
+        assert snapshot(clone) == before
+
+        # a copy continued with the same calls ends where the original does
+        step(clone, clone_led, MetaAction.ABORT)
+        for action in (MetaAction.SWITCH, MetaAction.PERSIST, MetaAction.COMMIT,
+                       MetaAction.SWITCH, MetaAction.ABORT, MetaAction.COMMIT):
+            if not schedule.open_ids():
+                break
+            step(schedule, led, action)
+            step(clone, clone_led, action)
+            assert snapshot(clone) == snapshot(schedule)
+            assert clone_led == led
+        assert not schedule.open_ids()
 
     def test_double_activate_rejected(self):
         schedule = MissionSchedule([1, 2])

@@ -51,6 +51,30 @@ def feed(values, params, distances=None):
     return window, summaries
 
 
+def oracle_summary(history, params):
+    """All five `update` fields recomputed from scratch from the
+    (evidence, distance) pairs pushed since the window's last reset."""
+    w = params.window
+    values = [e for e, _ in history]
+    mean, var = two_pass_window_stats(values, w)
+    stab = 1.0 - min(max(var / (params.sigma_norm + params.epsilon), 0.0), 1.0)
+    distances = [d for _, d in history][-w:]
+    velocity = 0.0
+    if len(distances) >= 2:
+        raw = (distances[0] - distances[-1]) / ((len(distances) - 1) * params.step_length)
+        velocity = min(max(raw, -1.0), 1.0)
+    gain = 0.0
+    if len(values) >= 2 * w:
+        gain = two_pass_window_stats(values[:-w], w)[1] - var
+    return SignalSummary(mean, var, stab, velocity, gain)
+
+
+def window_state(window):
+    """Everything a window holds, for comparing two windows by value."""
+    return (list(window.samples), list(window.distances), window._sum, window._sumsq,
+            window._count_total, list(window._var_history))
+
+
 class TestClip:
     def test_upper_saturation(self):
         assert clip(1.5, 0, 1) == 1.0
@@ -147,6 +171,36 @@ class TestUpdate:
         assert s.variance == pytest.approx(0.0, abs=TOL)
         assert s.velocity == 0.0
 
+    @pytest.mark.parametrize("window,seed", [(2, 1), (3, 2), (5, 3), (5, 4), (8, 5)])
+    def test_every_field_matches_oracle_across_resets_and_copies(self, window, seed):
+        # three windows fed one interleaved stream: now and then one is
+        # reset, or replaced by a copy of another that then goes its own way
+        params = SignalParams(window=window)
+        rng = random.Random(seed)
+        lanes = [(RollingWindow(window), []) for _ in range(3)]
+        for step in range(400):
+            roll = rng.random()
+            i = rng.randrange(3)
+            if roll < 0.02:
+                lanes[i][0].reset()
+                lanes[i][1].clear()
+                continue
+            if roll < 0.05:
+                j = rng.randrange(3)
+                lanes[i] = (lanes[j][0].copy(), list(lanes[j][1]))
+                continue
+            win, history = lanes[i]
+            evidence = rng.random() * rng.choice((0.01, 0.2, 1.0))
+            distance = rng.uniform(0.0, 30.0)
+            history.append((evidence, distance))
+            got = update(win, SignalSample(step, distance, evidence), params)
+            want = oracle_summary(history, params)
+            for name in ("mean", "variance", "stability", "velocity", "info_gain"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), abs=TOL), \
+                    (name, step, len(history))
+            if len(history) < 2 * window:
+                assert got.info_gain == 0.0
+
     def test_replay_determinism(self):
         params = SignalParams()
         rng = random.Random(11)
@@ -154,6 +208,31 @@ class TestUpdate:
         _, first = feed(values, params)
         _, second = feed(values, params)
         assert first == second
+
+
+class TestWindowCopy:
+    def test_copy_continued_alike_matches_original(self):
+        params = SignalParams()
+        rng = random.Random(21)
+        window, _ = feed([rng.random() for _ in range(12)], params)
+        clone = window.copy()
+        assert window_state(clone) == window_state(window)
+        for i in range(20):
+            sample = SignalSample(i, rng.uniform(0.0, 9.0), rng.random())
+            assert update(clone, sample, params) == update(window, sample, params)
+            assert window_state(clone) == window_state(window)
+
+    def test_copy_and_original_do_not_share_state(self):
+        params = SignalParams()
+        window, _ = feed([0.1, 0.7, 0.3, 0.9, 0.2, 0.6, 0.4], params, list(range(7, 0, -1)))
+        before = window_state(window)
+        clone = window.copy()
+        update(clone, SignalSample(8, 0.5, 0.8), params)
+        assert window_state(window) == before
+        clone.reset()
+        assert window_state(window) == before
+        update(window, SignalSample(8, 0.5, 0.8), params)
+        assert window_state(clone) == ([], [], 0.0, 0.0, 0, [])
 
 
 class TestStability:
