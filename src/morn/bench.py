@@ -31,6 +31,7 @@ from .executive import (
     below_switch,
     decide,
     first_goal,
+    quiet_bounds,
     streak,
 )
 from .signals import RollingWindow, SignalSample, update
@@ -253,7 +254,7 @@ class EpisodeTrace:
 def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
         world: Optional[World] = None, forks: Optional[_Forks] = None) -> EpisodeTrace:
     """Execute one episode under one method variant. A standalone call
-    records every step in the trace.
+    records every step in the trace, with Π, Γ and Σ computed on each.
 
     Terminates on goal exhaustion or at the step budget, never later.
     All failure modes are recorded outcomes, not errors.
@@ -262,6 +263,9 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
     spec, in arm order, and records no steps) the arms that decide alike
     share one simulation: the first call runs the work list `forks.pending`
     until it is empty, and every call returns its arm's finished trace.
+    Such a run skips what no arm can read: on a quiet step (`quiet_bounds`)
+    it only pushes the evidence window, and Σ only while some arm's commit
+    gate is open.
     """
     if forks is None:
         forks = _Forks(spec, world if world is not None else build_world(spec),
@@ -289,6 +293,9 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
         status = schedule.goals[gid]
         open_count = len(schedule.open_ids())
         isfinite, sentinel = math.isfinite, world.sentinel
+        # a standalone run records Π, Γ and Σ on every step
+        until, warmup, reach = ((0, 0, math.inf) if record_steps else quiet_bounds(
+            [(arm.variant, arm.config.thresholds) for arm in arms], ledger.allocation))
 
         for t in range(ledger.elapsed + 1, spec.budget_max + 1):
             nav.step()
@@ -299,21 +306,24 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
             nav.observe(evidence, detected, goal, rng)
 
             ledger.elapsed = t
-            ledger.active_spent += 1
+            ledger.active_spent = spent = ledger.active_spent + 1
             status.spent += 1
 
+            gate = spent >= warmup and d < reach
+            if spent < until and not gate:
+                window.push(evidence, d)
+                continue
             summary = update(window, SignalSample(t, d, evidence), sigpar)
             pi = potentiality(summary.velocity, evidence, summary.stability, weights)
             gamma = persistence_gate(
                 summary.info_gain,
-                SunkCost(ledger.active_spent, ledger.allocation),
+                SunkCost(spent, ledger.allocation),
                 summary.velocity,
                 weights,
             )
-            sigma = sufficiency(evidence, summary.stability, d, weights)
+            sigma = sufficiency(evidence, summary.stability, d, weights) if gate else 0.0
             states = MetaStateVector(pi, gamma, sigma)
 
-            spent = ledger.active_spent
             decisions = []
             acting = False
             for arm in arms:
@@ -634,8 +644,8 @@ def sweep(specs: list[EpisodeSpec], variant: MethodVariant, parameter: str,
     """Re-run the same episodes at each value (paired: each spec's world is
     built once and shared by every value, one process pool serves the whole
     sweep, and the rows do not depend on `workers`). Swept thresholds are
-    range-checked up front (a non-finite value is rejected); the
-    calibration floor is not applied."""
+    range-checked up front (a non-finite or repeated value is rejected);
+    the calibration floor is not applied."""
     arms = [(variant, swept) for swept in _swept_configs(parameter, values, config)]
     bp = config.bench
     return [(value, compute_metrics(traces, reward=bp.reward, lambda_cost=bp.lambda_cost))
@@ -644,7 +654,8 @@ def sweep(specs: list[EpisodeSpec], variant: MethodVariant, parameter: str,
 
 def _swept_configs(parameter: str, values: list[float], config: RunConfig) -> list[RunConfig]:
     """`config` with the swept threshold set to each value in turn; every
-    value is range-checked, the calibration floor is not applied."""
+    value is range-checked and may appear once (compared as a float), the
+    calibration floor is not applied."""
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(
             f"unknown sweep parameter {parameter!r}; "
@@ -652,9 +663,13 @@ def _swept_configs(parameter: str, values: list[float], config: RunConfig) -> li
         )
     attr = SWEEP_PARAMETERS[parameter]
     configs = []
+    seen = set()
     for value in values:
         if not math.isfinite(value):
             raise ConfigError(f"sweep {parameter}={value!r}: not a finite number")
+        if float(value) in seen:
+            raise ConfigError(f"sweep {parameter}={value!r} is listed twice")
+        seen.add(float(value))
         if attr == "grace" and not float(value).is_integer():
             raise ConfigError(f"t_grace must be a whole number of steps, got {value!r}")
         swept = int(value) if attr == "grace" else value

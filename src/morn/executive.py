@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .states import MetaStateVector, sigmoid
 
@@ -197,8 +197,44 @@ def streak(count: int, below: bool, spent: int, thresholds: Thresholds) -> int:
     level, any other step resets the streak to 0. Every intervention
     resets it too. `decide` fires a branch once its streak, this step
     included, reaches the patience, and never reads the streak of a branch
-    the variant disables, so `run` counts only the enabled branches'."""
+    the variant disables, so `run` counts only the enabled branches'. A
+    streak is 0 on every step before grace ends, so on a quiet step
+    (`quiet_bounds`) `run` leaves it as it is."""
     return count + 1 if below and spent >= thresholds.grace else 0
+
+
+class QuietBounds(NamedTuple):
+    """The steps on which the arms riding one branch can read nothing; see
+    `quiet_bounds`."""
+
+    until: int
+    warmup: int
+    reach: float
+
+
+def quiet_bounds(arms: list[tuple[MethodVariant, Thresholds]], allocation: int) -> QuietBounds:
+    """The quiet-step rule for a branch's arms, (variant, thresholds) pairs,
+    under a subgoal allocation: three bounds, fixed for one goal context.
+
+    - `until`: the least grace of the arms that enable abort or switch,
+      never more than `allocation` (the cap fires in every variant).
+    - `warmup`: the least commit warmup.
+    - `reach`: the greatest commit distance.
+
+    With `spent` the active goal's steps, this one included, and `d` the
+    distance `decide` reads, some arm's commit gate may be open only while
+    `spent >= warmup and d < reach`; outside it no arm's `decide` reads
+    Σ. A step is quiet when `spent < until` and that gate is closed: then
+    every arm's `decide` returns PERSIST whatever Π, Γ and Σ are, and
+    every streak it reads is 0 (`streak`), so the step needs no signal or
+    meta-state.
+    """
+    if not arms:
+        raise InvalidCallError("quiet_bounds needs at least one arm")
+    graces = [th.grace for v, th in arms if v.abort_enabled or v.switch_enabled]
+    return QuietBounds(min([allocation, *graces]),
+                       min(th.commit_warmup for _, th in arms),
+                       max(th.commit_distance for _, th in arms))
 
 
 def decide(
@@ -224,8 +260,9 @@ def decide(
 
     Evaluation order follows the priority: the cap first, then
     `below_abort` only if the variant enables abort, `below_switch` only
-    if it enables switch, then commit. The result is one of the module's
-    shared, frozen decisions; nothing is allocated.
+    if it enables switch, then commit, whose distance and warmup tests
+    come before Σ is read. The result is one of the module's shared,
+    frozen decisions; nothing is allocated.
     """
     spent = ledger.active_spent
     if spent >= ledger.allocation:
@@ -244,10 +281,11 @@ def decide(
         if switch_streak >= thresholds.switch_patience and remaining_count > 1:
             return _GATE_CLOSED
 
+    # the gate before Σ: outside it Σ is never read (`quiet_bounds`)
     if (
-        states.sufficiency > thresholds.commit
-        and distance < thresholds.commit_distance
+        distance < thresholds.commit_distance
         and spent >= thresholds.commit_warmup
+        and states.sufficiency > thresholds.commit
     ):
         return _COMMIT
 

@@ -403,6 +403,8 @@ class TestSuiteAndSweep:
         ("t_grace", -5), ("d_commit", 0.0),
         ("tau_c", math.nan), ("tau_c", math.inf), ("tau_a", -math.inf), ("tau_s", math.nan),
         ("d_commit", math.nan), ("d_commit", math.inf),
+        # the second 10 repeats the first, as a float
+        ("tau_c", 10.0), ("t_grace", 10.0), ("d_commit", 10),
     ])
     def test_out_of_range_sweep_value_rejected_before_running(self, monkeypatch,
                                                               parameter, bad):
@@ -440,6 +442,14 @@ def arm_lists(cfg):
                     for th in ({}, {"abort": 0.6, "switch": 0.0, "grace": 5})
                     for v in (MethodVariant.FIXED_ORDER, MethodVariant.MORN_ABORT_ONLY,
                               MethodVariant.MORN_SWITCH_ONLY)],
+        # one branch whose arms' quiet steps and commit gates differ: the
+        # least grace of an abort or switch arm (20), not the baseline's 0,
+        # the least warmup and the greatest commit distance bound the branch
+        "gates": [(v, replace(cfg, thresholds=replace(cfg.thresholds, grace=g,
+                                                      commit_warmup=w, commit_distance=c)))
+                  for v, g, w, c in ((MethodVariant.FIXED_ORDER, 0, 5, 4.0),
+                                     (MethodVariant.MORN_ABORT_ONLY, 30, 0, 2.0),
+                                     (MethodVariant.MORN_FULL, 20, 5, 3.0))],
     }
 
 
@@ -459,7 +469,7 @@ class TestForkedArms:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("cfg_index", [0, 1])
-    @pytest.mark.parametrize("arms_name", ["variants", "tau_c", "weights", "streaks"])
+    @pytest.mark.parametrize("arms_name", ["variants", "tau_c", "weights", "streaks", "gates"])
     def test_forked_arms_match_independent_runs(self, arms_name, cfg_index, workers):
         cfg = golden_configs()[cfg_index]
         arms = arm_lists(cfg)[arms_name]
@@ -471,6 +481,30 @@ class TestForkedArms:
             for spec, trace in zip(specs, traces):
                 alone = run(spec, variant, arm_cfg)
                 assert outcome(trace) == outcome(alone), (arms_name, variant, spec.episode_id)
+
+    def test_arms_with_different_gates_share_one_branch(self):
+        arms = arm_lists(CFG)["gates"]
+        for spec in small_suite(3, 1):
+            forks = bench_mod._Forks(spec, build_world(spec), arms, record_steps=False)
+            assert [len(branch.arms) for branch in forks.pending] == [3]
+
+    def test_quiet_steps_compute_no_signal(self, monkeypatch):
+        counts = dict.fromkeys(("step", "update", "sufficiency"), 0)
+
+        def counting(name, real):
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(Navigator, "step", counting("step", Navigator.step))
+        for name in ("update", "sufficiency"):
+            monkeypatch.setattr(bench_mod, name, counting(name, getattr(bench_mod, name)))
+        alone = run(small_suite(1, 0)[0], MethodVariant.MORN_FULL, CFG)
+        assert counts == dict.fromkeys(counts, alone.total_steps)
+        counts.update(dict.fromkeys(counts, 0))
+        run_suite(small_suite(6, 4), list(MethodVariant), CFG)
+        assert counts["step"] > counts["update"] > counts["sufficiency"] > 0
 
     def test_configs_differing_beyond_thresholds_never_share(self):
         arms = arm_lists(CFG)["weights"]

@@ -249,6 +249,12 @@ class TestSweep:
         assert f"{parameter}={bad}: not a finite number" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    def test_repeated_value_is_exit_2(self, tmp_path, capsys):
+        assert main(["sweep", "--parameter", "tau_c", "--values", "0.6,0.60,0.6",
+                     *FAST, "--workers", "1", "--out", out_dir(tmp_path, "s")]) == 2
+        assert "tau_c=0.6 is listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_sweep_is_byte_stable(self, tmp_path):
         for name in ("s1", "s2"):
             assert main(["sweep", "--parameter", "t_grace", "--values", "10",

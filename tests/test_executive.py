@@ -25,6 +25,7 @@ from morn.executive import (
     below_switch,
     decide,
     first_goal,
+    quiet_bounds,
     select_next,
     select_next_fixed,
     streak,
@@ -306,6 +307,95 @@ class TestStreakRule:
         assert streak(7, True, TH.grace, TH) == 8
         assert streak(7, False, TH.grace, TH) == 0
         assert streak(7, True, TH.grace - 1, TH) == 0
+
+
+def quiet_cases(count, seed):
+    """ACCEPTANCE 3-style random steps of one branch: one to three arms of
+    any variants with grace 0/20/30, commit warmup 0/5, commit thresholds
+    down to negative values and several commit distances; an allocation,
+    the open goal count, and `spent` and the distance drawn next to the
+    bounds the rule compares half the time."""
+    rng = random.Random(seed)
+    distances = (1.0, 2.0, 3.0, 4.0)
+    for _ in range(count):
+        arms = [(rng.choice(list(MethodVariant)),
+                 Thresholds(abort=rng.uniform(-3.0, 3.0), switch=rng.uniform(-3.0, 3.0),
+                            commit=rng.uniform(-0.5, 0.95),
+                            commit_distance=rng.choice(distances),
+                            grace=rng.choice((0, 20, 30)),
+                            abort_patience=rng.randint(1, 60),
+                            switch_patience=rng.randint(1, 20),
+                            commit_warmup=rng.choice((0, 5))))
+                for _ in range(rng.randint(1, 3))]
+        allocation = rng.choice((rng.randint(1, 40), rng.randint(ALLOC_MIN, ALLOC_MAX)))
+        if rng.random() < 0.5:
+            edge = rng.choice((0, 5, 20, 30, allocation))
+            spent = max(1, edge + rng.randint(-2, 2))
+        else:
+            spent = rng.randint(1, allocation + 10)
+        if rng.random() < 0.5:
+            distance = rng.choice(distances) + rng.choice((-0.5, 0.0, 0.5))
+        else:
+            distance = rng.uniform(0.0, 10.0)
+        vectors = [states(pi, gamma, sigma) for pi in (0.0, 1.0) for gamma in (0.0, 1.0)
+                   for sigma in (0.0, 1.0)]
+        vectors += [states(rng.random(), rng.random(), rng.random()) for _ in range(3)]
+        yield (arms, ledger(allocation=allocation, spent=spent), distance,
+               rng.randint(1, 3), vectors, rng)
+
+
+class TestQuietSteps:
+    """`quiet_bounds` against `decide` and `streak`: on a quiet step no arm
+    acts or counts a streak whatever Π, Γ and Σ are, outside the commit
+    gate no arm's decision depends on Σ, and a step past `until` is one on
+    which some arm can act or count."""
+
+    def test_rule_agrees_with_decide(self):
+        problems = []
+        seen = dict.fromkeys(("quiet", "gate closed", "past until"), 0)
+        for i, (arms, led, distance, remaining, vectors, rng) in enumerate(
+                quiet_cases(10_000, 20240901)):
+            bounds = quiet_bounds(arms, led.allocation)
+            spent = led.active_spent
+            gate = spent >= bounds.warmup and distance < bounds.reach
+            quiet = spent < bounds.until and not gate
+            seen["quiet"] += quiet
+            seen["gate closed"] += not gate
+            seen["past until"] += spent >= bounds.until and not gate
+            can_act = False
+            for variant, th in arms:
+                for sv in vectors:
+                    streaks = (rng.choice((0, th.abort_patience, 100)),
+                               rng.choice((0, th.switch_patience, 100)))
+                    d = decide(sv, distance, led, th, variant, remaining, *streaks)
+                    counted = [streak(0, below(sv, th), spent, th)
+                               for below, enabled in ((below_abort, variant.abort_enabled),
+                                                      (below_switch, variant.switch_enabled))
+                               if enabled]
+                    if d.action is not MetaAction.PERSIST or any(counted):
+                        can_act = True
+                        if quiet:
+                            problems.append(f"#{i} {variant.name}: {d.reason.name}, "
+                                            f"streaks {counted} on a quiet step")
+                    if not gate and len({
+                            decide(replace(sv, sufficiency=sigma), distance, led, th, variant,
+                                   remaining, *streaks) for sigma in (0.0, 1.0)}) > 1:
+                        problems.append(f"#{i} {variant.name}: Σ read outside the gate")
+            if spent >= bounds.until and not gate and not can_act:
+                problems.append(f"#{i}: spent {spent} past until {bounds.until}, "
+                                "but no arm can act or count")
+        assert not problems, problems[:5]
+        assert min(seen.values()) > 1000, seen
+
+    def test_bounds(self):
+        full = Thresholds(grace=20, commit_warmup=5, commit_distance=3.0)
+        fixed = Thresholds(grace=0, commit_warmup=0, commit_distance=4.0)
+        arms = [(MethodVariant.FIXED_ORDER, fixed), (MethodVariant.MORN_FULL, full)]
+        assert quiet_bounds(arms, 250) == (20, 0, 4.0)
+        assert quiet_bounds(arms, 10).until == 10
+        assert quiet_bounds(arms[:1], 250).until == 250
+        with pytest.raises(InvalidCallError):
+            quiet_bounds([], 250)
 
 
 class TestSelectNext:
