@@ -30,7 +30,7 @@ from .executive import (
     below_abort,
     below_switch,
     decide,
-    first_goal,
+    next_goal,
     quiet_bounds,
     streak,
 )
@@ -267,13 +267,13 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
     it only pushes the evidence window, and Σ only while some arm's commit
     gate is open.
     """
+    record_steps = forks is None
     if forks is None:
         forks = _Forks(spec, world if world is not None else build_world(spec),
-                       [(variant, config)], record_steps=True)
+                       [(variant, config)])
     index = forks.claim(spec, variant, config)
     world = forks.world
     gmap = world.gmap
-    record_steps = forks.record_steps
     persist = MetaAction.PERSIST  # a local: read per arm and step
 
     while forks.pending:
@@ -503,7 +503,7 @@ def _run_arms(specs: list[EpisodeSpec], arms: list[tuple[MethodVariant, RunConfi
 def _run_one(job):
     """One job: a spec's world, then `run` once per arm, in arm order."""
     spec, arms = job
-    forks = _Forks(spec, build_world(spec), arms, record_steps=False)
+    forks = _Forks(spec, build_world(spec), arms)
     return spec.episode_id, [run(spec, v, cfg, forks=forks) for v, cfg in arms]
 
 
@@ -566,17 +566,17 @@ class _Branch:
 
 class _Forks:
     """The arms of one spec as `run` serves them: `pending`, the work list
-    of branches to simulate, and `traces`, the finished arms' traces by
-    index, and `goal_cells`, each goal's cell, the positions greedy goal
-    selection compares. Arms may share a branch only if their configs are
-    equal apart from the thresholds and their first goals agree."""
+    of branches to simulate, `traces`, the finished arms' traces by index,
+    and `goal_cells`, each goal's true cell (an absent goal's included),
+    which `next_goal` compares when it takes the nearest goal. Arms may
+    share a branch only if their configs are equal apart from the
+    thresholds and `next_goal` starts them on the same goal."""
 
     def __init__(self, spec: EpisodeSpec, world: World,
-                 arms: list[tuple[MethodVariant, RunConfig]], record_steps: bool):
+                 arms: list[tuple[MethodVariant, RunConfig]]):
         self.spec = spec
         self.world = world
         self.arms = [_Arm(i, variant, config) for i, (variant, config) in enumerate(arms)]
-        self.record_steps = record_steps
         self.next = 0
         self.pending: list[_Branch] = []
         self.traces: dict[int, EpisodeTrace] = {}
@@ -593,7 +593,7 @@ class _Forks:
                     f"({config.signal.step_length}) must equal the map's cell_size "
                     f"({cell_size}): the navigator moves one cell per step"
                 )
-            first = first_goal(order, arm.variant, world.gmap.spawn, self.goal_cells)
+            first = next_goal(arm.variant, order, order, None, world.gmap.spawn, self.goal_cells)
             for goal, members in groups:
                 shared = members[0].config
                 if goal == first and replace(config, thresholds=shared.thresholds) == shared:

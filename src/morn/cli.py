@@ -296,11 +296,13 @@ def cmd_bench(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load(args)
     variant = MethodVariant(args.variant)
-    values = [v for v in args.values.split(",") if v.strip()]
-    if not values:
+    items = [v.strip() for v in args.values.split(",")]
+    if not any(items):
         raise ConfigError("sweep needs a non-empty value list")
+    if "" in items:
+        raise ConfigError(f"--values item {items.index('') + 1} of {args.values!r} is empty")
     try:
-        values = [float(v) for v in values]
+        values = [float(v) for v in items]
     except ValueError as exc:
         raise ConfigError(f"bad sweep value: {exc}") from None
     swept = _swept_configs(args.parameter, values, config)

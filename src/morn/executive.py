@@ -1,5 +1,6 @@
 """The per-step meta-controller: meta-action selection, goal scheduling,
-grace periods, dynamic subgoal allocation and context resets.
+grace periods and dynamic subgoal allocation. The context resets after an
+intervention (`window.reset`, `nav.begin_goal_context`) are `bench.run`'s.
 
 Threshold scale: the abort and switch thresholds are interpreted on the
 pre-activation scale of the corresponding sigmoid state. Abort requires
@@ -168,9 +169,6 @@ class MissionSchedule:
         """Goals still in play (pending or active), in prescribed order."""
         return [g for g in self.order if self.goals[g].state in (GoalState.PENDING, GoalState.ACTIVE)]
 
-    def pending_ids(self) -> list[int]:
-        return [g for g in self.order if self.goals[g].state is GoalState.PENDING]
-
 
 def allocate(budget: BudgetLedger, remaining_goals: int) -> int:
     """Dynamic per-subgoal step allocation: remaining budget split evenly
@@ -311,32 +309,31 @@ def select_next(
     return min(remaining, key=key)
 
 
-def first_goal(
-    order: list[int],
+def next_goal(
     variant: MethodVariant,
+    pending: list[int],
+    order: list[int],
+    after: Optional[int],
     agent_position: tuple[float, float],
     goal_positions: dict[int, tuple[float, float]],
 ) -> int:
-    """The goal an episode starts on: the nearest one (as `select_next`,
-    from the grid cells the runner passes) under REACTIVE_ORDER, the first
-    in `order` under every other variant."""
-    if variant is MethodVariant.REACTIVE_ORDER:
-        return select_next(order, agent_position, goal_positions)
-    return order[0]
+    """The pending goal to activate next, the one rule every goal choice
+    follows; `after` is the goal just retired, or None at the start.
 
-
-def select_next_fixed(remaining: list[int], order: list[int], after: int) -> int:
-    """Prescribed-order selection: the next open goal after `after` (a goal
-    of `order`, the one just retired) in the original order, wrapping
-    around, so `after` itself comes last."""
-    if not remaining:
-        raise InvalidCallError("select_next on empty goal set")
-    start = order.index(after)
-    n = len(order)
-    for i in range(1, n + 1):
-        g = order[(start + i) % n]
-        if g in remaining:
-            return g
+    FIXED_ORDER walks `order` past `after`, wrapping around, so `after`
+    comes last. REACTIVE_ORDER always takes the nearest goal. The MORN
+    variants take the first goal in `order` at the start, then the
+    nearest. A nearest-goal choice is `select_next` over the grid cells
+    the runner passes, and skips `after` unless no other goal is pending.
+    """
+    if not pending:
+        raise InvalidCallError("next_goal on empty goal set")
+    if variant is MethodVariant.FIXED_ORDER or (
+            after is None and variant is not MethodVariant.REACTIVE_ORDER):
+        start = 0 if after is None else order.index(after) + 1
+        return next(g for g in order[start:] + order[:start] if g in pending)
+    candidates = [g for g in pending if g != after] or pending
+    return select_next(candidates, agent_position, goal_positions)
 
 
 def apply(
@@ -351,11 +348,10 @@ def apply(
     a meta-action changes a goal's record.
 
     Non-persist actions retire or recycle the active goal, recompute the
-    subgoal allocation from the remaining budget and activate the next
-    goal (greedy geometric as `select_next`, over the grid cells the runner
-    passes, or prescribed order under FIXED_ORDER). A goal just switched
-    away from is not immediately re-selected while an alternative exists.
-    Returns the newly activated goal id, or None.
+    subgoal allocation from the remaining budget and activate the goal
+    `next_goal` picks after it, so a goal just switched away from is not
+    re-selected while an alternative exists. Returns the newly activated
+    goal id, or None once no goal is pending.
     """
     if decision.action is MetaAction.PERSIST:
         return None
@@ -374,17 +370,14 @@ def apply(
             active.gate_switches += 1
     schedule.active_id = None
 
-    remaining = schedule.pending_ids()
-    if not remaining:
+    # the active goal is retired, so no goal is ACTIVE: the open goals
+    # are the pending ones
+    pending = schedule.open_ids()
+    if not pending:
         return None
 
-    candidates = [g for g in remaining if g != prev_id] or remaining
-    if variant is MethodVariant.FIXED_ORDER:
-        nxt = select_next_fixed(candidates, schedule.order, prev_id)
-    else:
-        nxt = select_next(candidates, agent_position, goal_positions)
-
-    ledger.allocation = allocate(ledger, len(remaining))
+    nxt = next_goal(variant, pending, schedule.order, prev_id, agent_position, goal_positions)
+    ledger.allocation = allocate(ledger, len(pending))
     ledger.active_spent = 0
     schedule.activate(nxt)
     return nxt

@@ -485,7 +485,7 @@ class TestForkedArms:
     def test_arms_with_different_gates_share_one_branch(self):
         arms = arm_lists(CFG)["gates"]
         for spec in small_suite(3, 1):
-            forks = bench_mod._Forks(spec, build_world(spec), arms, record_steps=False)
+            forks = bench_mod._Forks(spec, build_world(spec), arms)
             assert [len(branch.arms) for branch in forks.pending] == [3]
 
     def test_quiet_steps_compute_no_signal(self, monkeypatch):
@@ -509,7 +509,7 @@ class TestForkedArms:
     def test_configs_differing_beyond_thresholds_never_share(self):
         arms = arm_lists(CFG)["weights"]
         for spec in small_suite(3, 1):
-            forks = bench_mod._Forks(spec, build_world(spec), arms, record_steps=False)
+            forks = bench_mod._Forks(spec, build_world(spec), arms)
             for branch in forks.pending:
                 assert len({id(arms[a.index][1]) for a in branch.arms}) == 1
 
@@ -532,14 +532,14 @@ class TestForkedArms:
     def test_arms_out_of_order_rejected(self):
         spec = small_suite(1, 0)[0]
         arms = arm_lists(CFG)["variants"]
-        forks = bench_mod._Forks(spec, build_world(spec), arms, record_steps=False)
+        forks = bench_mod._Forks(spec, build_world(spec), arms)
         with pytest.raises(InvalidCallError, match="arm order"):
             run(spec, *arms[1], forks=forks)
 
     def test_forks_of_another_spec_rejected(self):
         a, b = small_suite(2, 0)
         arms = arm_lists(CFG)["variants"]
-        forks = bench_mod._Forks(a, build_world(a), arms, record_steps=False)
+        forks = bench_mod._Forks(a, build_world(a), arms)
         with pytest.raises(InvalidCallError, match="built for episode 0 got episode 1"):
             run(b, *arms[0], forks=forks)
 
@@ -556,7 +556,7 @@ class TestForkedArms:
         monkeypatch.setattr(Navigator, "step", counting)
         arms = arm_lists(CFG)[arms_name]
         for spec in small_suite(3, 1) + generate(0, 4, 11, CFG):
-            forks = bench_mod._Forks(spec, build_world(spec), arms, record_steps=False)
+            forks = bench_mod._Forks(spec, build_world(spec), arms)
             per_call = []
             for variant, config in arms:
                 simulated = 0

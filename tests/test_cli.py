@@ -223,9 +223,19 @@ class TestSweep:
         assert main(["sweep", "--parameter", "tau_q", "--values", "0.5",
                      *FAST, "--out", out_dir(tmp_path, "s")]) == 2
 
-    def test_empty_values_is_exit_2(self, tmp_path):
+    def test_empty_values_is_exit_2(self, tmp_path, capsys):
         assert main(["sweep", "--parameter", "tau_c", "--values", ",",
                      *FAST, "--out", out_dir(tmp_path, "s")]) == 2
+        assert "sweep needs a non-empty value list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values, position", [
+        ("0.6,,0.7", 2), ("0.6,0.7,", 3), (",0.6", 1), ("0.6, ,0.7", 2),
+    ])
+    def test_empty_value_item_is_exit_2(self, tmp_path, capsys, values, position):
+        assert main(["sweep", "--parameter", "tau_c", f"--values={values}",
+                     *FAST, "--out", out_dir(tmp_path, "s")]) == 2
+        assert f"--values item {position} of {values!r} is empty" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_non_numeric_value_is_exit_2(self, tmp_path, capsys):
         assert main(["sweep", "--parameter", "tau_c", "--values", "abc",

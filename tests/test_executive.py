@@ -24,10 +24,9 @@ from morn.executive import (
     below_abort,
     below_switch,
     decide,
-    first_goal,
+    next_goal,
     quiet_bounds,
     select_next,
-    select_next_fixed,
     streak,
 )
 from morn.states import MetaStateVector, sigmoid
@@ -398,6 +397,10 @@ class TestQuietSteps:
             quiet_bounds([], 250)
 
 
+FIXED, REACTIVE = MethodVariant.FIXED_ORDER, MethodVariant.REACTIVE_ORDER
+MORN_VARIANTS = [v for v in MethodVariant if v not in (FIXED, REACTIVE)]
+
+
 class TestSelectNext:
     POS = {1: (3.0, 4.0), 2: (6.0, 0.0)}
 
@@ -415,24 +418,121 @@ class TestSelectNext:
         with pytest.raises(InvalidCallError):
             select_next([], (0.0, 0.0), self.POS)
 
+    # goal choice through `next_goal`, with `after` None at the episode start
     def test_fixed_order_wraps(self):
-        order = [1, 2, 3]
-        assert select_next_fixed([1, 3], order, after=3) == 1
-        assert select_next_fixed([1, 3], order, after=1) == 3
+        pos = {1: (9.0, 0.0), 2: (3.0, 4.0), 3: (6.0, 0.0)}
+        assert next_goal(FIXED, [1, 3], [1, 2, 3], 3, (0.0, 0.0), pos) == 1
+        assert next_goal(FIXED, [1, 3], [1, 2, 3], 1, (0.0, 0.0), pos) == 3
+        assert next_goal(FIXED, [1], [1, 2, 3], 1, (0.0, 0.0), pos) == 1
 
     def test_first_goal_nearest_under_reactive_order(self):
         pos = {1: (9.0, 0.0), 2: (3.0, 4.0), 3: (6.0, 0.0)}
-        assert first_goal([1, 2, 3], MethodVariant.REACTIVE_ORDER, (0.0, 0.0), pos) == 2
+        assert next_goal(REACTIVE, [1, 2, 3], [1, 2, 3], None, (0.0, 0.0), pos) == 2
 
-    @pytest.mark.parametrize("variant", [v for v in MethodVariant
-                                         if v is not MethodVariant.REACTIVE_ORDER])
+    @pytest.mark.parametrize("variant", [FIXED, *MORN_VARIANTS])
     def test_first_goal_first_in_order_otherwise(self, variant):
         pos = {1: (9.0, 0.0), 2: (3.0, 4.0), 3: (6.0, 0.0)}
-        assert first_goal([3, 1, 2], variant, (0.0, 0.0), pos) == 3
+        assert next_goal(variant, [3, 1, 2], [3, 1, 2], None, (0.0, 0.0), pos) == 3
 
     def test_first_goal_tie_goes_to_lowest_id(self):
         pos = {1: (1.0, 0.0), 2: (-1.0, 0.0), 3: (0.0, 1.0)}
-        assert first_goal([3, 2, 1], MethodVariant.REACTIVE_ORDER, (0.0, 0.0), pos) == 1
+        assert next_goal(REACTIVE, [3, 2, 1], [3, 2, 1], None, (0.0, 0.0), pos) == 1
+
+
+def expected_goal(variant, pending, order, after, agent, cells):
+    """The goal-choice rule, written out on its own: prescribed order for
+    FIXED_ORDER, and for the MORN variants at the start; otherwise the
+    nearest pending goal other than `after` (unless it is the only one),
+    compared as squared integer distances, ties to the lowest id."""
+    if variant is FIXED or (after is None and variant is not REACTIVE):
+        cut = 0 if after is None else order.index(after) + 1
+        walk = order[cut:] + order[:cut]
+        return [g for g in walk if g in pending][0]
+    pool = sorted(g for g in pending if g != after) or [after]
+    dist2 = {g: (cells[g][0] - agent[0]) ** 2 + (cells[g][1] - agent[1]) ** 2 for g in pool}
+    return min(pool, key=lambda g: (dist2[g], g))
+
+
+def selection_cases(count, seed):
+    """Random goal choices: every variant, 1-4 goals in a shuffled order on
+    integer cells (about half of them at the same distance from the agent
+    as an earlier goal, so ties are common), each goal pending or retired,
+    and `after` None, pending or retired."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        order = rng.sample(range(1, 9), n)
+        agent = (rng.randint(0, 6), rng.randint(0, 6))
+        cells = {}
+        for g in order:
+            if cells and rng.random() < 0.5:  # same distance as an earlier goal
+                dx, dy = rng.choice(list(cells.values()))
+                dx, dy = dx - agent[0], dy - agent[1]
+                for _turn in range(rng.randrange(4)):
+                    dx, dy = -dy, dx
+                cells[g] = (agent[0] + dx, agent[1] + dy)
+            else:
+                cells[g] = (rng.randint(0, 6), rng.randint(0, 6))
+        pending = [g for g in order if rng.random() < 0.7]
+        after = rng.choice([None, rng.choice(order)])
+        yield rng.choice(list(MethodVariant)), order, pending, after, agent, cells
+
+
+class TestNextGoal:
+    POS = {1: (9.0, 0.0), 2: (3.0, 4.0), 3: (6.0, 0.0)}
+
+    @pytest.mark.parametrize("variant", [REACTIVE, *MORN_VARIANTS])
+    def test_greedy_skips_after_unless_it_is_alone(self, variant):
+        # goal 2 is nearest; 3 is next
+        assert next_goal(variant, [1, 2, 3], [1, 2, 3], 2, (0.0, 0.0), self.POS) == 3
+        assert next_goal(variant, [2], [1, 2, 3], 2, (0.0, 0.0), self.POS) == 2
+        # a retired `after` is not pending, so nothing is skipped
+        assert next_goal(variant, [1, 2], [1, 2, 3], 3, (0.0, 0.0), self.POS) == 2
+
+    def test_tie_after_a_switch_goes_to_lowest_id(self):
+        pos = {1: (1.0, 0.0), 2: (-1.0, 0.0), 3: (0.0, 0.5)}
+        assert next_goal(MethodVariant.MORN_FULL, [3, 2, 1], [3, 2, 1], 3, (0.0, 0.0), pos) == 1
+
+    @pytest.mark.parametrize("variant", list(MethodVariant))
+    @pytest.mark.parametrize("after", [None, 1])
+    def test_empty_rejected(self, variant, after):
+        with pytest.raises(InvalidCallError):
+            next_goal(variant, [], [1, 2], after, (0.0, 0.0), self.POS)
+
+    def test_matches_the_rule(self):
+        rng, seen = random.Random(22), set()
+        for variant, order, pending, after, agent, cells in selection_cases(4000, 20):
+            if not pending:
+                continue
+            shuffled = rng.sample(pending, len(pending))
+            got = next_goal(variant, shuffled, order, after, agent, cells)
+            assert got == expected_goal(variant, pending, order, after, agent, cells), \
+                (variant, order, pending, after, agent, cells)
+            seen.add((variant, after is None, after in pending))
+        assert len(seen) == len(MethodVariant) * 3  # start, after pending, after retired
+
+    def test_apply_activates_the_rule_s_goal(self):
+        rng, seen = random.Random(23), set()
+        for variant, order, pending, after, agent, cells in selection_cases(4000, 21):
+            # `after` is the active goal that `apply` retires
+            after = after if after is not None else order[0]
+            schedule = MissionSchedule(order)
+            for g in order:
+                if g not in pending and g != after:
+                    schedule.goals[g].state = GoalState.COMPLETED
+            schedule.activate(after)
+            action = rng.choice([MetaAction.SWITCH, MetaAction.COMMIT, MetaAction.ABORT])
+            led = BudgetLedger(budget_max=900, allocation=200, elapsed=100, active_spent=30)
+            nxt = apply(ExecutiveDecision(action, DecisionReason.DEFAULT), schedule, led,
+                        agent, cells, variant)
+            left = [g for g in order if g != after and g in pending]
+            if action is MetaAction.SWITCH:
+                left = [g for g in order if g == after or g in left]
+            want = expected_goal(variant, left, order, after, agent, cells) if left else None
+            assert nxt == want == schedule.active_id, (variant, order, left, after, action)
+            seen.add((variant, action, want is None))
+        # a switch always leaves a goal pending; a commit or abort may not
+        assert len(seen) == len(MethodVariant) * 5
 
 
 class TestApply:
@@ -466,7 +566,7 @@ class TestApply:
         st1 = self.schedule.goals[1]
         assert st1.state is GoalState.PENDING
         assert st1.switch_count == 1
-        assert 1 in self.schedule.pending_ids()
+        assert 1 in self.schedule.open_ids() and self.schedule.active_id != 1
 
     def test_switched_goal_not_immediately_reselected(self):
         # goal 1 is nearest to the agent but was just switched away from
