@@ -296,14 +296,15 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
         # a standalone run records Π, Γ and Σ on every step
         until, warmup, reach = ((0, 0, math.inf) if record_steps else quiet_bounds(
             [(arm.variant, arm.config.thresholds) for arm in arms], ledger.allocation))
+        step, observe, push = nav.step, nav.observe, window.push
 
         for t in range(ledger.elapsed + 1, spec.budget_max + 1):
-            nav.step()
+            step()
             pose = nav.pose
             d_raw = dfield[pose]
             d = d_raw if isfinite(d_raw) else sentinel
             evidence, detected = world_emit(goal, pose, gmap, shared, rng, d_raw)
-            nav.observe(evidence, detected, goal, rng)
+            observe(evidence, detected, goal, rng)
 
             ledger.elapsed = t
             ledger.active_spent = spent = ledger.active_spent + 1
@@ -311,7 +312,7 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
 
             gate = spent >= warmup and d < reach
             if spent < until and not gate:
-                window.push(evidence, d)
+                push(evidence, d)
                 continue
             summary = update(window, SignalSample(t, d, evidence), sigpar)
             pi = potentiality(summary.velocity, evidence, summary.stability, weights)
@@ -336,9 +337,8 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
                 if variant.switch_enabled:
                     arm.switch_streak = streak(arm.switch_streak, below_switch(states, th),
                                                spent, th)
-                decision = decide(
-                    states, d, ledger, th, variant, remaining_count=open_count,
-                    abort_streak=arm.abort_streak, switch_streak=arm.switch_streak)
+                decision = decide(states, d, ledger, th, variant, open_count,
+                                  arm.abort_streak, arm.switch_streak)
                 decisions.append(decision)
                 if record_steps:
                     arm.steps.append(StepRecord(t, gid, pose, d, evidence, pi, gamma, sigma,

@@ -118,8 +118,10 @@ def _workers(args) -> int:
 
 
 def _parse_variants(raw: str | None) -> list[MethodVariant]:
-    if not raw:
+    if raw is None:
         return list(MethodVariant)
+    if not raw.strip():
+        raise ConfigError("--variants is empty; omit it to run every variant")
     out = []
     for name in raw.split(","):
         name = name.strip()

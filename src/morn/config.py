@@ -98,14 +98,26 @@ _SECTIONS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 def _coerce(raw: str, template: float | int) -> float | int:
     """`raw` as the type of `template`; every config field is a float or
-    an int."""
+    an int. An int field also takes an integral float literal ('20.0' is
+    20), as a sweep of `t_grace` does; a non-integral, infinite or NaN one
+    is not a whole number."""
     raw = raw.strip()
     if isinstance(template, float):
         value = float(raw)
         if not math.isfinite(value):
             raise ValueError("not a finite number")
         return value
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        pass
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan  # not a number at all
+    if not value.is_integer():
+        raise ValueError("not a whole number")
+    return int(value)
 
 
 def apply_overrides(config: RunConfig, overrides: dict[str, str]) -> RunConfig:

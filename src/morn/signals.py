@@ -118,7 +118,7 @@ class RollingWindow:
         self._count_total += 1
         n = len(samples)
         m = total / n
-        v = sumsq / n - 2.0 * m * (total / n) + m * m
+        v = sumsq / n - 2.0 * m * m + m * m
         self._var_history.append(v if v > 0.0 else 0.0)
 
 

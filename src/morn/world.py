@@ -34,6 +34,11 @@ class OccupiedCellError(ValueError):
 
 @dataclass
 class GridMap:
+    """An occupancy grid. Beside the cells it derives, once, the free flag
+    and the `(row, col)` key of every cell, and it keeps `orders`, a memo
+    of search discovery orders that `_path` fills and reads for as long as
+    the map lives. None of the three takes part in comparison or repr."""
+
     # WALL/FREE in row-major order (cell (r, c) at index r * width + c);
     # the border must be wall
     cells: list[int]
@@ -43,6 +48,12 @@ class GridMap:
     spawn: Cell
     # free flags, indexed like cells
     free: list[bool] = field(init=False, repr=False, compare=False)
+    # (row, col) of every cell, indexed like cells
+    coords: list[Cell] = field(init=False, repr=False, compare=False)
+    # start index -> (hop levels of the last kernel search from it, whether
+    # that search reached the whole component); see `_path`
+    orders: dict[int, tuple[list[list[int]], bool]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         h, w, cells = self.height, self.width, self.cells
@@ -54,6 +65,8 @@ class GridMap:
                 raise ValueError(f"map border cell {divmod(i, w)} is free; "
                                  "the border must be wall")
         self.free = [x == FREE for x in cells]
+        self.coords = list(product(range(h), range(w)))
+        self.orders = {}
 
     def is_free(self, cell: Cell) -> bool:
         r, c = cell
@@ -103,8 +116,10 @@ def _search(gmap: GridMap, start: int, done: bytes | bytearray
     whose `done` flag (indexed like the cells) is 0 ends it. Returns the
     hop levels (level k lists the cells first reached in k hops, in
     discovery order) and the cell the search ended at, None if every
-    reached cell was done. Beside one zeroed reached mark per cell it
-    builds only the levels, which grow with the cells it reaches."""
+    reached cell was done. A search that ends at a cell returns its last
+    level partial: the cells of that level discovered before it, then the
+    cell itself. Beside one zeroed reached mark per cell it builds only
+    the levels, which grow with the cells it reaches."""
     free = gmap.free
     w = gmap.width
     reached = bytearray(len(free))
@@ -113,32 +128,87 @@ def _search(gmap: GridMap, start: int, done: bytes | bytearray
     levels = [level]
     while True:
         nxt_level = []
+        levels.append(nxt_level)
         for cur in level:
             for nxt in (cur - w, cur + w, cur - 1, cur + 1):
                 if free[nxt] and not reached[nxt]:
                     reached[nxt] = 1
+                    nxt_level.append(nxt)
                     if not done[nxt]:
                         return levels, nxt
-                    nxt_level.append(nxt)
         if not nxt_level:
+            levels.pop()
             return levels, None
-        levels.append(nxt_level)
         level = nxt_level
+
+
+_ONES5 = b"\x01" * 5
 
 
 def _path(gmap: GridMap, start: Cell, done: bytes | bytearray) -> Optional[list[Cell]]:
     """Shortest path from start (exclusive) to the nearest cell whose
-    `done` flag is 0, or None if none is reachable."""
+    `done` flag is 0, or None if none is reachable: the path `_search`
+    finds, ties included, mostly without running it.
+
+    Covered square. Suppose the 5 x 5 square around the start lies inside
+    the map and all 25 of its `done` flags are 1. Every cell within two
+    hops lies in that square, so it is done. A three-hop cell is at
+    Manhattan distance 1 or 3; all of them lie in the square except the
+    four cells three steps straight up, down, left and right, and each of
+    those is reached in three hops only along its straight line. The
+    search discovers them in the order up, down, left, right, since each
+    straight line's second cell is discovered by the first cell of the
+    line, and the first cells by the start in that order. So the answer is
+    the first of the four whose line is free and that is not done; if none
+    is, the search goes on past three hops and must run.
+
+    Memo. Discovery order depends on the map and the start, not on `done`:
+    `done` only says where the search stops. `gmap.orders` keeps, per
+    start, the levels of the last search run from it (the last one
+    partial, ending at the cell it stopped at) and whether it reached the
+    whole component. A later search from that start scans them for the
+    first cell that is not done; it answers None if there is none and the
+    order is complete, and runs the search, replacing the entry, if the
+    order is incomplete.
+
+    Either way the path walks back through the levels: a cell's parent is
+    the first cell of the level before it that neighbours it.
+    """
     if not gmap.is_free(start):
         raise OccupiedCellError(f"start cell {start} is not free")
     w = gmap.width
-    levels, cell = _search(gmap, start[0] * w + start[1], done)
-    if cell is None:
-        return None
-    # a cell's parent is the cell that discovered it: the first cell of
-    # the level before it that neighbours it
+    r, c = start
+    i = r * w + c
+    if 2 <= r < gmap.height - 2 and 2 <= c < w - 2:
+        j = i - 2 * w - 2
+        if (done[j:j + 5] == done[j + w:j + w + 5] == done[j + 2 * w:j + 2 * w + 5]
+                == done[j + 3 * w:j + 3 * w + 5] == done[j + 4 * w:j + 4 * w + 5] == _ONES5):
+            free = gmap.free
+            # the border is wall, so a free second cell has a third inside the map
+            for step in (-w, w, -1, 1):
+                a = i + step
+                b = a + step
+                if free[a] and free[b] and free[b + step] and not done[b + step]:
+                    return [divmod(a, w), divmod(b, w), divmod(b + step, w)]
+    entry = gmap.orders.get(i)
+    if entry is not None:
+        levels, complete = entry
+        for k in range(1, len(levels)):
+            for cell in levels[k]:
+                if not done[cell]:
+                    return _walk_back(levels, k, cell, w)
+        if complete:
+            return None
+    levels, cell = _search(gmap, i, done)
+    gmap.orders[i] = (levels, cell is None)
+    return None if cell is None else _walk_back(levels, len(levels) - 1, cell, w)
+
+
+def _walk_back(levels: list[list[int]], k: int, cell: int, w: int) -> list[Cell]:
+    """The path from the start to `cell`, which is in level k (exclusive
+    of the start)."""
     path = [divmod(cell, w)]
-    for level in reversed(levels[1:]):
+    for level in reversed(levels[1:k]):
         for prev in level:
             if abs(prev - cell) in (1, w):
                 cell = prev
@@ -162,7 +232,7 @@ def distance_field(gmap: GridMap, target: Cell) -> dict[Cell, float]:
         m = hops * size
         for i in level:
             meters[i] = m
-    return dict(zip(product(range(gmap.height), range(gmap.width)), meters))
+    return dict(zip(gmap.coords, meters))
 
 
 def geodesic_distance(gmap: GridMap, start: Cell, goal: Cell) -> float:
@@ -267,7 +337,8 @@ def emit_evidence(
     `distance` is the geodesic distance in meters from pose to the goal,
     inf when the goal is unreachable.
     """
-    if not gmap.is_free(pose):
+    r, c = pose
+    if not (0 <= r < gmap.height and 0 <= c < gmap.width and gmap.free[r * gmap.width + c]):
         raise OccupiedCellError(f"pose {pose} is not free")
     p = params
     noise = rng.gauss(0.0, p.noise_std) if p.noise_std > 0 else 0.0
@@ -302,6 +373,8 @@ class Navigator:
     TRIGGER_STEPS = 2
     RELEASE_STEPS = 5
     SENSE_RADIUS = 2  # half-width of the coverage square, in cells
+    # MARKS[n]: n coverage marks, for a row or column of the square
+    MARKS = tuple(b"\x01" * n for n in range(2 * SENSE_RADIUS + 2))
 
     def __init__(self, gmap: GridMap, params: PerceptionParams):
         self.gmap = gmap
@@ -345,7 +418,7 @@ class Navigator:
         s = self.SENSE_RADIUS
         h, w = self.gmap.height, self.gmap.width
         lo, hi = max(0, c - s), min(w, c + s + 1)
-        marks = b"\x01" * (hi - lo)
+        marks = self.MARKS[hi - lo]
         for row in range(max(0, r - s), min(h, r + s + 1)):
             self.visited[row * w + lo: row * w + hi] = marks
 
@@ -417,16 +490,19 @@ class Navigator:
         self.pose = r, c = self._path.popleft()
         s = self.SENSE_RADIUS
         h, w = self.gmap.height, self.gmap.width
+        # lo, hi = max(0, x - s), min(size, x + s + 1) without the two calls
         if r != r0:
             row = r + s if r > r0 else r - s
             if 0 <= row < h:
-                lo, hi = max(0, c - s), min(w, c + s + 1)
-                self.visited[row * w + lo: row * w + hi] = b"\x01" * (hi - lo)
+                lo = c - s if c > s else 0
+                hi = c + s + 1 if c + s < w else w
+                self.visited[row * w + lo: row * w + hi] = self.MARKS[hi - lo]
         else:
             col = c + s if c > c0 else c - s
             if 0 <= col < w:
-                lo, hi = max(0, r - s), min(h, r + s + 1)
-                self.visited[lo * w + col: hi * w: w] = b"\x01" * (hi - lo)
+                lo = r - s if r > s else 0
+                hi = r + s + 1 if r + s < h else h
+                self.visited[lo * w + col: hi * w: w] = self.MARKS[hi - lo]
         return "move"
 
 

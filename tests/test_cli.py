@@ -75,6 +75,27 @@ class TestRun:
         assert setting.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
+    def test_integral_float_sets_an_int_field(self, tmp_path):
+        # `--set` takes 20.0 for an int field, as `sweep --values 20.0` does
+        args = cli._build_parser().parse_args(
+            ["run", "--fixture", "two_room", "--set", "thresholds.grace=20.0"])
+        grace = cli._load(args).thresholds.grace
+        assert grace == 20 and type(grace) is int
+        for name, value in (("a", "20.0"), ("b", "20")):
+            assert main(["run", "--fixture", "two_room", "--set", f"thresholds.grace={value}",
+                         "--out", out_dir(tmp_path, name)]) == 0
+        log = "episode_0_morn_full.log"
+        assert (tmp_path / "a" / log).read_bytes() == (tmp_path / "b" / log).read_bytes()
+
+    @pytest.mark.parametrize("value", ["20.5", "inf", "nan", "twenty"])
+    def test_int_field_needs_a_whole_number(self, tmp_path, capsys, value):
+        code = main(["run", "--fixture", "trivial", "--set", f"thresholds.grace={value}",
+                     "--out", out_dir(tmp_path, "a")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"bad value for 'thresholds.grace': '{value}' (not a whole number)" in err
+        assert not (tmp_path / "a").exists()
+
     def test_negative_commit_warmup_is_exit_2(self, tmp_path, capsys):
         code = main(["run", "--fixture", "trivial", "--set", "thresholds.commit_warmup=-3",
                      "--out", out_dir(tmp_path, "a")])
@@ -160,6 +181,14 @@ class TestBench:
                      "--workers", "1", "--out", out_dir(tmp_path, "b")]) == 0
         summary = json.loads((tmp_path / "b" / "summary.json").read_text())
         assert summary["episodes"] == 5
+
+    @pytest.mark.parametrize("raw", ["", " "])
+    def test_empty_variant_list_is_exit_2(self, tmp_path, capsys, raw):
+        # an omitted --variants runs every variant; an empty one is a mistake
+        assert main(["bench", *FAST, "--variants", raw, "--workers", "1",
+                     "--out", out_dir(tmp_path, "b")]) == 2
+        assert "--variants is empty" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
 
 @pytest.mark.parametrize("command", [

@@ -459,6 +459,71 @@ class TestNavigator:
             assert nav._plan_to_nearest_unvisited() == oracle_frontier_path(
                 gmap, pose, nav.visited)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_frontier_plan_under_walked_coverage(self, seed):
+        # coverage as the navigator makes it: the union of the clipped
+        # sensing squares along a random walk. Plans from the walk's poses
+        # as the coverage grows meet their own earlier searches again, and
+        # plans from every free cell meet squares that are partly covered
+        # or clipped by the border (starts on row or column 1)
+        rng = random.Random(seed)
+        if seed % 2:
+            gmap, rooms, _ = generate_map(rng, WorldParams(room_min=4, room_max=7))
+            free = [cell for room in rooms for cell in room]
+        else:
+            gmap, free = random_map(rng, 16, 18, wall_p=0.0 if seed % 4 == 0 else 0.25)
+        h, w = gmap.height, gmap.width
+        s = Navigator.SENSE_RADIUS
+        visited = bytearray(h * w)
+        nav = Navigator(gmap, PerceptionParams())
+        pose = free[rng.randrange(len(free))]
+        for t in range(80):
+            r, c = pose
+            for row in range(max(0, r - s), min(h, r + s + 1)):
+                for col in range(max(0, c - s), min(w, c + s + 1)):
+                    visited[row * w + col] = 1
+            nav.visited[:] = visited
+            starts = [pose] if t % 20 else free
+            for start in starts:
+                nav.pose = start
+                assert nav._plan_to_nearest_unvisited() == oracle_frontier_path(
+                    gmap, start, visited)
+            moves = [(r + dr, c + dc) for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1))
+                     if gmap.is_free((r + dr, c + dc))]
+            pose = moves[rng.randrange(len(moves))] if moves else pose
+        assert any(1 in (r, c) for r, c in free)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_plans_on_one_map_under_changing_coverage(self, seed):
+        # one map, so every search after the first from a start meets the
+        # discovery order an earlier search left. Random coverage; a subset
+        # of it, which uncovers cells the first search passed before it
+        # stopped; a superset of that, which covers all of them; complete
+        # coverage (no plan); random coverage again; then paths to single
+        # targets from the same starts
+        rng = random.Random(seed)
+        gmap, free = random_map(rng, 14, 15, wall_p=0.0 if seed % 2 else 0.25)
+        n = len(gmap.cells)
+        nav = Navigator(gmap, PerceptionParams())
+        starts = [free[rng.randrange(len(free))] for _ in range(10)]
+        sparse = bytes(rng.random() < 0.5 for _ in range(n))
+        thinner = bytes(a and rng.random() < 0.8 for a in sparse)
+        denser = bytes(a or rng.random() < 0.9 for a in thinner)
+        again = bytes(rng.random() < 0.8 for _ in range(n))
+        for coverage in (sparse, thinner, denser, b"\x01" * n, again):
+            for start in starts:
+                nav.pose = start
+                nav.visited[:] = coverage
+                assert nav._plan_to_nearest_unvisited() == oracle_frontier_path(
+                    gmap, start, coverage)
+        for start in starts:
+            for _ in range(5):
+                target = free[rng.randrange(len(free))]
+                marks = bytearray(b"\x01") * n
+                marks[target[0] * gmap.width + target[1]] = 0
+                expected = [] if start == target else oracle_frontier_path(gmap, start, marks)
+                assert bfs_path(gmap, start, target) == expected
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(3, 16), st.integers(3, 16),
            st.lists(st.sampled_from(["step", "step", "step", "observe", "copy", "begin"]),
