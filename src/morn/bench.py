@@ -17,7 +17,7 @@ from importlib import resources
 from typing import NamedTuple, Optional
 
 from . import world as world_mod
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, apply_overrides
 from .executive import (
     BudgetLedger,
     GoalStatus,
@@ -630,12 +630,13 @@ class _Forks:
 
 
 SWEEP_PARAMETERS = {
-    "tau_a": "abort",
-    "tau_s": "switch",
-    "tau_c": "commit",
-    "d_commit": "commit_distance",
-    "t_grace": "grace",
+    "tau_a": "thresholds.abort",
+    "tau_s": "thresholds.switch",
+    "tau_c": "thresholds.commit",
+    "d_commit": "thresholds.commit_distance",
+    "t_grace": "thresholds.grace",
 }
+SWEPT_SECTIONS = ("thresholds", "weights", "signal", "perception")
 
 
 def sweep(specs: list[EpisodeSpec], variant: MethodVariant, parameter: str,
@@ -643,9 +644,10 @@ def sweep(specs: list[EpisodeSpec], variant: MethodVariant, parameter: str,
           workers: int = 1) -> list[tuple[float, MetricsReport]]:
     """Re-run the same episodes at each value (paired: each spec's world is
     built once and shared by every value, one process pool serves the whole
-    sweep, and the rows do not depend on `workers`). Swept thresholds are
-    range-checked up front (a non-finite or repeated value is rejected);
-    the calibration floor is not applied."""
+    sweep, and the rows do not depend on `workers`). `parameter` is an alias
+    in `SWEEP_PARAMETERS` or a key in `SWEPT_SECTIONS`, the sections `run`
+    reads per arm (specs and worlds are built once); every value is
+    checked up front, as `--set` checks it bar the calibration floor."""
     arms = [(variant, swept) for swept in _swept_configs(parameter, values, config)]
     bp = config.bench
     return [(value, compute_metrics(traces, reward=bp.reward, lambda_cost=bp.lambda_cost))
@@ -653,15 +655,13 @@ def sweep(specs: list[EpisodeSpec], variant: MethodVariant, parameter: str,
 
 
 def _swept_configs(parameter: str, values: list[float], config: RunConfig) -> list[RunConfig]:
-    """`config` with the swept threshold set to each value in turn; every
-    value is range-checked and may appear once (compared as a float), the
-    calibration floor is not applied."""
-    if parameter not in SWEEP_PARAMETERS:
+    """`config` with `parameter` set to each value by `apply_overrides`, then
+    `RunConfig.validate`d; a value is finite and listed once (as a float)."""
+    key = SWEEP_PARAMETERS.get(parameter, parameter)
+    if key.split(".")[0] not in SWEPT_SECTIONS:
         raise ConfigError(
-            f"unknown sweep parameter {parameter!r}; "
-            f"expected one of {sorted(SWEEP_PARAMETERS)}"
-        )
-    attr = SWEEP_PARAMETERS[parameter]
+            f"cannot sweep {parameter!r}: expected one of {sorted(SWEEP_PARAMETERS)} or "
+            f"a key in {', '.join(SWEPT_SECTIONS)}; worlds are built once per suite")
     configs = []
     seen = set()
     for value in values:
@@ -670,13 +670,11 @@ def _swept_configs(parameter: str, values: list[float], config: RunConfig) -> li
         if float(value) in seen:
             raise ConfigError(f"sweep {parameter}={value!r} is listed twice")
         seen.add(float(value))
-        if attr == "grace" and not float(value).is_integer():
-            raise ConfigError(f"t_grace must be a whole number of steps, got {value!r}")
-        swept = int(value) if attr == "grace" else value
-        thresholds = replace(config.thresholds, **{attr: swept})
         try:
-            thresholds.validate()
+            # apply_overrides sets fields of its argument; repr round-trips
+            swept = apply_overrides(replace(config), {key: repr(float(value))})
+            swept.validate()
         except ValueError as exc:
             raise ConfigError(f"sweep {parameter}={value!r}: {exc}") from None
-        configs.append(replace(config, thresholds=thresholds))
+        configs.append(swept)
     return configs

@@ -3,7 +3,7 @@
 Subcommands:
   run    one episode (suite index or fixture), full step log + trace file
   bench  the multi-variant benchmark suite, Table-style CSV + summary
-  sweep  metrics versus one controller threshold, plot-ready CSV
+  sweep  metrics versus one per-arm config value, plot-ready CSV
 
 Exit codes: 0 success, 2 configuration error, 1 internal error.
 """
@@ -25,6 +25,7 @@ from .bench import (
     GoalSpec,
     MethodVariant,
     SWEEP_PARAMETERS,
+    SWEPT_SECTIONS,
     build_world,
     compute_metrics,
     generate,
@@ -71,9 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated variant list (default: all five)")
 
     sweep_p = sub.add_parser("sweep", parents=[common, one_variant, suite],
-                             help="sweep one controller threshold")
+                             help="sweep one per-arm config value")
     sweep_p.add_argument("--parameter", required=True,
-                         help=" | ".join(SWEEP_PARAMETERS))
+                         help=f"{' | '.join(SWEEP_PARAMETERS)}, or a dotted key in "
+                              f"{' | '.join(SWEPT_SECTIONS)}; --set's checks bar the floor")
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated values")
     return p
@@ -123,8 +125,10 @@ def _parse_variants(raw: str | None) -> list[MethodVariant]:
     if not raw.strip():
         raise ConfigError("--variants is empty; omit it to run every variant")
     out = []
-    for name in raw.split(","):
+    for n, name in enumerate(raw.split(","), 1):
         name = name.strip()
+        if not name:
+            raise ConfigError(f"--variants item {n} of {raw!r} is empty")
         try:
             variant = MethodVariant(name)
         except ValueError:

@@ -59,6 +59,7 @@ class RunConfig:
     bench: BenchParams = field(default_factory=BenchParams)
 
     def validate(self) -> None:
+        """Every rule but the calibration floor, which `load_config` adds."""
         self.thresholds.validate()
         self.weights.validate()
         self.signal.validate()
@@ -71,13 +72,6 @@ class RunConfig:
                 f"signal.step_length ({self.signal.step_length}) must equal "
                 f"world.cell_size ({self.world.cell_size}): the navigator moves "
                 "one cell per step"
-            )
-        floor = self.commit_floor()
-        if self.thresholds.commit <= floor:
-            raise ConfigError(
-                f"commit threshold {self.thresholds.commit} does not exceed the "
-                f"stable-baseline sufficiency floor {floor:.4f}; commits would "
-                "fire on proximity alone"
             )
 
     def commit_floor(self) -> float:
@@ -99,7 +93,7 @@ _SECTIONS = tuple(f.name for f in dataclasses.fields(RunConfig))
 def _coerce(raw: str, template: float | int) -> float | int:
     """`raw` as the type of `template`; every config field is a float or
     an int. An int field also takes an integral float literal ('20.0' is
-    20), as a sweep of `t_grace` does; a non-integral, infinite or NaN one
+    20), as a sweep of `t_grace` gives; a non-integral, infinite or NaN one
     is not a whole number."""
     raw = raw.strip()
     if isinstance(template, float):
@@ -142,8 +136,8 @@ def apply_overrides(config: RunConfig, overrides: dict[str, str]) -> RunConfig:
 
 def load_config(path: str | Path | None = None,
                 overrides: dict[str, str] | None = None) -> RunConfig:
-    """Build a config from defaults, an optional key=value file with a
-    flat dotted-key namespace, and optional overrides; then validate."""
+    """Build a config from defaults, an optional key=value file of dotted
+    keys and `overrides`; then validate it, the `commit_floor` included."""
     config = RunConfig()
     file_overrides: dict[str, str] = {}
     key_lines: dict[str, int] = {}
@@ -167,10 +161,14 @@ def load_config(path: str | Path | None = None,
             key_lines[key] = lineno
             file_overrides[key] = raw.strip()
     apply_overrides(config, file_overrides)
-    if overrides:
-        apply_overrides(config, overrides)
+    apply_overrides(config, overrides or {})
     try:
         config.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    floor = config.commit_floor()
+    if config.thresholds.commit <= floor:
+        raise ConfigError(f"commit threshold {config.thresholds.commit} does not exceed the "
+                          f"stable-baseline sufficiency floor {floor:.4f}; commits would "
+                          "fire on proximity alone")
     return config

@@ -16,6 +16,7 @@ from morn.bench import (
     ABSENT,
     FEASIBLE,
     SEALED,
+    SWEEP_PARAMETERS,
     EpisodeSpec,
     EpisodeTrace,
     GoalSpec,
@@ -327,6 +328,14 @@ if __name__ == "__main__":
 """
 
 
+@pytest.fixture
+def no_world(monkeypatch):
+    def no_world(spec):
+        raise AssertionError("a world was built before validation")
+
+    monkeypatch.setattr(bench_mod, "build_world", no_world)
+
+
 class TestSuiteAndSweep:
     def test_variants_share_worlds_and_specs(self):
         specs = small_suite(2, 1)
@@ -406,12 +415,8 @@ class TestSuiteAndSweep:
         # the second 10 repeats the first, as a float
         ("tau_c", 10.0), ("t_grace", 10.0), ("d_commit", 10),
     ])
-    def test_out_of_range_sweep_value_rejected_before_running(self, monkeypatch,
+    def test_out_of_range_sweep_value_rejected_before_running(self, no_world,
                                                               parameter, bad):
-        def no_world(spec):
-            raise AssertionError("a world was built before validation")
-
-        monkeypatch.setattr(bench_mod, "build_world", no_world)
         with pytest.raises(ConfigError, match=f"{parameter}={bad}"):
             sweep(small_suite(1, 0), MethodVariant.MORN_FULL, parameter, [10, bad], CFG)
 
@@ -423,6 +428,47 @@ class TestSuiteAndSweep:
     def test_fractional_grace_sweep_rejected(self):
         with pytest.raises(ConfigError, match="10.5"):
             sweep(small_suite(1, 0), MethodVariant.MORN_FULL, "t_grace", [10, 10.5], CFG)
+
+    @pytest.mark.parametrize("parameter, bad", [
+        ("t_grace", 10.5), ("thresholds.grace", 10.5), ("thresholds.grace", -5),
+        ("thresholds.commit_distance", 0), ("d_commit", 0), ("weights.prox_scale", 0),
+        ("signal.window", 1), ("weights.acc_e", 0.9), ("thresholds.bogus", 1),
+    ])
+    def test_sweep_rejects_a_value_as_set_does(self, no_world, parameter, bad):
+        key = SWEEP_PARAMETERS.get(parameter, parameter)
+        with pytest.raises(ConfigError) as by_set:
+            load_config(overrides={key: str(bad)})
+        with pytest.raises(ConfigError) as by_sweep:
+            sweep(small_suite(1, 0), MethodVariant.MORN_FULL, parameter, [bad], CFG)
+        assert str(by_sweep.value) == f"sweep {parameter}={bad!r}: {by_set.value}"
+
+    def test_sweep_leaves_the_calibration_envelope(self):
+        # `--set` rejects a commit threshold at or below the floor; a sweep
+        # runs it, and `in_envelope` reports it
+        with pytest.raises(ConfigError, match="sufficiency floor 0.5946"):
+            load_config(overrides={"thresholds.commit": "0.5"})
+        table = sweep(small_suite(1, 0), MethodVariant.MORN_FULL, "thresholds.commit",
+                      [0.5], CFG)
+        assert [value for value, _ in table] == [0.5]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_weights_sweep_matches_runs_at_set_configs(self, workers):
+        specs = small_suite(2, 1)
+        values = [0.3, 0.4]
+        table = sweep(specs, MethodVariant.MORN_FULL, "weights.pot_v", values, CFG,
+                      workers=workers)
+        assert [value for value, _ in table] == values
+        for value, report in table:
+            cfg = load_config(overrides={"weights.pot_v": repr(value)})
+            direct = run_suite(specs, [MethodVariant.MORN_FULL], cfg)
+            assert report == compute_metrics(direct[MethodVariant.MORN_FULL])
+
+    @pytest.mark.parametrize("parameter", ["world.rooms_x", "bench.master_seed", "tau_x"])
+    def test_sweep_of_a_suite_key_rejected_before_running(self, no_world, parameter):
+        # specs and worlds come from the base config once, so a per-value
+        # world or suite key would be ignored
+        with pytest.raises(ConfigError, match=f"cannot sweep {parameter!r}"):
+            sweep(small_suite(1, 0), MethodVariant.MORN_FULL, parameter, [4, 5], CFG)
 
 
 def arm_lists(cfg):

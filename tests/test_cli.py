@@ -190,6 +190,16 @@ class TestBench:
         assert "--variants is empty" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize("raw, position", [
+        ("MORN_FULL,", 2), ("MORN_FULL,,FIXED_ORDER", 2), (",MORN_FULL", 1),
+    ])
+    def test_empty_variant_item_is_exit_2(self, tmp_path, capsys, raw, position):
+        # the wording of an empty `sweep --values` item
+        assert main(["bench", *FAST, f"--variants={raw}", "--workers", "1",
+                     "--out", out_dir(tmp_path, "b")]) == 2
+        assert f"--variants item {position} of {raw!r} is empty" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
 
 @pytest.mark.parametrize("command", [
     ["bench", "--variants", "MORN_FULL"],
@@ -239,7 +249,8 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].startswith("0.6000,")
 
-    @pytest.mark.parametrize("parameter, values", [("tau_c", "0.5,0.6"), ("d_commit", "2.8,2.9")])
+    @pytest.mark.parametrize("parameter, values", [("tau_c", "0.5,0.6"), ("d_commit", "2.8,2.9"),
+                                                   ("thresholds.commit", "0.5,0.6")])
     def test_in_envelope_column(self, tmp_path, parameter, values):
         # the commit threshold 0.6 must exceed the calibration floor: 0.5946
         # at d_commit 3.0, 0.6014 at 2.8 and 0.5980 at 2.9
@@ -251,6 +262,28 @@ class TestSweep:
     def test_unknown_parameter_is_exit_2(self, tmp_path):
         assert main(["sweep", "--parameter", "tau_q", "--values", "0.5",
                      *FAST, "--out", out_dir(tmp_path, "s")]) == 2
+
+    def test_below_floor_commit_is_exit_2_under_set(self, tmp_path, capsys):
+        # the sweep of the same value runs: see test_in_envelope_column
+        assert main(["sweep", "--parameter", "tau_c", "--values", "0.6", *FAST,
+                     "--set", "thresholds.commit=0.5", "--out", out_dir(tmp_path, "s")]) == 2
+        assert "does not exceed the stable-baseline sufficiency floor 0.5946" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("parameter", ["world.rooms_x", "bench.master_seed"])
+    def test_suite_key_is_exit_2(self, tmp_path, capsys, parameter):
+        assert main(["sweep", "--parameter", parameter, "--values", "2,3",
+                     *FAST, "--out", out_dir(tmp_path, "s")]) == 2
+        assert f"cannot sweep {parameter!r}" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_bad_dotted_value_names_the_key(self, tmp_path, capsys):
+        assert main(["sweep", "--parameter", "weights.acc_e", "--values", "0.3,0.9",
+                     *FAST, "--out", out_dir(tmp_path, "s")]) == 2
+        assert "sweep weights.acc_e=0.9: accumulation weights must sum to 1" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_empty_values_is_exit_2(self, tmp_path, capsys):
         assert main(["sweep", "--parameter", "tau_c", "--values", ",",
