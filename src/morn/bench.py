@@ -656,7 +656,10 @@ def sweep(specs: list[EpisodeSpec], variant: MethodVariant, parameter: str,
 
 def _swept_configs(parameter: str, values: list[float], config: RunConfig) -> list[RunConfig]:
     """`config` with `parameter` set to each value by `apply_overrides`, then
-    `RunConfig.validate`d; a value is finite and listed once (as a float)."""
+    `RunConfig.validate`d; the list is not empty, and a value is finite and
+    listed once (as a float)."""
+    if not values:
+        raise ConfigError("sweep needs a non-empty value list")
     key = SWEEP_PARAMETERS.get(parameter, parameter)
     if key.split(".")[0] not in SWEPT_SECTIONS:
         raise ConfigError(

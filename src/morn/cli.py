@@ -43,6 +43,13 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
+def _fmt_exact(x: float) -> str:
+    """`_fmt(x)` if it reads back as x, else `repr(x)`: distinct swept
+    values never print alike."""
+    text = _fmt(x)
+    return text if float(text) == x else repr(x)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="morn", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -323,7 +330,7 @@ def cmd_sweep(args) -> int:
         writer.writerow([args.parameter, "mgsr", "ssr", "cr", "steps", "wsf", "in_envelope"])
         for (value, m), cfg in zip(table, swept):
             in_envelope = int(cfg.thresholds.commit > cfg.commit_floor())
-            writer.writerow([_fmt(value), _fmt(m.mgsr), _fmt(m.ssr), _fmt(m.cr),
+            writer.writerow([_fmt_exact(value), _fmt(m.mgsr), _fmt(m.ssr), _fmt(m.cr),
                              _fmt(m.mean_steps), _fmt(m.wsf), in_envelope])
     sys.stdout.write(path.read_text())
     return 0

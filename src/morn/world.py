@@ -35,9 +35,9 @@ class OccupiedCellError(ValueError):
 @dataclass
 class GridMap:
     """An occupancy grid. Beside the cells it derives, once, the free flag
-    and the `(row, col)` key of every cell, and it keeps `orders`, a memo
-    of search discovery orders that `_path` fills and reads for as long as
-    the map lives. None of the three takes part in comparison or repr."""
+    and the `(row, col)` key of every cell; neither takes part in
+    comparison or repr. Nothing writes to a map after it is built, so
+    every arm of an episode can share one."""
 
     # WALL/FREE in row-major order (cell (r, c) at index r * width + c);
     # the border must be wall
@@ -50,10 +50,6 @@ class GridMap:
     free: list[bool] = field(init=False, repr=False, compare=False)
     # (row, col) of every cell, indexed like cells
     coords: list[Cell] = field(init=False, repr=False, compare=False)
-    # start index -> (hop levels of the last kernel search from it, whether
-    # that search reached the whole component); see `_path`
-    orders: dict[int, tuple[list[list[int]], bool]] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         h, w, cells = self.height, self.width, self.cells
@@ -66,7 +62,6 @@ class GridMap:
                                  "the border must be wall")
         self.free = [x == FREE for x in cells]
         self.coords = list(product(range(h), range(w)))
-        self.orders = {}
 
     def is_free(self, cell: Cell) -> bool:
         r, c = cell
@@ -116,10 +111,9 @@ def _search(gmap: GridMap, start: int, done: bytes | bytearray
     whose `done` flag (indexed like the cells) is 0 ends it. Returns the
     hop levels (level k lists the cells first reached in k hops, in
     discovery order) and the cell the search ended at, None if every
-    reached cell was done. A search that ends at a cell returns its last
-    level partial: the cells of that level discovered before it, then the
-    cell itself. Beside one zeroed reached mark per cell it builds only
-    the levels, which grow with the cells it reaches."""
+    reached cell was done. A search that ends at a cell returns the levels
+    before that cell's level. Beside one zeroed reached mark per cell it
+    builds only the levels, which grow with the cells it reaches."""
     free = gmap.free
     w = gmap.width
     reached = bytearray(len(free))
@@ -128,17 +122,16 @@ def _search(gmap: GridMap, start: int, done: bytes | bytearray
     levels = [level]
     while True:
         nxt_level = []
-        levels.append(nxt_level)
         for cur in level:
             for nxt in (cur - w, cur + w, cur - 1, cur + 1):
                 if free[nxt] and not reached[nxt]:
                     reached[nxt] = 1
-                    nxt_level.append(nxt)
                     if not done[nxt]:
                         return levels, nxt
+                    nxt_level.append(nxt)
         if not nxt_level:
-            levels.pop()
             return levels, None
+        levels.append(nxt_level)
         level = nxt_level
 
 
@@ -162,17 +155,9 @@ def _path(gmap: GridMap, start: Cell, done: bytes | bytearray) -> Optional[list[
     the first of the four whose line is free and that is not done; if none
     is, the search goes on past three hops and must run.
 
-    Memo. Discovery order depends on the map and the start, not on `done`:
-    `done` only says where the search stops. `gmap.orders` keeps, per
-    start, the levels of the last search run from it (the last one
-    partial, ending at the cell it stopped at) and whether it reached the
-    whole component. A later search from that start scans them for the
-    first cell that is not done; it answers None if there is none and the
-    order is complete, and runs the search, replacing the entry, if the
-    order is incomplete.
-
-    Either way the path walks back through the levels: a cell's parent is
-    the first cell of the level before it that neighbours it.
+    Every other request runs the search, and the path walks back through
+    its levels: a cell's parent is the first cell of the level before it
+    that neighbours it.
     """
     if not gmap.is_free(start):
         raise OccupiedCellError(f"start cell {start} is not free")
@@ -190,25 +175,11 @@ def _path(gmap: GridMap, start: Cell, done: bytes | bytearray) -> Optional[list[
                 b = a + step
                 if free[a] and free[b] and free[b + step] and not done[b + step]:
                     return [divmod(a, w), divmod(b, w), divmod(b + step, w)]
-    entry = gmap.orders.get(i)
-    if entry is not None:
-        levels, complete = entry
-        for k in range(1, len(levels)):
-            for cell in levels[k]:
-                if not done[cell]:
-                    return _walk_back(levels, k, cell, w)
-        if complete:
-            return None
     levels, cell = _search(gmap, i, done)
-    gmap.orders[i] = (levels, cell is None)
-    return None if cell is None else _walk_back(levels, len(levels) - 1, cell, w)
-
-
-def _walk_back(levels: list[list[int]], k: int, cell: int, w: int) -> list[Cell]:
-    """The path from the start to `cell`, which is in level k (exclusive
-    of the start)."""
+    if cell is None:
+        return None
     path = [divmod(cell, w)]
-    for level in reversed(levels[1:k]):
+    for level in reversed(levels[1:]):
         for prev in level:
             if abs(prev - cell) in (1, w):
                 cell = prev

@@ -420,6 +420,11 @@ class TestSuiteAndSweep:
         with pytest.raises(ConfigError, match=f"{parameter}={bad}"):
             sweep(small_suite(1, 0), MethodVariant.MORN_FULL, parameter, [10, bad], CFG)
 
+    @pytest.mark.parametrize("parameter", ["tau_c", "thresholds.bogus", "weights.pot_v"])
+    def test_empty_sweep_rejected(self, no_world, parameter):
+        with pytest.raises(ConfigError, match="sweep needs a non-empty value list"):
+            sweep(small_suite(1, 0), MethodVariant.MORN_FULL, parameter, [], CFG)
+
     def test_zero_grace_sweep_runs(self):
         specs = small_suite(1, 0)
         table = sweep(specs, MethodVariant.MORN_FULL, "t_grace", [0.0], CFG)
@@ -628,6 +633,21 @@ class TestForkedArms:
         results = run_suite(small_suite(6, 4), list(MethodVariant), CFG)
         reported = sum(tr.total_steps for traces in results.values() for tr in traces)
         assert simulated < reported
+
+    def test_runs_never_write_their_world(self):
+        # every arm of a spec replays one world, so no run may change it
+        arms = arm_lists(CFG)["variants"]
+        sealed = fixture_spec("sealed", [GoalSpec(1, "mug", feasibility=SEALED),
+                                         GoalSpec(2, "tv")])
+        for spec in [sealed] + generate(0, 3, 11, CFG):
+            world = build_world(spec)
+            before = pickle.dumps(world)
+            for variant, config in arms:
+                run(spec, variant, config, world=world)
+            forks = bench_mod._Forks(spec, world, arms)
+            for variant, config in arms:
+                run(spec, variant, config, forks=forks)
+            assert pickle.dumps(world) == before, spec.episode_id
 
 
 @pytest.mark.parametrize("workers,spec_count,pool_size", [

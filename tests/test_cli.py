@@ -249,6 +249,17 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].startswith("0.6000,")
 
+    @pytest.mark.parametrize("parameter, values, written", [
+        ("signal.epsilon", "1e-6,2e-6,5e-5", ["1e-06", "2e-06", "5e-05"]),
+        ("tau_c", "0.6,0.60001", ["0.6000", "0.60001"]),
+    ])
+    def test_swept_values_are_written_exactly(self, tmp_path, parameter, values, written):
+        # four decimals where they read back as the value, else its repr
+        assert main(["sweep", "--parameter", parameter, "--values", values, *FAST,
+                     "--episodes", "1", "--workers", "1", "--out", out_dir(tmp_path, "s")]) == 0
+        lines = (tmp_path / "s" / f"sweep_{parameter}.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == written
+
     @pytest.mark.parametrize("parameter, values", [("tau_c", "0.5,0.6"), ("d_commit", "2.8,2.9"),
                                                    ("thresholds.commit", "0.5,0.6")])
     def test_in_envelope_column(self, tmp_path, parameter, values):
