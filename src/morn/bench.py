@@ -412,6 +412,8 @@ class MetricsReport:
     failure_counts: dict[str, int]
     utility_mean: float
     episodes: int
+    # the config the traces ran under, set by `sweep`; None elsewhere
+    config: Optional[RunConfig] = field(default=None, init=False, repr=False, compare=False)
 
 
 def decompose_failures(traces: list[EpisodeTrace]) -> dict[str, int]:
@@ -647,11 +649,16 @@ def sweep(specs: list[EpisodeSpec], variant: MethodVariant, parameter: str,
     sweep, and the rows do not depend on `workers`). `parameter` is an alias
     in `SWEEP_PARAMETERS` or a key in `SWEPT_SECTIONS`, the sections `run`
     reads per arm (specs and worlds are built once); every value is
-    checked up front, as `--set` checks it bar the calibration floor."""
+    checked up front, as `--set` checks it bar the calibration floor. Each
+    report's `config` is the config its value's arm ran."""
     arms = [(variant, swept) for swept in _swept_configs(parameter, values, config)]
     bp = config.bench
-    return [(value, compute_metrics(traces, reward=bp.reward, lambda_cost=bp.lambda_cost))
-            for value, traces in zip(values, _run_arms(specs, arms, workers))]
+    table = []
+    for value, (_, swept), traces in zip(values, arms, _run_arms(specs, arms, workers)):
+        report = compute_metrics(traces, reward=bp.reward, lambda_cost=bp.lambda_cost)
+        report.config = swept
+        table.append((value, report))
+    return table
 
 
 def _swept_configs(parameter: str, values: list[float], config: RunConfig) -> list[RunConfig]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -33,7 +34,6 @@ from .bench import (
     run as run_episode,
     run_suite,
     sweep as run_sweep,
-    _swept_configs,
 )
 from .config import ConfigError, RunConfig, load_config
 from .world import parse_grid
@@ -146,6 +146,34 @@ def _parse_variants(raw: str | None) -> list[MethodVariant]:
     return out
 
 
+def _out_dir(raw: str) -> Path:
+    """`--out`, checked before anything runs but not made: a directory, or
+    a path not there yet whose nearest existing ancestor is a directory."""
+    out = Path(raw)
+    try:
+        there = next(path for path in (out, *out.parents) if path.exists())
+    except OSError as exc:  # e.g. an ancestor this user may not search
+        raise ConfigError(f"--out {raw!r}: {exc.strerror or exc}") from None
+    if not there.is_dir():
+        where = "" if there == out else f" lies under {str(there)!r}, which"
+        raise ConfigError(f"--out {raw!r}{where} is not a directory")
+    return out
+
+
+def _write(out: Path, files: dict[str, str]) -> None:
+    """Write each named text into the `--out` directory, made if missing;
+    an OSError is a configuration error naming the path."""
+    path = out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            path = out / name
+            path.write_text(text, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {str(path)!r}: "
+                          f"{exc.strerror or exc}") from None
+
+
 def _fixture_spec(name: str, config: RunConfig) -> EpisodeSpec:
     gmap, digits = parse_grid(load_fixture(name), config.world.cell_size)
     ids = sorted(digits)
@@ -193,6 +221,7 @@ def cmd_run(args) -> int:
     variant = MethodVariant(args.variant)
     if (args.episode is None) == (args.fixture is None):
         raise ConfigError("run needs exactly one of --episode or --fixture")
+    out = _out_dir(args.out)
     if args.fixture is not None:
         spec = _fixture_spec(args.fixture, config)
     else:
@@ -204,24 +233,19 @@ def cmd_run(args) -> int:
     world = build_world(spec)
     trace = run_episode(spec, variant, config, world=world)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     stem = f"episode_{spec.episode_id}_{variant.value.lower()}"
-    trace_path = out / f"{stem}.jsonl"
-    with trace_path.open("w") as fh:
-        for rec in trace.steps:
-            fh.write(json.dumps({
-                "t": rec.t,
-                "goal": rec.goal_id,
-                "pose": list(rec.pose),
-                "d": round(rec.distance, 4),
-                "s": round(rec.evidence, 4),
-                "pi": round(rec.potentiality, 4),
-                "gamma": round(rec.persistence, 4),
-                "sigma": round(rec.sufficiency, 4),
-                "action": rec.action,
-                "reason": rec.reason,
-            }, separators=(",", ":")) + "\n")
+    jsonl = "".join(json.dumps({
+        "t": rec.t,
+        "goal": rec.goal_id,
+        "pose": list(rec.pose),
+        "d": round(rec.distance, 4),
+        "s": round(rec.evidence, 4),
+        "pi": round(rec.potentiality, 4),
+        "gamma": round(rec.persistence, 4),
+        "sigma": round(rec.sufficiency, 4),
+        "action": rec.action,
+        "reason": rec.reason,
+    }, separators=(",", ":")) + "\n" for rec in trace.steps)
 
     log_lines = [
         f"{'t':>4} {'goal':>4} {'d':>8} {'s':>6} {'pi':>6} {'gamma':>6} "
@@ -241,12 +265,11 @@ def cmd_run(args) -> int:
             f"switches={o.switch_count}"
         )
     log = "\n".join(log_lines) + "\n"
-    (out / f"{stem}.log").write_text(log)
-    sys.stdout.write(log)
+    files = {f"{stem}.jsonl": jsonl, f"{stem}.log": log}
     if args.trace_ascii:
-        frames = ascii_frames(world, trace)
-        (out / f"{stem}.ascii").write_text(frames)
-        sys.stdout.write(frames)
+        files[f"{stem}.ascii"] = ascii_frames(world, trace)
+    _write(out, files)
+    sys.stdout.write(log + files.get(f"{stem}.ascii", ""))
     return 0
 
 
@@ -262,11 +285,10 @@ BENCH_COLUMNS = [
 def cmd_bench(args) -> int:
     config = _load(args)
     variants = _parse_variants(args.variants)
+    out = _out_dir(args.out)
     specs = _suite(config, args.episodes)
     results = run_suite(specs, variants, config, workers=_workers(args))
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     summary = {}
     bp = config.bench
@@ -295,14 +317,16 @@ def cmd_bench(args) -> int:
         row.update({mode.lower(): str(n) for mode, n in overall.failure_counts.items()})
         rows.append(row)
 
-    with (out / "bench.csv").open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=BENCH_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    (out / "summary.json").write_text(
-        json.dumps({"master_seed": bp.master_seed, "episodes": len(specs),
-                    "variants": summary}, indent=2, sort_keys=True) + "\n")
-    sys.stdout.write((out / "bench.csv").read_text())
+    table = io.StringIO()
+    writer = csv.DictWriter(table, fieldnames=BENCH_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    _write(out, {
+        "bench.csv": table.getvalue(),
+        "summary.json": json.dumps({"master_seed": bp.master_seed, "episodes": len(specs),
+                                    "variants": summary}, indent=2, sort_keys=True) + "\n",
+    })
+    sys.stdout.write(table.getvalue())
     return 0
 
 
@@ -318,21 +342,19 @@ def cmd_sweep(args) -> int:
         values = [float(v) for v in items]
     except ValueError as exc:
         raise ConfigError(f"bad sweep value: {exc}") from None
-    swept = _swept_configs(args.parameter, values, config)
+    out = _out_dir(args.out)
     specs = _suite(config, args.episodes)
-    table = run_sweep(specs, variant, args.parameter, values, config, workers=_workers(args))
+    rows = run_sweep(specs, variant, args.parameter, values, config, workers=_workers(args))
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"sweep_{args.parameter}.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([args.parameter, "mgsr", "ssr", "cr", "steps", "wsf", "in_envelope"])
-        for (value, m), cfg in zip(table, swept):
-            in_envelope = int(cfg.thresholds.commit > cfg.commit_floor())
-            writer.writerow([_fmt_exact(value), _fmt(m.mgsr), _fmt(m.ssr), _fmt(m.cr),
-                             _fmt(m.mean_steps), _fmt(m.wsf), in_envelope])
-    sys.stdout.write(path.read_text())
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow([args.parameter, "mgsr", "ssr", "cr", "steps", "wsf", "in_envelope"])
+    for value, m in rows:
+        in_envelope = int(m.config.thresholds.commit > m.config.commit_floor())
+        writer.writerow([_fmt_exact(value), _fmt(m.mgsr), _fmt(m.ssr), _fmt(m.cr),
+                         _fmt(m.mean_steps), _fmt(m.wsf), in_envelope])
+    _write(out, {f"sweep_{args.parameter}.csv": table.getvalue()})
+    sys.stdout.write(table.getvalue())
     return 0
 
 

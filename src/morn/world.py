@@ -72,6 +72,8 @@ def parse_grid(text: str, cell_size: float = 0.5) -> tuple[GridMap, dict[int, Ce
     """Parse the plain-text fixture format. Returns the map and the goal
     positions keyed by their digit."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("map has no rows")
     h = len(lines)
     w = max(len(ln) for ln in lines)
     cells = [WALL] * (h * w)
@@ -350,27 +352,30 @@ class Navigator:
     def __init__(self, gmap: GridMap, params: PerceptionParams):
         self.gmap = gmap
         self.pose: Cell = gmap.spawn
-        # the navigator approaches while it holds a target, else explores
-        self.believed_target: Optional[Cell] = None
         # coverage flags, indexed like gmap.cells
         self.visited = bytearray(len(gmap.cells))
         self.approach_trigger = params.base_noise_mean + params.signal_amplitude / 2.0
         self._path: deque[Cell] = deque()
-        self._high_streak = 0
-        self._low_streak = 0
-        self._exhausted = False
-        self._mark_visited()
+        self.begin_goal_context()
 
     def begin_goal_context(self) -> None:
         """Fresh search for a newly activated goal: coverage and any
-        believed target are reset; the pose is kept."""
+        believed target are reset, and the whole sensing square around the
+        pose, which is kept, is marked."""
         self.visited[:] = bytes(len(self.visited))
-        self.believed_target = None
+        # the navigator approaches while it holds a target, else explores
+        self.believed_target: Optional[Cell] = None
         self._path.clear()
         self._high_streak = 0
         self._low_streak = 0
         self._exhausted = False
-        self._mark_visited()
+        r, c = self.pose
+        s = self.SENSE_RADIUS
+        h, w = self.gmap.height, self.gmap.width
+        lo, hi = max(0, c - s), min(w, c + s + 1)
+        marks = self.MARKS[hi - lo]
+        for row in range(max(0, r - s), min(h, r + s + 1)):
+            self.visited[row * w + lo: row * w + hi] = marks
 
     def copy(self) -> Navigator:
         """An independent navigator in the same state, on the same map."""
@@ -382,16 +387,6 @@ class Navigator:
     def coverage_fraction(self) -> float:
         free = self.gmap.free
         return sum(v for v, f in zip(self.visited, free) if f) / sum(free)
-
-    def _mark_visited(self) -> None:
-        """Mark the whole sensing square around the pose."""
-        r, c = self.pose
-        s = self.SENSE_RADIUS
-        h, w = self.gmap.height, self.gmap.width
-        lo, hi = max(0, c - s), min(w, c + s + 1)
-        marks = self.MARKS[hi - lo]
-        for row in range(max(0, r - s), min(h, r + s + 1)):
-            self.visited[row * w + lo: row * w + hi] = marks
 
     def _plan_to_nearest_unvisited(self) -> Optional[list[Cell]]:
         """Shortest path (exclusive of the pose) to the nearest
@@ -410,24 +405,23 @@ class Navigator:
             self._low_streak += 1
 
         if self.believed_target is None and self._high_streak >= self.TRIGGER_STEPS:
-            target = self._locate_source(detected, goal, rng)
-            if target is not None:
-                self.believed_target = target
-                self._path.clear()
+            self.believed_target = self._locate_source(detected, goal, rng)
+            self._path.clear()
         elif self.believed_target is not None and self._low_streak >= self.RELEASE_STEPS:
             self.believed_target = None
             self._path.clear()
 
     def _locate_source(self, detected: bool, goal: GoalInstance,
-                       rng: random.Random) -> Optional[Cell]:
+                       rng: random.Random) -> Cell:
         # A genuine detection localizes the emitting goal; a trigger fed
         # by false positives latches onto a phantom cell near the pose.
+        # The window holds the pose, a free cell, so it is never empty.
         if detected and goal.present:
             return goal.position
         r, c = self.pose
         candidates = [(r + dr, c + dc) for dr in range(-6, 7) for dc in range(-6, 7)
                       if self.gmap.is_free((r + dr, c + dc))]
-        return candidates[rng.randrange(len(candidates))] if candidates else None
+        return candidates[rng.randrange(len(candidates))]
 
     def step(self) -> str:
         """Advance one primitive step. Returns the action taken
@@ -579,7 +573,7 @@ def generate_map(
             cells[r * total_w + wall_c] = FREE
 
     for a, b, ra, rb in edges:
-        if sealed_idx is not None and sealed_idx in (a, b):
+        if sealed_idx in (a, b):
             continue
         carve_door(ra, rb)
 
@@ -591,7 +585,7 @@ def generate_map(
                 if ni >= rx or nj >= ry:
                     continue
                 a, b = room_index(i, j), room_index(ni, nj)
-                if sealed_idx is not None and sealed_idx in (a, b):
+                if sealed_idx in (a, b):
                     continue
                 if rng.random() < params.extra_door_prob:
                     carve_door((i, j), (ni, nj))

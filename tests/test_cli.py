@@ -10,6 +10,7 @@ import pytest
 
 from morn import cli
 from morn.cli import main
+from morn.config import RunConfig
 
 FAST = ["--set", "bench.count_k2=4", "--set", "bench.count_k3=2"]
 
@@ -338,6 +339,20 @@ class TestSweep:
         assert "tau_c=0.6 is listed twice" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    def test_each_swept_config_is_validated_once(self, tmp_path, monkeypatch):
+        calls = []
+        validate = RunConfig.validate
+
+        def counted(config):
+            calls.append(config)
+            validate(config)
+
+        monkeypatch.setattr(RunConfig, "validate", counted)
+        assert main(["sweep", "--parameter", "weights.pot_v", "--values", "0.3,0.4,0.5", *FAST,
+                     "--episodes", "1", "--workers", "1", "--out", out_dir(tmp_path, "s")]) == 0
+        # load_config's own, then one per value
+        assert len(calls) == 1 + 3
+
     def test_sweep_is_byte_stable(self, tmp_path):
         for name in ("s1", "s2"):
             assert main(["sweep", "--parameter", "t_grace", "--values", "10",
@@ -346,6 +361,57 @@ class TestSweep:
         a = (tmp_path / "s1" / "sweep_t_grace.csv").read_bytes()
         b = (tmp_path / "s2" / "sweep_t_grace.csv").read_bytes()
         assert a == b
+
+
+class TestOut:
+    # each command, and the runner it must not reach when --out is bad
+    COMMANDS = {
+        "run": (["run", "--fixture", "trivial"], "run_episode"),
+        "bench": (["bench", *FAST, "--workers", "1"], "run_suite"),
+        "sweep": (["sweep", "--parameter", "tau_c", "--values", "0.6", *FAST,
+                   "--workers", "1"], "run_sweep"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_not_a_directory_is_exit_2_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                          command, under):
+        def runner(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        argv, name = self.COMMANDS[command]
+        monkeypatch.setattr(cli, name, runner)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "sub" / "dir" if under else afile
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        where = f" lies under {str(afile)!r}, which" if under else ""
+        assert f"--out {str(out)!r}{where} is not a directory" in err
+        assert afile.read_text() == "kept\n"
+
+    def test_unsearchable_out_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        def denied(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli.Path, "exists", denied)
+        out = str(tmp_path / "o")
+        assert main(["run", "--fixture", "trivial", "--out", out]) == 2
+        assert f"--out {out!r}: Permission denied" in capsys.readouterr().err
+
+    def test_missing_out_is_made_after_the_run(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert main(["run", "--fixture", "trivial", "--out", str(out)]) == 0
+        assert (out / "episode_0_morn_full.log").exists()
+
+    def test_write_error_is_exit_2_naming_the_path(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "bench.csv").mkdir(parents=True)
+        assert main(["bench", *FAST, "--episodes", "2", "--workers", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write --out {str(out / 'bench.csv')!r}" in err
+        assert "Traceback" not in err
 
 
 class TestEnvironment:

@@ -136,6 +136,11 @@ class TestParseGrid:
         with pytest.raises(ValueError, match="14 cells do not fill a 3 x 5 map"):
             GridMap(cells=[WALL] * 14, height=3, width=5, cell_size=0.5, spawn=(1, 1))
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_no_rows_rejected(self, text):
+        with pytest.raises(ValueError, match="map has no rows"):
+            parse_grid(text)
+
     def test_fixtures_parse(self):
         for name in ("trivial", "open", "two_room", "sealed", "maze"):
             gmap, goals = parse_grid(load_fixture(name))
@@ -572,6 +577,53 @@ class TestNavigator:
         nav.begin_goal_context()
         assert nav.coverage_fraction() < covered or covered == nav.coverage_fraction() == 1.0
         assert nav.believed_target is None
+
+    def test_goal_context_at_spawn_is_a_new_navigator(self):
+        # the constructor starts its first goal context with
+        # begin_goal_context, so a restart at spawn leaves no trace of a walk
+        maps = [parse_grid(load_fixture(name))[0]
+                for name in ("trivial", "open", "two_room", "sealed", "maze")]
+        maps += [generate_map(random.Random(seed), WorldParams())[0] for seed in (3, 4, 5)]
+        params = PerceptionParams()
+        for gmap in maps:
+            goal = GoalInstance(1, "mug", gmap.spawn, present=False)
+            rng = random.Random(9)
+            nav = Navigator(gmap, params)
+            walked = set()
+            for _ in range(150):
+                nav.step()
+                nav.observe(rng.choice([0.0, 1.0]), False, goal, rng)
+                walked.add((nav.believed_target is not None, nav._high_streak > 0,
+                            nav._low_streak > 0, nav._exhausted))
+            fresh = Navigator(gmap, params)
+            assert nav.visited != fresh.visited
+            assert len(walked) > 2
+            nav.pose = gmap.spawn
+            nav.begin_goal_context()
+            assert nav.visited == fresh.visited
+            assert nav.believed_target is fresh.believed_target is None
+            assert list(nav._path) == list(fresh._path) == []
+            assert (nav._high_streak, nav._low_streak, nav._exhausted) == \
+                (fresh._high_streak, fresh._low_streak, fresh._exhausted) == (0, 0, False)
+            assert vars(nav) == vars(fresh)
+
+    def test_phantom_target_is_a_free_cell_near_the_pose(self):
+        # a trigger with no detection latches onto a free cell of the 13 x 13
+        # window around the pose; the pose itself is one, so there always is one
+        gmap, _, _ = generate_map(random.Random(8), WorldParams(rooms_x=2, rooms_y=2))
+        params = PerceptionParams()
+        goal = GoalInstance(1, "mug", gmap.spawn, present=False)
+        rng = random.Random(5)
+        above = params.base_noise_mean + params.signal_amplitude
+        for cell in (cell for cell, free in zip(gmap.coords, gmap.free) if free):
+            nav = Navigator(gmap, params)
+            nav.pose = cell
+            nav.observe(above, False, goal, rng)
+            assert nav.believed_target is None
+            nav.observe(above, False, goal, rng)
+            r, c = nav.believed_target
+            assert gmap.is_free((r, c))
+            assert max(abs(r - cell[0]), abs(c - cell[1])) <= 6
 
 
 class TestGenerateMap:
