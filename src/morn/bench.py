@@ -93,6 +93,9 @@ class EpisodeSpec:
                                    f"but {len(ids)} goals")
         if len(set(ids)) != len(ids):
             raise InvalidCallError(f"episode {self.episode_id}: goal ids {ids} are not unique")
+        if self.budget_max < 1:
+            raise InvalidCallError(f"episode {self.episode_id}: budget_max {self.budget_max} "
+                                   "is not a positive step budget")
         for g in self.goals:
             if g.feasibility not in FEASIBILITIES:
                 raise InvalidCallError(
@@ -222,12 +225,8 @@ def _assemble(gmap: GridMap, spec: EpisodeSpec, positions: dict[int, Cell],
               fields: dict[int, dict[Cell, float]]) -> World:
     goals = {}
     for gs in spec.goals:
-        goals[gs.goal_id] = GoalInstance(
-            goal_id=gs.goal_id,
-            category=gs.category,
-            position=positions[gs.goal_id],
-            present=(gs.feasibility != ABSENT),
-        )
+        goals[gs.goal_id] = GoalInstance(positions[gs.goal_id],
+                                         present=(gs.feasibility != ABSENT))
     sentinel = 2.0 * (gmap.height + gmap.width) * gmap.cell_size
     return World(gmap=gmap, goals=goals, fields=fields, sentinel=sentinel)
 
@@ -303,8 +302,8 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
             pose = nav.pose
             d_raw = dfield[pose]
             d = d_raw if isfinite(d_raw) else sentinel
-            evidence, detected = world_emit(goal, pose, gmap, shared, rng, d_raw)
-            observe(evidence, detected, goal, rng)
+            evidence, source = world_emit(goal, pose, gmap, shared, rng, d_raw)
+            observe(evidence, source, rng)
 
             ledger.elapsed = t
             ledger.active_spent = spent = ledger.active_spent + 1

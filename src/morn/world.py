@@ -2,10 +2,10 @@
 distances, a stochastic evidence generator standing in for open-vocabulary
 perception, and a frontier-exploring reactive navigator.
 
-The navigator is deliberately blind to budgets and meta-states: it reads
-only the map, its own coverage and the evidence stream, so the executive
-can be deleted without changing a single primitive action until the first
-intervention.
+The navigator never sees a goal, a budget or a meta-state: it reads only
+the map, its own coverage, the evidence score and the cell a true detection
+reports as its source, so the executive can be deleted without changing a
+single primitive action until the first intervention.
 
 Fixture maps use a plain-text format, one character per cell:
 '#' = wall, '.' = free, 'S' = spawn, digits 1-9 = goal positions
@@ -256,9 +256,7 @@ def line_of_sight(gmap: GridMap, a: Cell, b: Cell) -> bool:
 
 @dataclass
 class GoalInstance:
-    goal_id: int
-    category: str
-    position: Cell  # nominal position; hidden from the navigator
+    position: Cell  # true cell; the navigator sees it only as a detection's source
     detectability: float = 0.9
     present: bool = True
 
@@ -297,9 +295,10 @@ def emit_evidence(
     params: PerceptionParams,
     rng: random.Random,
     distance: float,
-) -> tuple[float, bool]:
+) -> tuple[float, Optional[Cell]]:
     """One evidence score in [0, 1] for the active goal from the current
-    pose. Returns (score, detected).
+    pose. Returns (score, source): `source` is the goal's cell on a true
+    detection and None otherwise.
 
     A true detection requires the goal to be present, within signal
     range along the geodesic, in line of sight, and to pass a
@@ -316,11 +315,11 @@ def emit_evidence(
     p = params
     noise = rng.gauss(0.0, p.noise_std) if p.noise_std > 0 else 0.0
 
-    detected = False
+    source = None
     if goal.present and distance <= p.signal_range and line_of_sight(gmap, pose, goal.position):
-        detected = rng.random() < goal.detectability
+        source = goal.position if rng.random() < goal.detectability else None
 
-    if detected:
+    if source is not None:
         score = p.base_noise_mean + p.signal_amplitude * math.exp(-distance / p.signal_range) + noise
     elif p.false_positive_rate > 0 and rng.random() < p.false_positive_rate:
         score = p.base_noise_mean + p.spike_amplitude + noise
@@ -328,7 +327,7 @@ def emit_evidence(
         score = p.base_noise_mean + noise
     # max(0.0, min(score, 1.0)) without the two builtin calls
     score = 1.0 if 1.0 < score else score
-    return (score if score > 0.0 else 0.0, detected)
+    return (score if score > 0.0 else 0.0, source)
 
 
 class Navigator:
@@ -393,10 +392,10 @@ class Navigator:
         reachable unvisited free cell, or None when coverage is done."""
         return _path(self.gmap, self.pose, self.visited)
 
-    def observe(self, evidence: float, detected: bool, goal: GoalInstance,
-                rng: random.Random) -> None:
-        """Feed the current evidence sample before stepping; may lock in or
-        release a believed target."""
+    def observe(self, evidence: float, source: Optional[Cell], rng: random.Random) -> None:
+        """Feed the current evidence sample and a true detection's source
+        cell (else None) before stepping; may lock in or release a believed
+        target."""
         if evidence > self.approach_trigger:
             self._high_streak += 1
             self._low_streak = 0
@@ -405,19 +404,18 @@ class Navigator:
             self._low_streak += 1
 
         if self.believed_target is None and self._high_streak >= self.TRIGGER_STEPS:
-            self.believed_target = self._locate_source(detected, goal, rng)
+            self.believed_target = self._locate_source(source, rng)
             self._path.clear()
         elif self.believed_target is not None and self._low_streak >= self.RELEASE_STEPS:
             self.believed_target = None
             self._path.clear()
 
-    def _locate_source(self, detected: bool, goal: GoalInstance,
-                       rng: random.Random) -> Cell:
-        # A genuine detection localizes the emitting goal; a trigger fed
-        # by false positives latches onto a phantom cell near the pose.
+    def _locate_source(self, source: Optional[Cell], rng: random.Random) -> Cell:
+        # A genuine detection reports its source cell; a trigger fed by
+        # false positives latches onto a phantom cell near the pose.
         # The window holds the pose, a free cell, so it is never empty.
-        if detected and goal.present:
-            return goal.position
+        if source is not None:
+            return source
         r, c = self.pose
         candidates = [(r + dr, c + dc) for dr in range(-6, 7) for dc in range(-6, 7)
                       if self.gmap.is_free((r + dr, c + dc))]

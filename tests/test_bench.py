@@ -107,18 +107,22 @@ class TestGenerate:
 
 
 class TestEpisodeSpec:
-    @pytest.mark.parametrize("goal_count, goals, message", [
-        (3, [GoalSpec(1, "mug"), GoalSpec(2, "tv")], "goal_count 3 but 2 goals"),
-        (2, [GoalSpec(1, "mug"), GoalSpec(1, "tv")], r"goal ids \[1, 1\] are not unique"),
-        (0, [], "an episode needs a goal"),
-        (2, [GoalSpec(1, "mug"), GoalSpec(2, "tv", feasibility="Sealed")],
+    @pytest.mark.parametrize("goal_count, goals, budget_max, message", [
+        (3, [GoalSpec(1, "mug"), GoalSpec(2, "tv")], 500, "goal_count 3 but 2 goals"),
+        (2, [GoalSpec(1, "mug"), GoalSpec(1, "tv")], 500,
+         r"goal ids \[1, 1\] are not unique"),
+        (0, [], 500, "an episode needs a goal"),
+        (2, [GoalSpec(1, "mug"), GoalSpec(2, "tv", feasibility="Sealed")], 500,
          "goal 2 feasibility 'Sealed' is not one of present, absent, sealed"),
-        (1, [GoalSpec(1, "mug", feasibility="absnt")],
+        (1, [GoalSpec(1, "mug", feasibility="absnt")], 500,
          "goal 1 feasibility 'absnt' is not one of present, absent, sealed"),
-    ], ids=["count", "duplicate-ids", "no-goals", "feasibility-case", "feasibility-typo"])
-    def test_inconsistent_spec_rejected(self, goal_count, goals, message):
+        (1, [GoalSpec(1, "mug")], 0, "budget_max 0 is not a positive step budget"),
+        (1, [GoalSpec(1, "mug")], -5, "budget_max -5 is not a positive step budget"),
+    ], ids=["count", "duplicate-ids", "no-goals", "feasibility-case", "feasibility-typo",
+            "zero-budget", "negative-budget"])
+    def test_inconsistent_spec_rejected(self, goal_count, goals, budget_max, message):
         with pytest.raises(InvalidCallError, match=f"episode 7: {message}"):
-            EpisodeSpec(episode_id=7, seed=1, goal_count=goal_count, budget_max=500,
+            EpisodeSpec(episode_id=7, seed=1, goal_count=goal_count, budget_max=budget_max,
                         goals=goals)
 
 

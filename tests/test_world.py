@@ -271,27 +271,27 @@ class TestLineOfSight:
 class TestEmitEvidence:
     def test_absent_goal_pure_baseline(self):
         gmap, goals = parse_grid(OPEN_MAP)
-        goal = GoalInstance(1, "mug", goals[1], present=False)
+        goal = GoalInstance(goals[1], present=False)
         params = PerceptionParams(noise_std=0.0, false_positive_rate=0.0)
         rng = random.Random(0)
         d = geodesic_distance(gmap, (1, 1), goals[1])
         for _ in range(20):
-            score, detected = emit_evidence(goal, (1, 1), gmap, params, rng, d)
+            score, source = emit_evidence(goal, (1, 1), gmap, params, rng, d)
             assert score == params.base_noise_mean
-            assert not detected
+            assert source is None
 
     def test_present_goal_at_zero_distance(self):
         gmap, goals = parse_grid(OPEN_MAP)
-        goal = GoalInstance(1, "mug", goals[1], detectability=1.0)
+        goal = GoalInstance(goals[1], detectability=1.0)
         params = PerceptionParams(noise_std=0.0, false_positive_rate=0.0)
-        score, detected = emit_evidence(goal, goals[1], gmap, params, random.Random(0), 0.0)
-        assert detected
+        score, source = emit_evidence(goal, goals[1], gmap, params, random.Random(0), 0.0)
+        assert source == goal.position
         expected = min(params.base_noise_mean + params.signal_amplitude, 1.0)
         assert score == pytest.approx(expected, abs=1e-9)
 
     def test_scores_always_in_unit_interval(self):
         gmap, goals = parse_grid(OPEN_MAP)
-        goal = GoalInstance(1, "mug", goals[1])
+        goal = GoalInstance(goals[1])
         params = PerceptionParams()
         rng = random.Random(3)
         d = geodesic_distance(gmap, (2, 2), goals[1])
@@ -302,15 +302,15 @@ class TestEmitEvidence:
     def test_out_of_range_never_detects(self):
         corridor = "#" * 30 + "\n#S" + "." * 26 + "1" + "#" * 0 + "\n" + "#" * 30
         gmap, goals = parse_grid(corridor, cell_size=0.5)
-        goal = GoalInstance(1, "mug", goals[1], detectability=1.0)
+        goal = GoalInstance(goals[1], detectability=1.0)
         params = PerceptionParams(noise_std=0.0, false_positive_rate=0.0)
         d = geodesic_distance(gmap, (1, 1), goals[1])
-        score, detected = emit_evidence(goal, (1, 1), gmap, params, random.Random(0), d)
-        assert not detected and score == params.base_noise_mean
+        score, source = emit_evidence(goal, (1, 1), gmap, params, random.Random(0), d)
+        assert source is None and score == params.base_noise_mean
 
     def test_deterministic_given_seed(self):
         gmap, goals = parse_grid(OPEN_MAP)
-        goal = GoalInstance(1, "mug", goals[1])
+        goal = GoalInstance(goals[1])
         params = PerceptionParams()
         d = geodesic_distance(gmap, (2, 2), goals[1])
         a = [emit_evidence(goal, (2, 2), gmap, params, random.Random(8), d)
@@ -321,7 +321,7 @@ class TestEmitEvidence:
 
     def test_pose_must_be_free(self):
         gmap, goals = parse_grid(OPEN_MAP)
-        goal = GoalInstance(1, "mug", goals[1])
+        goal = GoalInstance(goals[1])
         with pytest.raises(OccupiedCellError):
             emit_evidence(goal, (0, 0), gmap, PerceptionParams(), random.Random(0), math.inf)
 
@@ -329,13 +329,37 @@ class TestEmitEvidence:
         # inf distance: no detectability draw, so the noise and
         # false-positive stream is exactly that of an absent goal
         gmap, goals = parse_grid(OPEN_MAP)
-        present = GoalInstance(1, "mug", goals[1], detectability=1.0)
-        absent = GoalInstance(1, "mug", goals[1], present=False)
+        present = GoalInstance(goals[1], detectability=1.0)
+        absent = GoalInstance(goals[1], present=False)
         params = PerceptionParams(false_positive_rate=0.3)
         ra, rb = random.Random(4), random.Random(4)
         for _ in range(50):
             assert emit_evidence(present, (1, 1), gmap, params, ra, math.inf) == \
                 emit_evidence(absent, (1, 1), gmap, params, rb, math.inf)
+
+    def test_source_is_the_goal_cell_exactly_on_a_detection(self):
+        # with detectability 1 a present goal in range and in sight is always
+        # detected and reported at its cell; false-positive spikes and absent
+        # goals report no source
+        params = PerceptionParams(false_positive_rate=0.3)
+        rng = random.Random(21)
+        seen = set()
+        for name in ("trivial", "open", "two_room", "sealed", "maze"):
+            gmap, goals = parse_grid(load_fixture(name))
+            free = [cell for cell, ok in zip(gmap.coords, gmap.free) if ok]
+            for cell in goals.values():
+                field = distance_field(gmap, cell)
+                present = GoalInstance(cell, detectability=1.0)
+                absent = GoalInstance(cell, detectability=1.0, present=False)
+                for _ in range(200):
+                    pose = free[rng.randrange(len(free))]
+                    d = field[pose]
+                    in_view = d <= params.signal_range and line_of_sight(gmap, pose, cell)
+                    _, source = emit_evidence(present, pose, gmap, params, rng, d)
+                    assert source == (cell if in_view else None)
+                    assert emit_evidence(absent, pose, gmap, params, rng, d)[1] is None
+                    seen.add(in_view)
+        assert seen == {True, False}
 
 
 class TestEmissionClamp:
@@ -345,7 +369,7 @@ class TestEmissionClamp:
     def emitted(level):
         # absent goal, no noise, no spikes: the raw score is level + 0.0
         gmap, goals = parse_grid(OPEN_MAP)
-        goal = GoalInstance(1, "mug", goals[1], present=False)
+        goal = GoalInstance(goals[1], present=False)
         params = PerceptionParams(base_noise_mean=level, noise_std=0.0,
                                   false_positive_rate=0.0)
         return emit_evidence(goal, gmap.spawn, gmap, params, random.Random(0), 1.0)[0]
@@ -375,7 +399,7 @@ class TestNavigator:
 
     def test_detection_flips_to_approach_and_closes_distance(self):
         gmap, goals = parse_grid(load_fixture("two_room"))
-        goal = GoalInstance(1, "mug", goals[1], detectability=1.0)
+        goal = GoalInstance(goals[1], detectability=1.0)
         params = PerceptionParams(noise_std=0.0, false_positive_rate=0.0)
         nav = Navigator(gmap, params)
         rng = random.Random(1)
@@ -384,9 +408,9 @@ class TestNavigator:
         for _ in range(400):
             nav.step()
             d = field[nav.pose]
-            score, detected = emit_evidence(goal, nav.pose, gmap, params, rng,
-                                            distance=float(d))
-            nav.observe(score, detected, goal, rng)
+            score, source = emit_evidence(goal, nav.pose, gmap, params, rng,
+                                          distance=float(d))
+            nav.observe(score, source, rng)
             if nav.believed_target is not None:
                 approached = True
                 assert nav.believed_target == goal.position
@@ -401,7 +425,7 @@ class TestNavigator:
         seen = set()
         for name, present in (("two_room", True), ("trivial", False)):
             gmap, goals = parse_grid(load_fixture(name))
-            goal = GoalInstance(1, "mug", goals[1], present=present)
+            goal = GoalInstance(goals[1], present=present)
             params = PerceptionParams()
             nav = Navigator(gmap, params)
             rng = random.Random(11)
@@ -416,15 +440,15 @@ class TestNavigator:
                         reachable = [math.isfinite(d) for d in distance_field(gmap, nav.pose).values()]
                         assert all(nav.visited[i] for i, ok in enumerate(reachable) if ok)
                         seen.add((name, "exhausted"))
-                score, detected = emit_evidence(goal, nav.pose, gmap, params, rng,
-                                                float(field[nav.pose]))
-                nav.observe(score, detected, goal, rng)
+                score, source = emit_evidence(goal, nav.pose, gmap, params, rng,
+                                              float(field[nav.pose]))
+                nav.observe(score, source, rng)
         assert {("two_room", "target"), ("trivial", "exhausted")} <= seen
 
     def test_navigator_is_blind_to_executive(self):
         # the same seed and observations must replay identical poses
         gmap, goals = parse_grid(load_fixture("two_room"))
-        goal = GoalInstance(1, "mug", goals[1])
+        goal = GoalInstance(goals[1])
         params = PerceptionParams()
         field = distance_field(gmap, goal.position)
 
@@ -434,9 +458,9 @@ class TestNavigator:
             out = []
             for _ in range(n):
                 nav.step()
-                score, detected = emit_evidence(goal, nav.pose, gmap, params, rng,
-                                                float(field[nav.pose]))
-                nav.observe(score, detected, goal, rng)
+                score, source = emit_evidence(goal, nav.pose, gmap, params, rng,
+                                              float(field[nav.pose]))
+                nav.observe(score, source, rng)
                 out.append(nav.pose)
             return out
 
@@ -546,7 +570,6 @@ class TestNavigator:
                     for r in range(max(0, pr - s), min(h, pr + s + 1))
                     for c in range(max(0, pc - s), min(w, pc + s + 1))}
 
-        goal = GoalInstance(1, "mug", gmap.spawn, present=False)
         walks = [[Navigator(gmap, PerceptionParams()), [gmap.spawn]]]  # navigator, poses
         for op in walk:
             current = walks[-1]
@@ -556,7 +579,7 @@ class TestNavigator:
                 current[1].append(nav.pose)
             elif op == "observe":
                 # two high readings in a row lock a phantom target near the pose
-                nav.observe(1.0 if rng.random() < 0.7 else 0.0, False, goal, rng)
+                nav.observe(1.0 if rng.random() < 0.7 else 0.0, None, rng)
             elif op == "copy":
                 walks.append([nav.copy(), list(current[1])])
             else:
@@ -586,13 +609,12 @@ class TestNavigator:
         maps += [generate_map(random.Random(seed), WorldParams())[0] for seed in (3, 4, 5)]
         params = PerceptionParams()
         for gmap in maps:
-            goal = GoalInstance(1, "mug", gmap.spawn, present=False)
             rng = random.Random(9)
             nav = Navigator(gmap, params)
             walked = set()
             for _ in range(150):
                 nav.step()
-                nav.observe(rng.choice([0.0, 1.0]), False, goal, rng)
+                nav.observe(rng.choice([0.0, 1.0]), None, rng)
                 walked.add((nav.believed_target is not None, nav._high_streak > 0,
                             nav._low_streak > 0, nav._exhausted))
             fresh = Navigator(gmap, params)
@@ -612,18 +634,37 @@ class TestNavigator:
         # window around the pose; the pose itself is one, so there always is one
         gmap, _, _ = generate_map(random.Random(8), WorldParams(rooms_x=2, rooms_y=2))
         params = PerceptionParams()
-        goal = GoalInstance(1, "mug", gmap.spawn, present=False)
         rng = random.Random(5)
         above = params.base_noise_mean + params.signal_amplitude
         for cell in (cell for cell, free in zip(gmap.coords, gmap.free) if free):
             nav = Navigator(gmap, params)
             nav.pose = cell
-            nav.observe(above, False, goal, rng)
+            nav.observe(above, None, rng)
             assert nav.believed_target is None
-            nav.observe(above, False, goal, rng)
+            nav.observe(above, None, rng)
             r, c = nav.believed_target
             assert gmap.is_free((r, c))
             assert max(abs(r - cell[0]), abs(c - cell[1])) <= 6
+
+    def test_a_reported_source_is_locked_as_given(self):
+        # the trigger locks the source reported on the step that completes
+        # it, wherever it lies, and draws no phantom cell
+        gmap, _, _ = generate_map(random.Random(8), WorldParams(rooms_x=2, rooms_y=2))
+        params = PerceptionParams()
+        above = params.base_noise_mean + params.signal_amplitude
+        free = [cell for cell, ok in zip(gmap.coords, gmap.free) if ok]
+        far = max(free, key=lambda cell: max(abs(cell[0] - gmap.spawn[0]),
+                                             abs(cell[1] - gmap.spawn[1])))
+        assert max(abs(far[0] - gmap.spawn[0]), abs(far[1] - gmap.spawn[1])) > 6
+        for source in (gmap.spawn, far):
+            nav = Navigator(gmap, params)
+            rng = random.Random(5)
+            state = rng.getstate()
+            nav.observe(above, free[0], rng)
+            assert nav.believed_target is None
+            nav.observe(above, source, rng)
+            assert nav.believed_target == source
+            assert rng.getstate() == state
 
 
 class TestGenerateMap:
