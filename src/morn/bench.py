@@ -25,14 +25,14 @@ from .executive import (
     MetaAction,
     MethodVariant,
     MissionSchedule,
+    QuietBounds,
     allocate,
     apply,
-    below_abort,
-    below_switch,
+    count_streaks,
     decide,
     next_goal,
     quiet_bounds,
-    streak,
+    streak_keys,
 )
 from .signals import RollingWindow, SignalSample, update
 from .states import MetaStateVector, SunkCost, persistence_gate, potentiality, sufficiency
@@ -151,7 +151,7 @@ def generate(count_k2: int, count_k3: int, master_seed: int,
 class World:
     gmap: GridMap
     goals: dict[int, GoalInstance]
-    fields: dict[int, dict[Cell, float]]  # geodesic meters to each goal, per cell
+    fields: dict[int, list[float]]  # geodesic meters to each goal, indexed like gmap.cells
     sentinel: float  # finite stand-in for an infinite (disconnected) distance
 
 
@@ -208,21 +208,23 @@ def build_world(spec: EpisodeSpec) -> World:
 
 
 def _separated_fields(gmap: GridMap, spec: EpisodeSpec,
-                      positions: dict[int, Cell]) -> Optional[dict[int, dict[Cell, float]]]:
+                      positions: dict[int, Cell]) -> Optional[dict[int, list[float]]]:
     """Distance field to each goal, or None as soon as two goals are
     closer than the minimum separation."""
     ids = list(positions)
     fields = {}
+    w = gmap.width
     for i, a in enumerate(ids):
         fa = fields[a] = distance_field(gmap, positions[a])
         for b in ids[i + 1:]:
-            if fa[positions[b]] < spec.min_separation:  # inf passes
+            r, c = positions[b]
+            if fa[r * w + c] < spec.min_separation:  # inf passes
                 return None
     return fields
 
 
 def _assemble(gmap: GridMap, spec: EpisodeSpec, positions: dict[int, Cell],
-              fields: dict[int, dict[Cell, float]]) -> World:
+              fields: dict[int, list[float]]) -> World:
     goals = {}
     for gs in spec.goals:
         goals[gs.goal_id] = GoalInstance(positions[gs.goal_id],
@@ -264,7 +266,9 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
     until it is empty, and every call returns its arm's finished trace.
     Such a run skips what no arm can read: on a quiet step (`quiet_bounds`)
     it only pushes the evidence window, and Σ only while some arm's commit
-    gate is open.
+    gate is open. A branch counts each distinct streak of its arms once
+    (`count_streaks`), and calls `decide` for its arms only on a step that
+    is not idle (`quiet_bounds`).
     """
     record_steps = forks is None
     if forks is None:
@@ -273,6 +277,7 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
     index = forks.claim(spec, variant, config)
     world = forks.world
     gmap = world.gmap
+    width = gmap.width
     persist = MetaAction.PERSIST  # a local: read per arm and step
 
     while forks.pending:
@@ -292,15 +297,20 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
         status = schedule.goals[gid]
         open_count = len(schedule.open_ids())
         isfinite, sentinel = math.isfinite, world.sentinel
+        allocation = ledger.allocation
         # a standalone run records Π, Γ and Σ on every step
-        until, warmup, reach = ((0, 0, math.inf) if record_steps else quiet_bounds(
-            [(arm.variant, arm.config.thresholds) for arm in arms], ledger.allocation))
+        until, warmup, reach, least_commit = (
+            QuietBounds(0, 0, math.inf, -math.inf) if record_steps else quiet_bounds(
+                [(arm.variant, arm.config.thresholds) for arm in arms], allocation))
+        # one count per distinct streak key of the arms riding this branch
+        streaks = branch.streaks = {key: branch.streaks.get(key, 0) for arm in arms
+                                    for key in arm.streak_keys if key is not None}
         step, observe, push = nav.step, nav.observe, window.push
 
         for t in range(ledger.elapsed + 1, spec.budget_max + 1):
             step()
-            pose = nav.pose
-            d_raw = dfield[pose]
+            r, c = pose = nav.pose
+            d_raw = dfield[r * width + c]
             d = d_raw if isfinite(d_raw) else sentinel
             evidence, source = world_emit(goal, pose, gmap, shared, rng, d_raw)
             observe(evidence, source, rng)
@@ -317,27 +327,23 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
             pi = potentiality(summary.velocity, evidence, summary.stability, weights)
             gamma = persistence_gate(
                 summary.info_gain,
-                SunkCost(spent, ledger.allocation),
+                SunkCost(spent, allocation),
                 summary.velocity,
                 weights,
             )
             sigma = sufficiency(evidence, summary.stability, d, weights) if gate else 0.0
+            if (not count_streaks(streaks, pi, gamma, spent) and spent < allocation
+                    and (not gate or sigma <= least_commit)):
+                continue  # idle: every arm persists
             states = MetaStateVector(pi, gamma, sigma)
 
             decisions = []
             acting = False
             for arm in arms:
-                th = arm.config.thresholds
-                variant = arm.variant
-                # `decide` reads only the streaks of the branches it enables
-                if variant.abort_enabled:
-                    arm.abort_streak = streak(arm.abort_streak, below_abort(states, th),
-                                              spent, th)
-                if variant.switch_enabled:
-                    arm.switch_streak = streak(arm.switch_streak, below_switch(states, th),
-                                               spent, th)
-                decision = decide(states, d, ledger, th, variant, open_count,
-                                  arm.abort_streak, arm.switch_streak)
+                abort_key, switch_key = arm.streak_keys
+                decision = decide(states, d, ledger, arm.config.thresholds, arm.variant,
+                                  open_count, streaks.get(abort_key, 0),
+                                  streaks.get(switch_key, 0))
                 decisions.append(decision)
                 if record_steps:
                     arm.steps.append(StepRecord(t, gid, pose, d, evidence, pi, gamma, sigma,
@@ -365,14 +371,13 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
                     nxt = apply(decision, mission.schedule, mission.ledger, pose,
                                 forks.goal_cells, arm.variant)
                     key = (decision.action, decision.reason, nxt)
-                    arm.abort_streak = arm.switch_streak = 0
                 parts.setdefault(key, (mission, []))[1].append(arm)
 
             # The other groups fork the live state before the first takes it
             # over. A group that persisted goes back on the work list as it
-            # is. A group that acted gets a fresh window; it is finished when
-            # `apply` activated no next goal, else it starts a fresh search
-            # and goes back on the list.
+            # is. A group that acted gets a fresh window and streaks; it is
+            # finished when `apply` activated no next goal, else it starts a
+            # fresh search and goes back on the list.
             (first_key, (mission, members)), *others = parts.items()
             groups = [(other_key, branch.fork(other_mission, other_arms))
                       for other_key, (other_mission, other_arms) in others]
@@ -381,6 +386,7 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
                 if key is not None:
                     _action, _reason, nxt = key
                     group.window.reset()
+                    group.streaks = {}
                     if nxt is None:
                         forks.finish(group)
                         continue
@@ -510,17 +516,18 @@ def _run_one(job):
 
 @dataclass(slots=True, eq=False)
 class _Arm:
-    """One arm of a spec, its variant and config, and what it owns in a
-    shared simulation: its patience streaks and its step records. Only the
-    streaks of the branches its variant enables are counted; the others
-    stay 0, which `decide` never reads. An intervention resets both."""
+    """One arm of a spec, its variant and config, the keys of the streaks
+    its `decide` reads (`streak_keys`; the branch it rides counts them),
+    and its step records."""
 
     index: int
     variant: MethodVariant
     config: RunConfig
-    abort_streak: int = 0
-    switch_streak: int = 0
+    streak_keys: tuple = field(init=False)
     steps: list[StepRecord] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.streak_keys = streak_keys(self.variant, self.config.thresholds)
 
 
 class _Mission(NamedTuple):
@@ -532,20 +539,26 @@ class _Mission(NamedTuple):
     commit_sequence: list[int]
 
     def copy(self) -> _Mission:
-        return _Mission(self.schedule.copy(), replace(self.ledger), list(self.commit_sequence))
+        ledger = self.ledger
+        return _Mission(self.schedule.copy(),
+                        BudgetLedger(ledger.budget_max, ledger.allocation, ledger.elapsed,
+                                     ledger.active_spent),
+                        list(self.commit_sequence))
 
 
 @dataclass(eq=False)
 class _Branch:
     """The state a group of arms shares: perception noise, navigator,
     signal window and mission, plus the arms riding it (lowest index
-    first). The mission's ledger holds the last step simulated."""
+    first) and the streaks they read, one per distinct `StreakKey`. The
+    mission's ledger holds the last step simulated."""
 
     rng: random.Random
     nav: Navigator
     window: RollingWindow
     mission: _Mission
     arms: list[_Arm]
+    streaks: dict = field(default_factory=dict)
 
     @classmethod
     def start(cls, spec: EpisodeSpec, world: World, config: RunConfig, first: int,
@@ -562,7 +575,8 @@ class _Branch:
         """An independent copy of this state, with `mission`, for `arms`."""
         rng = random.Random()
         rng.setstate(self.rng.getstate())
-        return _Branch(rng, self.nav.copy(), self.window.copy(), mission, arms)
+        return _Branch(rng, self.nav.copy(), self.window.copy(), mission, arms,
+                       dict(self.streaks))
 
 
 class _Forks:

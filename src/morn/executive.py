@@ -15,7 +15,7 @@ applies directly to the raw sufficiency blend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -148,7 +148,9 @@ class MissionSchedule:
     def copy(self) -> MissionSchedule:
         """An independent schedule with copies of the goal records."""
         new = MissionSchedule(self.order)
-        new.goals = {g: replace(st) for g, st in self.goals.items()}
+        new.goals = {g: GoalStatus(g, st.state, st.spent, st.switch_count, st.found,
+                                   st.commit_distance, st.aborted_by_meta, st.gate_switches)
+                     for g, st in self.goals.items()}
         new.active_id = self.active_id
         return new
 
@@ -195,29 +197,78 @@ def streak(count: int, below: bool, spent: int, thresholds: Thresholds) -> int:
     level, any other step resets the streak to 0. Every intervention
     resets it too. `decide` fires a branch once its streak, this step
     included, reaches the patience, and never reads the streak of a branch
-    the variant disables, so `run` counts only the enabled branches'. A
-    streak is 0 on every step before grace ends, so on a quiet step
-    (`quiet_bounds`) `run` leaves it as it is."""
+    the variant disables. A streak is 0 on every step before grace ends,
+    so on a quiet step (`quiet_bounds`) `run` leaves it as it is.
+
+    `run` counts with `count_streaks`, which applies this rule to every
+    streak of a branch in one call."""
     return count + 1 if below and spent >= thresholds.grace else 0
 
 
+class StreakKey(NamedTuple):
+    """What one patience streak depends on: the branch (`switch`: Γ
+    against the switch level, else Π against the abort level), the level,
+    the grace and the patience. Arms on one branch with equal keys hold
+    equal streaks."""
+
+    switch: bool
+    level: float
+    grace: int
+    patience: int
+
+
+def streak_keys(variant: MethodVariant,
+                thresholds: Thresholds) -> tuple[Optional[StreakKey], Optional[StreakKey]]:
+    """The keys of the abort and switch streaks `decide` reads for an arm,
+    None for a branch its variant disables (`decide` never reads that
+    streak, so nothing counts it)."""
+    th = thresholds
+    return (StreakKey(False, th.abort_level, th.grace, th.abort_patience)
+            if variant.abort_enabled else None,
+            StreakKey(True, th.switch_level, th.grace, th.switch_patience)
+            if variant.switch_enabled else None)
+
+
+def count_streaks(streaks: dict[StreakKey, int], potentiality: float, persistence: float,
+                  spent: int) -> bool:
+    """`streak` for every count of a branch in one call: `streaks` maps each
+    key of the branch's arms to its streak before this step and is updated
+    in place, with Π and Γ this step's states. Returns whether some streak,
+    this step included, reached its patience (for `quiet_bounds`' idle
+    rule)."""
+    reached = False
+    for key in streaks:
+        # key[0..3] is (switch, level, grace, patience); indexing the
+        # tuple is cheaper than unpacking it, and this runs every step
+        if (persistence if key[0] else potentiality) < key[1] and spent >= key[2]:
+            count = streaks[key] = streaks[key] + 1
+            if count >= key[3]:
+                reached = True
+        else:
+            streaks[key] = 0
+    return reached
+
+
 class QuietBounds(NamedTuple):
-    """The steps on which the arms riding one branch can read nothing; see
-    `quiet_bounds`."""
+    """The steps on which the arms riding one branch can read nothing, or
+    can only persist; see `quiet_bounds`."""
 
     until: int
     warmup: int
     reach: float
+    commit: float
 
 
 def quiet_bounds(arms: list[tuple[MethodVariant, Thresholds]], allocation: int) -> QuietBounds:
-    """The quiet-step rule for a branch's arms, (variant, thresholds) pairs,
-    under a subgoal allocation: three bounds, fixed for one goal context.
+    """The quiet-step and idle-step rules for a branch's arms, (variant,
+    thresholds) pairs, under a subgoal allocation: four bounds, fixed for
+    one goal context.
 
     - `until`: the least grace of the arms that enable abort or switch,
       never more than `allocation` (the cap fires in every variant).
     - `warmup`: the least commit warmup.
     - `reach`: the greatest commit distance.
+    - `commit`: the least commit threshold τ_C.
 
     With `spent` the active goal's steps, this one included, and `d` the
     distance `decide` reads, some arm's commit gate may be open only while
@@ -226,13 +277,22 @@ def quiet_bounds(arms: list[tuple[MethodVariant, Thresholds]], allocation: int) 
     every arm's `decide` returns PERSIST whatever Π, Γ and Σ are, and
     every streak it reads is 0 (`streak`), so the step needs no signal or
     meta-state.
+
+    A step that is not quiet is idle when `spent < allocation`, no streak
+    the branch counts has reached its patience (`count_streaks`), and the
+    gate is closed or Σ <= `commit`. Then no arm is at the cap, no abort
+    or switch branch can fire and no arm's commit test passes, so every
+    arm's `decide` returns PERSIST; the streaks still count on it. A
+    standalone run, which records every step, uses bounds under which no
+    step is quiet or idle: `(0, 0, inf, -inf)`.
     """
     if not arms:
         raise InvalidCallError("quiet_bounds needs at least one arm")
     graces = [th.grace for v, th in arms if v.abort_enabled or v.switch_enabled]
     return QuietBounds(min([allocation, *graces]),
                        min(th.commit_warmup for _, th in arms),
-                       max(th.commit_distance for _, th in arms))
+                       max(th.commit_distance for _, th in arms),
+                       min(th.commit for _, th in arms))
 
 
 def decide(

@@ -19,7 +19,6 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional
 
 FREE = 0
@@ -35,9 +34,9 @@ class OccupiedCellError(ValueError):
 @dataclass
 class GridMap:
     """An occupancy grid. Beside the cells it derives, once, the free flag
-    and the `(row, col)` key of every cell; neither takes part in
-    comparison or repr. Nothing writes to a map after it is built, so
-    every arm of an episode can share one."""
+    of every cell, which takes part in neither comparison nor repr.
+    Nothing writes to a map after it is built, so every arm of an episode
+    can share one."""
 
     # WALL/FREE in row-major order (cell (r, c) at index r * width + c);
     # the border must be wall
@@ -48,8 +47,6 @@ class GridMap:
     spawn: Cell
     # free flags, indexed like cells
     free: list[bool] = field(init=False, repr=False, compare=False)
-    # (row, col) of every cell, indexed like cells
-    coords: list[Cell] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         h, w, cells = self.height, self.width, self.cells
@@ -61,7 +58,6 @@ class GridMap:
                 raise ValueError(f"map border cell {divmod(i, w)} is free; "
                                  "the border must be wall")
         self.free = [x == FREE for x in cells]
-        self.coords = list(product(range(h), range(w)))
 
     def is_free(self, cell: Cell) -> bool:
         r, c = cell
@@ -191,10 +187,10 @@ def _path(gmap: GridMap, start: Cell, done: bytes | bytearray) -> Optional[list[
     return path
 
 
-def distance_field(gmap: GridMap, target: Cell) -> dict[Cell, float]:
-    """Geodesic distance in meters from every cell, keyed by (row, col), to
-    `target` over the 4-connected free grid; inf where disconnected or
-    walled."""
+def distance_field(gmap: GridMap, target: Cell) -> list[float]:
+    """Geodesic distance in meters from every cell to `target` over the
+    4-connected free grid, indexed like `gmap.cells` (cell (r, c) at
+    r * width + c); inf where disconnected or walled."""
     if not gmap.is_free(target):
         raise OccupiedCellError(f"target cell {target} is not free")
     n = len(gmap.cells)
@@ -205,7 +201,7 @@ def distance_field(gmap: GridMap, target: Cell) -> dict[Cell, float]:
         m = hops * size
         for i in level:
             meters[i] = m
-    return dict(zip(gmap.coords, meters))
+    return meters
 
 
 def geodesic_distance(gmap: GridMap, start: Cell, goal: Cell) -> float:

@@ -234,7 +234,7 @@ class TestCriterion2:
                     if gmap.cells[r * w + c] != 0:
                         continue
                     expected = hops.get((r, c))
-                    got = field[r, c]
+                    got = field[r * w + c]
                     if expected is None:
                         geo_ok &= math.isinf(got)
                     else:

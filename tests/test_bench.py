@@ -137,8 +137,10 @@ class TestBuildWorld:
         spec = fixture_spec("sealed", [GoalSpec(1, "mug", feasibility=SEALED),
                                        GoalSpec(2, "tv")])
         world = build_world(spec)
-        assert math.isinf(world.fields[1][world.gmap.spawn])
-        assert math.isfinite(world.fields[2][world.gmap.spawn])
+        r, c = world.gmap.spawn
+        w = world.gmap.width
+        assert math.isinf(world.fields[1][r * w + c])
+        assert math.isfinite(world.fields[2][r * w + c])
         assert math.isfinite(world.sentinel) and world.sentinel > 0
 
     def test_separation_invariant_on_generated_worlds(self):
@@ -147,7 +149,8 @@ class TestBuildWorld:
             ids = list(world.goals)
             for i, a in enumerate(ids):
                 for b in ids[i + 1:]:
-                    d = world.fields[a][world.goals[b].position]
+                    r, c = world.goals[b].position
+                    d = world.fields[a][r * world.gmap.width + c]
                     assert d >= spec.min_separation or math.isinf(d)
 
     def test_deterministic(self):
@@ -505,6 +508,16 @@ def arm_lists(cfg):
                   for v, g, w, c in ((MethodVariant.FIXED_ORDER, 0, 5, 4.0),
                                      (MethodVariant.MORN_ABORT_ONLY, 30, 0, 2.0),
                                      (MethodVariant.MORN_FULL, 20, 5, 3.0))],
+        # a threshold grid on one branch: arms share streaks by key and call
+        # `decide` only on steps that are not idle; the last pair differs
+        # only in the abort patience, so their streaks share a count but
+        # fire apart
+        "grid": [(v, replace(cfg, thresholds=replace(cfg.thresholds, abort=a, commit=c)))
+                 for v in (MethodVariant.MORN_FULL, MethodVariant.MORN_ABORT_ONLY)
+                 for a in (0.2, 0.3) for c in (0.55, 0.6, 0.65)]
+                + [(MethodVariant.MORN_FULL,
+                    replace(cfg, thresholds=replace(cfg.thresholds, abort_patience=p)))
+                   for p in (40, 60)],
     }
 
 
@@ -524,7 +537,8 @@ class TestForkedArms:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("cfg_index", [0, 1])
-    @pytest.mark.parametrize("arms_name", ["variants", "tau_c", "weights", "streaks", "gates"])
+    @pytest.mark.parametrize("arms_name",
+                             ["variants", "tau_c", "weights", "streaks", "gates", "grid"])
     def test_forked_arms_match_independent_runs(self, arms_name, cfg_index, workers):
         cfg = golden_configs()[cfg_index]
         arms = arm_lists(cfg)[arms_name]
@@ -544,7 +558,9 @@ class TestForkedArms:
             assert [len(branch.arms) for branch in forks.pending] == [3]
 
     def test_quiet_steps_compute_no_signal(self, monkeypatch):
-        counts = dict.fromkeys(("step", "update", "sufficiency"), 0)
+        # nor do idle steps call `decide`, except in a standalone run,
+        # which records every step
+        counts = dict.fromkeys(("step", "update", "sufficiency", "decide"), 0)
 
         def counting(name, real):
             def wrapper(*args):
@@ -553,13 +569,14 @@ class TestForkedArms:
             return wrapper
 
         monkeypatch.setattr(Navigator, "step", counting("step", Navigator.step))
-        for name in ("update", "sufficiency"):
+        for name in ("update", "sufficiency", "decide"):
             monkeypatch.setattr(bench_mod, name, counting(name, getattr(bench_mod, name)))
         alone = run(small_suite(1, 0)[0], MethodVariant.MORN_FULL, CFG)
         assert counts == dict.fromkeys(counts, alone.total_steps)
         counts.update(dict.fromkeys(counts, 0))
         run_suite(small_suite(6, 4), list(MethodVariant), CFG)
         assert counts["step"] > counts["update"] > counts["sufficiency"] > 0
+        assert counts["update"] > counts["decide"] > 0
 
     def test_configs_differing_beyond_thresholds_never_share(self):
         arms = arm_lists(CFG)["weights"]

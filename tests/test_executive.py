@@ -23,11 +23,13 @@ from morn.executive import (
     apply,
     below_abort,
     below_switch,
+    count_streaks,
     decide,
     next_goal,
     quiet_bounds,
     select_next,
     streak,
+    streak_keys,
 )
 from morn.states import MetaStateVector, sigmoid
 
@@ -307,6 +309,56 @@ class TestStreakRule:
         assert streak(7, False, TH.grace, TH) == 0
         assert streak(7, True, TH.grace - 1, TH) == 0
 
+    def test_shared_counts_equal_each_arm_s_own(self):
+        # a branch counts one streak per distinct key (`count_streaks`); each
+        # arm's own `streak` sequence, over goal contexts that end at random
+        # interventions, must equal the shared count its key holds, and the
+        # call reports a streak at its patience exactly when some arm's is
+        rng = random.Random(5)
+        problems = []
+        for case in range(300):
+            arms = [(rng.choice(list(MethodVariant)),
+                     Thresholds(abort=rng.choice((-0.5, 0.3, 1.0)),
+                                switch=rng.choice((0.0, 0.2)), grace=rng.choice((0, 3, 20)),
+                                abort_patience=rng.choice((2, 5, 60)),
+                                switch_patience=rng.choice((1, 3, 10))))
+                    for _ in range(rng.randint(1, 5))]
+            keys = [streak_keys(variant, th) for variant, th in arms]
+            own = [[0, 0] for _ in arms]
+            shared = {key: 0 for pair in keys for key in pair if key is not None}
+            spent = 0
+            for _ in range(200):
+                if rng.random() < 0.02:  # an intervention resets every streak
+                    own = [[0, 0] for _ in arms]
+                    shared = dict.fromkeys(shared, 0)
+                    spent = 0
+                spent += 1
+                sv = states(rng.random(), rng.random())
+                reached = count_streaks(shared, sv.potentiality, sv.persistence, spent)
+                at_patience = False
+                for (variant, th), (abort_key, switch_key), counts in zip(arms, keys, own):
+                    if variant.abort_enabled:
+                        counts[0] = streak(counts[0], below_abort(sv, th), spent, th)
+                        at_patience |= counts[0] >= th.abort_patience
+                    if variant.switch_enabled:
+                        counts[1] = streak(counts[1], below_switch(sv, th), spent, th)
+                        at_patience |= counts[1] >= th.switch_patience
+                    if [shared.get(abort_key, 0), shared.get(switch_key, 0)] != counts:
+                        problems.append((case, spent, variant.name))
+                if reached != at_patience:
+                    problems.append((case, spent, "reached"))
+        assert not problems, problems[:5]
+
+    def test_keys_of_disabled_branches_are_none(self):
+        for variant in MethodVariant:
+            abort_key, switch_key = streak_keys(variant, TH)
+            assert (abort_key is not None) == variant.abort_enabled
+            assert (switch_key is not None) == variant.switch_enabled
+        abort_key, switch_key = streak_keys(MethodVariant.MORN_FULL, TH)
+        assert abort_key != switch_key
+        assert streak_keys(MethodVariant.MORN_FULL, replace(TH, commit=0.9)) == \
+            (abort_key, switch_key)
+
 
 def quiet_cases(count, seed):
     """ACCEPTANCE 3-style random steps of one branch: one to three arms of
@@ -386,11 +438,44 @@ class TestQuietSteps:
         assert not problems, problems[:5]
         assert min(seen.values()) > 1000, seen
 
+    def test_idle_steps_persist(self):
+        # the idle rule: past the quiet steps, below the cap, no counted
+        # streak at its patience, and the gate closed or Σ at most the least
+        # τ_C; then every arm's `decide`, fed its key's count, persists
+        problems = []
+        idle_cases = 0
+        for i, (arms, led, distance, remaining, vectors, rng) in enumerate(
+                quiet_cases(10_000, 20240901)):
+            bounds = quiet_bounds(arms, led.allocation)
+            spent = led.active_spent
+            gate = spent >= bounds.warmup and distance < bounds.reach
+            if spent < bounds.until and not gate:
+                continue  # quiet
+            keys = [streak_keys(variant, th) for variant, th in arms]
+            idle_seen = False
+            for sv in vectors:
+                streaks = {key: rng.choice((0, key.patience - 1, key.patience, 100))
+                           for pair in keys for key in pair if key is not None}
+                reached = count_streaks(streaks, sv.potentiality, sv.persistence, spent)
+                if (reached or spent >= led.allocation
+                        or gate and sv.sufficiency > bounds.commit):
+                    continue
+                idle_seen = True
+                for (variant, th), (abort_key, switch_key) in zip(arms, keys):
+                    d = decide(sv, distance, led, th, variant, remaining,
+                               streaks.get(abort_key, 0), streaks.get(switch_key, 0))
+                    if d.action is not MetaAction.PERSIST:
+                        problems.append(f"#{i} {variant.name}: {d.reason.name} "
+                                        "on an idle step")
+            idle_cases += idle_seen
+        assert not problems, problems[:5]
+        assert idle_cases > 1000, idle_cases
+
     def test_bounds(self):
         full = Thresholds(grace=20, commit_warmup=5, commit_distance=3.0)
-        fixed = Thresholds(grace=0, commit_warmup=0, commit_distance=4.0)
+        fixed = Thresholds(grace=0, commit_warmup=0, commit_distance=4.0, commit=0.55)
         arms = [(MethodVariant.FIXED_ORDER, fixed), (MethodVariant.MORN_FULL, full)]
-        assert quiet_bounds(arms, 250) == (20, 0, 4.0)
+        assert quiet_bounds(arms, 250) == (20, 0, 4.0, 0.55)
         assert quiet_bounds(arms, 10).until == 10
         assert quiet_bounds(arms[:1], 250).until == 250
         with pytest.raises(InvalidCallError):

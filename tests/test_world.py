@@ -88,6 +88,17 @@ def oracle_frontier_path(gmap, start, visited):
     return None
 
 
+def at(gmap, field, cell):
+    """A distance field's value at `cell` (fields are indexed like the cells)."""
+    r, c = cell
+    return field[r * gmap.width + c]
+
+
+def free_cells(gmap):
+    """Every free cell of the map, in row-major order."""
+    return [divmod(i, gmap.width) for i, ok in enumerate(gmap.free) if ok]
+
+
 def random_map(rng, h=14, w=14, wall_p=0.3):
     cells = [WALL] * (h * w)
     for r in range(1, h - 1):
@@ -178,10 +189,10 @@ class TestGeodesic:
             field = distance_field(gmap, goal)
             for _ in range(10):
                 start = free[rng.randrange(len(free))]
-                assert field[start] == oracle_bfs_meters(gmap, start, goal)
+                assert at(gmap, field, start) == oracle_bfs_meters(gmap, start, goal)
 
     def test_field_holds_a_python_float_for_every_cell(self):
-        # keyed by every (row, col) in row-major order; hop count x cell
+        # one value per cell, indexed like the cells; hop count x cell
         # size where a path leads to the target, inf on a wall and on a
         # free cell with no path
         rng = random.Random(8)
@@ -191,9 +202,9 @@ class TestGeodesic:
         disconnected = 0
         for gmap in maps:
             field = distance_field(gmap, gmap.spawn)
-            assert list(field) == [(r, c) for r in range(gmap.height)
-                                   for c in range(gmap.width)]
-            for (r, c), d in field.items():
+            assert len(field) == gmap.height * gmap.width
+            for i, d in enumerate(field):
+                r, c = divmod(i, gmap.width)
                 assert type(d) is float
                 if gmap.cells[r * gmap.width + c] == WALL:
                     assert d == math.inf
@@ -346,14 +357,14 @@ class TestEmitEvidence:
         seen = set()
         for name in ("trivial", "open", "two_room", "sealed", "maze"):
             gmap, goals = parse_grid(load_fixture(name))
-            free = [cell for cell, ok in zip(gmap.coords, gmap.free) if ok]
+            free = free_cells(gmap)
             for cell in goals.values():
                 field = distance_field(gmap, cell)
                 present = GoalInstance(cell, detectability=1.0)
                 absent = GoalInstance(cell, detectability=1.0, present=False)
                 for _ in range(200):
                     pose = free[rng.randrange(len(free))]
-                    d = field[pose]
+                    d = at(gmap, field, pose)
                     in_view = d <= params.signal_range and line_of_sight(gmap, pose, cell)
                     _, source = emit_evidence(present, pose, gmap, params, rng, d)
                     assert source == (cell if in_view else None)
@@ -407,7 +418,7 @@ class TestNavigator:
         approached = False
         for _ in range(400):
             nav.step()
-            d = field[nav.pose]
+            d = at(gmap, field, nav.pose)
             score, source = emit_evidence(goal, nav.pose, gmap, params, rng,
                                           distance=float(d))
             nav.observe(score, source, rng)
@@ -417,7 +428,7 @@ class TestNavigator:
             if nav.pose == goal.position or d <= gmap.cell_size:
                 break
         assert approached
-        assert field[nav.pose] <= gmap.cell_size
+        assert at(gmap, field, nav.pose) <= gmap.cell_size
 
     def test_stays_only_at_target_or_with_coverage_exhausted(self):
         # the invariant that lets a stay leave coverage unmarked: the
@@ -437,11 +448,11 @@ class TestNavigator:
                     if nav.pose == nav.believed_target:
                         seen.add((name, "target"))
                     else:
-                        reachable = [math.isfinite(d) for d in distance_field(gmap, nav.pose).values()]
+                        reachable = [math.isfinite(d) for d in distance_field(gmap, nav.pose)]
                         assert all(nav.visited[i] for i, ok in enumerate(reachable) if ok)
                         seen.add((name, "exhausted"))
                 score, source = emit_evidence(goal, nav.pose, gmap, params, rng,
-                                              float(field[nav.pose]))
+                                              float(at(gmap, field, nav.pose)))
                 nav.observe(score, source, rng)
         assert {("two_room", "target"), ("trivial", "exhausted")} <= seen
 
@@ -459,7 +470,7 @@ class TestNavigator:
             for _ in range(n):
                 nav.step()
                 score, source = emit_evidence(goal, nav.pose, gmap, params, rng,
-                                              float(field[nav.pose]))
+                                              float(at(gmap, field, nav.pose)))
                 nav.observe(score, source, rng)
                 out.append(nav.pose)
             return out
@@ -636,7 +647,7 @@ class TestNavigator:
         params = PerceptionParams()
         rng = random.Random(5)
         above = params.base_noise_mean + params.signal_amplitude
-        for cell in (cell for cell, free in zip(gmap.coords, gmap.free) if free):
+        for cell in free_cells(gmap):
             nav = Navigator(gmap, params)
             nav.pose = cell
             nav.observe(above, None, rng)
@@ -652,7 +663,7 @@ class TestNavigator:
         gmap, _, _ = generate_map(random.Random(8), WorldParams(rooms_x=2, rooms_y=2))
         params = PerceptionParams()
         above = params.base_noise_mean + params.signal_amplitude
-        free = [cell for cell, ok in zip(gmap.coords, gmap.free) if ok]
+        free = free_cells(gmap)
         far = max(free, key=lambda cell: max(abs(cell[0] - gmap.spawn[0]),
                                              abs(cell[1] - gmap.spawn[1])))
         assert max(abs(far[0] - gmap.spawn[0]), abs(far[1] - gmap.spawn[1])) > 6
@@ -677,7 +688,7 @@ class TestGenerateMap:
         field = distance_field(gmap, gmap.spawn)
         for room in rooms:
             for cell in room:
-                assert math.isfinite(field[cell])
+                assert math.isfinite(at(gmap, field, cell))
 
     def test_sealed_room_is_unreachable(self):
         rng = random.Random(13)
@@ -686,10 +697,10 @@ class TestGenerateMap:
         assert sealed is not None
         field = distance_field(gmap, gmap.spawn)
         for cell in rooms[sealed]:
-            assert math.isinf(field[cell])
+            assert math.isinf(at(gmap, field, cell))
         open_cells = [c for i, room in enumerate(rooms) if i != sealed for c in room]
         for cell in open_cells:
-            assert math.isfinite(field[cell])
+            assert math.isfinite(at(gmap, field, cell))
 
     @pytest.mark.parametrize("sealed_room", [False, True])
     def test_every_open_room_cell_is_reachable_from_spawn(self, sealed_room):
@@ -706,7 +717,7 @@ class TestGenerateMap:
             field = distance_field(gmap, gmap.spawn)
             for i, room in enumerate(rooms):
                 if i != sealed:
-                    assert all(math.isfinite(field[cell]) for cell in room)
+                    assert all(math.isfinite(at(gmap, field, cell)) for cell in room)
 
     def test_border_is_walled(self):
         gmap, _, _ = generate_map(random.Random(4), WorldParams())
