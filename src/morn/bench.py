@@ -265,10 +265,12 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
     share one simulation: the first call runs the work list `forks.pending`
     until it is empty, and every call returns its arm's finished trace.
     Such a run skips what no arm can read: on a quiet step (`quiet_bounds`)
-    it only pushes the evidence window, and Σ only while some arm's commit
-    gate is open. A branch counts each distinct streak of its arms once
-    (`count_streaks`), and calls `decide` for its arms only on a step that
-    is not idle (`quiet_bounds`).
+    it only pushes the evidence window, and it computes Σ only while some
+    arm's commit gate could be open. A branch counts each distinct streak
+    of its arms once (`count_streaks`). On a step that is not idle
+    (`quiet_bounds`) one pass over its arms calls each arm's `decide`, and
+    an arm that acts applies its decision to its own copy of the mission;
+    when every arm persisted, the step goes on.
     """
     record_steps = forks is None
     if forks is None:
@@ -278,7 +280,6 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
     world = forks.world
     gmap = world.gmap
     width = gmap.width
-    persist = MetaAction.PERSIST  # a local: read per arm and step
 
     while forks.pending:
         branch = forks.pending.pop()
@@ -288,7 +289,6 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
         shared = arms[0].config  # every arm's config apart from the thresholds
         weights = shared.weights
         sigpar = shared.signal
-        success_radius = shared.bench.success_radius
         # Every intervention ends the pop, so one pop runs one goal context:
         # the active goal and the open goals change only in `apply`.
         gid = schedule.active_id
@@ -299,8 +299,8 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
         isfinite, sentinel = math.isfinite, world.sentinel
         allocation = ledger.allocation
         # a standalone run records Π, Γ and Σ on every step
-        until, warmup, reach, least_commit = (
-            QuietBounds(0, 0, math.inf, -math.inf) if record_steps else quiet_bounds(
+        until, reach, least_commit = (
+            QuietBounds(0, math.inf, -math.inf) if record_steps else quiet_bounds(
                 [(arm.variant, arm.config.thresholds) for arm in arms], allocation))
         # one count per distinct streak key of the arms riding this branch
         streaks = branch.streaks = {key: branch.streaks.get(key, 0) for arm in arms
@@ -319,7 +319,7 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
             ledger.active_spent = spent = ledger.active_spent + 1
             status.spent += 1
 
-            gate = spent >= warmup and d < reach
+            gate = d < reach
             if spent < until and not gate:
                 push(evidence, d)
                 continue
@@ -337,41 +337,33 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
                 continue  # idle: every arm persists
             states = MetaStateVector(pi, gamma, sigma)
 
-            decisions = []
-            acting = False
+            # Each acting arm applies its decision to its own copy of the
+            # mission and the persisting arms keep the branch's; arms stay
+            # together while the resulting missions agree.
+            parts: dict = {}
             for arm in arms:
                 abort_key, switch_key = arm.streak_keys
                 decision = decide(states, d, ledger, arm.config.thresholds, arm.variant,
                                   open_count, streaks.get(abort_key, 0),
                                   streaks.get(switch_key, 0))
-                decisions.append(decision)
                 if record_steps:
                     arm.steps.append(StepRecord(t, gid, pose, d, evidence, pi, gamma, sigma,
                                                 decision.action.value, decision.reason.value))
-                if decision.action is not persist:
-                    acting = True
-            if not acting:
-                continue
-
-            # Each acting arm applies its decision to its own copy of the
-            # mission and the persisting arms keep the branch's; arms stay
-            # together while the resulting missions agree.
-            found = goal.present and d_raw <= success_radius
-            parts: dict = {}
-            for arm, decision in zip(arms, decisions):
                 key, mission = None, branch.mission
-                if decision.action is not persist:
+                if decision.action is not MetaAction.PERSIST:
                     mission = mission.copy()
                     if decision.action is MetaAction.COMMIT:
                         committed = mission.schedule.active  # still goal `gid`
                         committed.commit_distance = d
-                        committed.found = found
-                        if found:
+                        committed.found = goal.present and d_raw <= shared.bench.success_radius
+                        if committed.found:
                             mission.commit_sequence.append(gid)
                     nxt = apply(decision, mission.schedule, mission.ledger, pose,
                                 forks.goal_cells, arm.variant)
                     key = (decision.action, decision.reason, nxt)
                 parts.setdefault(key, (mission, []))[1].append(arm)
+            if list(parts) == [None]:
+                continue  # every arm persisted
 
             # The other groups fork the live state before the first takes it
             # over. A group that persisted goes back on the work list as it
@@ -384,10 +376,9 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
             branch.mission, branch.arms = mission, members
             for key, group in [*groups, (first_key, branch)]:
                 if key is not None:
-                    _action, _reason, nxt = key
                     group.window.reset()
                     group.streaks = {}
-                    if nxt is None:
+                    if key[2] is None:  # `apply` activated no next goal
                         forks.finish(group)
                         continue
                     group.nav.begin_goal_context()
@@ -484,7 +475,13 @@ def run_suite(specs: list[EpisodeSpec], variants: list[MethodVariant],
               config: RunConfig, workers: int = 1) -> dict[MethodVariant, list[EpisodeTrace]]:
     """Run every variant over every spec. Worlds are built once per spec
     and shared across variants; results are keyed and ordered so the
-    output is independent of scheduling. Traces carry no step records."""
+    output is independent of scheduling. Traces carry no step records.
+    `variants` must be a non-empty list that names each variant once."""
+    if not variants:
+        raise InvalidCallError("run_suite needs at least one variant")
+    for n, v in enumerate(variants):
+        if v in variants[:n]:
+            raise InvalidCallError(f"run_suite: variant {v.value} is listed twice")
     arms = [(v, config) for v in variants]
     return dict(zip(variants, _run_arms(specs, arms, workers)))
 

@@ -198,10 +198,12 @@ def streak(count: int, below: bool, spent: int, thresholds: Thresholds) -> int:
     resets it too. `decide` fires a branch once its streak, this step
     included, reaches the patience, and never reads the streak of a branch
     the variant disables. A streak is 0 on every step before grace ends,
-    so on a quiet step (`quiet_bounds`) `run` leaves it as it is.
+    and a quiet step (`quiet_bounds`) comes before the grace of every arm
+    that reads a streak ends, so `run` leaves the streaks as they are on
+    it.
 
     `run` counts with `count_streaks`, which applies this rule to every
-    streak of a branch in one call."""
+    streak of a branch in one call, on every step that is not quiet."""
     return count + 1 if below and spent >= thresholds.grace else 0
 
 
@@ -254,29 +256,27 @@ class QuietBounds(NamedTuple):
     can only persist; see `quiet_bounds`."""
 
     until: int
-    warmup: int
     reach: float
     commit: float
 
 
 def quiet_bounds(arms: list[tuple[MethodVariant, Thresholds]], allocation: int) -> QuietBounds:
     """The quiet-step and idle-step rules for a branch's arms, (variant,
-    thresholds) pairs, under a subgoal allocation: four bounds, fixed for
+    thresholds) pairs, under a subgoal allocation: three bounds, fixed for
     one goal context.
 
     - `until`: the least grace of the arms that enable abort or switch,
       never more than `allocation` (the cap fires in every variant).
-    - `warmup`: the least commit warmup.
     - `reach`: the greatest commit distance.
     - `commit`: the least commit threshold τ_C.
 
     With `spent` the active goal's steps, this one included, and `d` the
     distance `decide` reads, some arm's commit gate may be open only while
-    `spent >= warmup and d < reach`; outside it no arm's `decide` reads
-    Σ. A step is quiet when `spent < until` and that gate is closed: then
-    every arm's `decide` returns PERSIST whatever Π, Γ and Σ are, and
-    every streak it reads is 0 (`streak`), so the step needs no signal or
-    meta-state.
+    `d < reach`; outside it no arm's `decide` reads Σ. Inside it an arm
+    still waits out its own commit warmup in `decide`. A step is quiet
+    when `spent < until` and that gate is closed: then every arm's
+    `decide` returns PERSIST whatever Π, Γ and Σ are, and every streak it
+    reads is 0 (`streak`), so the step needs no signal or meta-state.
 
     A step that is not quiet is idle when `spent < allocation`, no streak
     the branch counts has reached its patience (`count_streaks`), and the
@@ -284,13 +284,12 @@ def quiet_bounds(arms: list[tuple[MethodVariant, Thresholds]], allocation: int) 
     or switch branch can fire and no arm's commit test passes, so every
     arm's `decide` returns PERSIST; the streaks still count on it. A
     standalone run, which records every step, uses bounds under which no
-    step is quiet or idle: `(0, 0, inf, -inf)`.
+    step is quiet or idle: `(0, inf, -inf)`.
     """
     if not arms:
         raise InvalidCallError("quiet_bounds needs at least one arm")
     graces = [th.grace for v, th in arms if v.abort_enabled or v.switch_enabled]
     return QuietBounds(min([allocation, *graces]),
-                       min(th.commit_warmup for _, th in arms),
                        max(th.commit_distance for _, th in arms),
                        min(th.commit for _, th in arms))
 

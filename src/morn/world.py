@@ -66,10 +66,16 @@ class GridMap:
 
 def parse_grid(text: str, cell_size: float = 0.5) -> tuple[GridMap, dict[int, Cell]]:
     """Parse the plain-text fixture format. Returns the map and the goal
-    positions keyed by their digit."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    positions keyed by their digit. Blank lines may lead or trail the map
+    rows, but not stand between them."""
+    lines = text.splitlines()
+    rows = [n for n, ln in enumerate(lines) if ln.strip()]
+    if not rows:
         raise ValueError("map has no rows")
+    lines = lines[rows[0]:rows[-1] + 1]
+    for n, ln in enumerate(lines, rows[0] + 1):
+        if not ln.strip():
+            raise ValueError(f"line {n} is blank between map rows")
     h = len(lines)
     w = max(len(ln) for ln in lines)
     cells = [WALL] * (h * w)

@@ -30,9 +30,17 @@ from morn.bench import (
     sweep,
 )
 from morn.config import ConfigError, RunConfig, load_config
-from morn.executive import GoalState, GoalStatus, InvalidCallError, MethodVariant
+from morn.executive import (
+    BudgetLedger,
+    GoalState,
+    GoalStatus,
+    InvalidCallError,
+    MethodVariant,
+    MissionSchedule,
+)
 from morn.world import Navigator, distance_field, parse_grid
 from test_golden import golden_configs, golden_specs
+from test_executive import set_every_field
 
 CFG = load_config()
 
@@ -427,6 +435,16 @@ class TestSuiteAndSweep:
         with pytest.raises(ConfigError, match=f"{parameter}={bad}"):
             sweep(small_suite(1, 0), MethodVariant.MORN_FULL, parameter, [10, bad], CFG)
 
+    def test_empty_variant_list_rejected(self, no_world):
+        with pytest.raises(InvalidCallError, match="run_suite needs at least one variant"):
+            run_suite(small_suite(1, 0), [], CFG)
+
+    def test_repeated_variant_rejected(self, no_world):
+        # the result is keyed by variant, so a repeat would lose an arm
+        with pytest.raises(InvalidCallError, match="variant MORN_FULL is listed twice"):
+            run_suite(small_suite(1, 0), [MethodVariant.MORN_FULL, MethodVariant.FIXED_ORDER,
+                                          MethodVariant.MORN_FULL], CFG)
+
     @pytest.mark.parametrize("parameter", ["tau_c", "thresholds.bogus", "weights.pot_v"])
     def test_empty_sweep_rejected(self, no_world, parameter):
         with pytest.raises(ConfigError, match="sweep needs a non-empty value list"):
@@ -502,7 +520,8 @@ def arm_lists(cfg):
                               MethodVariant.MORN_SWITCH_ONLY)],
         # one branch whose arms' quiet steps and commit gates differ: the
         # least grace of an abort or switch arm (20), not the baseline's 0,
-        # the least warmup and the greatest commit distance bound the branch
+        # and the greatest commit distance bound the branch; each arm's
+        # warmup is left to its `decide`
         "gates": [(v, replace(cfg, thresholds=replace(cfg.thresholds, grace=g,
                                                       commit_warmup=w, commit_distance=c)))
                   for v, g, w, c in ((MethodVariant.FIXED_ORDER, 0, 5, 4.0),
@@ -528,6 +547,20 @@ def outcome(trace):
 def suite_outcomes(results):
     return {variant.value: [(trace.spec, outcome(trace)) for trace in traces]
             for variant, traces in results.items()}
+
+
+class TestMissionCopy:
+    def test_copy_keeps_every_ledger_field_and_shares_no_record(self):
+        # `_Mission.copy` lists BudgetLedger's fields by hand: one added
+        # later must reach a forked arm (GoalStatus's: test_executive.py)
+        ledger = BudgetLedger(budget_max=500, allocation=250)
+        set_every_field(ledger)
+        mission = bench_mod._Mission(MissionSchedule([1, 2]), ledger, [2])
+        clone = mission.copy()
+        assert clone.ledger == ledger
+        assert clone.commit_sequence == [2]
+        for name in mission._fields:
+            assert getattr(clone, name) is not getattr(mission, name), name
 
 
 class TestForkedArms:

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import FrozenInstanceError, fields, replace
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,26 @@ def states(pi=0.9, gamma=0.9, sigma=0.0):
 def ledger(budget=500, allocation=250, elapsed=0, spent=25):
     return BudgetLedger(budget_max=budget, allocation=allocation,
                         elapsed=elapsed, active_spent=spent)
+
+
+def set_every_field(record, skip=()):
+    """Give each dataclass field of `record` but `skip` a value unlike the
+    one it holds, so a copy that leaves a field out cannot equal it."""
+    for f in fields(record):
+        if f.name in skip:
+            continue
+        value = getattr(record, f.name)
+        if isinstance(value, bool):
+            value = not value
+        elif isinstance(value, int):
+            value += 17
+        elif isinstance(value, float) or value is None:
+            value = 2.75 if value != 2.75 else 1.25
+        elif isinstance(value, Enum):
+            value = [m for m in type(value) if m is not value][-1]
+        else:
+            raise AssertionError(f"no test value for {type(record).__name__}.{f.name}")
+        setattr(record, f.name, value)
 
 
 class TestAllocate:
@@ -408,7 +429,7 @@ class TestQuietSteps:
                 quiet_cases(10_000, 20240901)):
             bounds = quiet_bounds(arms, led.allocation)
             spent = led.active_spent
-            gate = spent >= bounds.warmup and distance < bounds.reach
+            gate = distance < bounds.reach
             quiet = spent < bounds.until and not gate
             seen["quiet"] += quiet
             seen["gate closed"] += not gate
@@ -448,7 +469,7 @@ class TestQuietSteps:
                 quiet_cases(10_000, 20240901)):
             bounds = quiet_bounds(arms, led.allocation)
             spent = led.active_spent
-            gate = spent >= bounds.warmup and distance < bounds.reach
+            gate = distance < bounds.reach
             if spent < bounds.until and not gate:
                 continue  # quiet
             keys = [streak_keys(variant, th) for variant, th in arms]
@@ -475,7 +496,7 @@ class TestQuietSteps:
         full = Thresholds(grace=20, commit_warmup=5, commit_distance=3.0)
         fixed = Thresholds(grace=0, commit_warmup=0, commit_distance=4.0, commit=0.55)
         arms = [(MethodVariant.FIXED_ORDER, fixed), (MethodVariant.MORN_FULL, full)]
-        assert quiet_bounds(arms, 250) == (20, 0, 4.0, 0.55)
+        assert quiet_bounds(arms, 250) == (20, 4.0, 0.55)
         assert quiet_bounds(arms, 10).until == 10
         assert quiet_bounds(arms[:1], 250).until == 250
         with pytest.raises(InvalidCallError):
@@ -723,6 +744,19 @@ class TestScheduleInvariants:
                     break
             for s in schedule.goals.values():
                 assert s.state is not GoalState.ACTIVE or schedule.open_ids()
+
+    def test_copy_keeps_every_goal_field(self):
+        # `copy` lists GoalStatus's fields by hand: one added later must
+        # reach the copy, or a forked arm would lose it
+        schedule = MissionSchedule([1, 2, 3])
+        schedule.activate(2)
+        for st in schedule.goals.values():
+            set_every_field(st, skip=("goal_id",))  # the record's key
+        clone = schedule.copy()
+        assert clone.goals == schedule.goals
+        assert (clone.order, clone.active_id) == (schedule.order, schedule.active_id)
+        assert clone.order is not schedule.order and clone.goals is not schedule.goals
+        assert all(clone.goals[g] is not st for g, st in schedule.goals.items())
 
     def test_copy_continued_alike_matches_and_shares_no_record(self):
         pos = {1: (2.0, 1.0), 2: (5.0, 5.0), 3: (9.0, 2.0), 4: (1.0, 8.0)}

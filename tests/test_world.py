@@ -152,6 +152,20 @@ class TestParseGrid:
         with pytest.raises(ValueError, match="map has no rows"):
             parse_grid(text)
 
+    @pytest.mark.parametrize("text, line", [
+        ("#####\n#S..#\n\n#..1#\n#####", 3),
+        ("\n#####\n#S..#\n#...#\n  \t\n#..1#\n#####\n", 5),
+    ])
+    def test_blank_line_between_rows_rejected(self, text, line):
+        # skipping the line would move every row below it up by one
+        with pytest.raises(ValueError, match=f"line {line} is blank between map rows"):
+            parse_grid(text)
+
+    def test_blank_lines_around_rows_allowed(self):
+        gmap, goals = parse_grid("\n  \n#####\n#S.1#\n#####\n\n \n")
+        assert (gmap.height, gmap.width) == (3, 5)
+        assert goals == {1: (1, 3)}
+
     def test_fixtures_parse(self):
         for name in ("trivial", "open", "two_room", "sealed", "maze"):
             gmap, goals = parse_grid(load_fixture(name))
