@@ -150,12 +150,21 @@ def info_gain(summary_prev_window: SignalSummary, summary_now: SignalSummary) ->
 def update(window: RollingWindow, sample: SignalSample, params: SignalParams) -> SignalSummary:
     """Advance the window by one sample and recompute all derived
     statistics. Partial windows are allowed: statistics cover whatever
-    samples exist."""
+    samples exist. Stability and velocity are `stability()` and
+    `progress_velocity()`, written out with `clip`'s two comparisons to
+    save four calls a step; the tests hold them bit for bit equal."""
     window.push(sample.evidence, sample.distance)
     history = window._var_history
     var = history[-1]
     # information gain: the variance `capacity` steps ago minus now, once
     # both windows are full; 0 before that
     gain = history[0] - var if window._count_total >= 2 * window.capacity else 0.0
-    return SignalSummary(window._sum / len(window.samples), var, stability(var, params),
-                         progress_velocity(window, params), gain)
+    x = var / (params.sigma_norm + params.epsilon)
+    stab = 1.0 - (1.0 if 1.0 < x else x if x > 0.0 else 0.0)
+    distances = window.distances
+    n = len(distances)
+    velocity = 0.0
+    if n > 1:
+        raw = (distances[0] - distances[-1]) / ((n - 1) * params.step_length)
+        velocity = 1.0 if 1.0 < raw else raw if raw > -1.0 else -1.0
+    return SignalSummary(window._sum / n, var, stab, velocity, gain)

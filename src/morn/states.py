@@ -78,17 +78,28 @@ def sigmoid(z: float) -> float:
 
 def potentiality(velocity: float, evidence: float, stability: float, w: StateWeights) -> float:
     """Sigmoid-squashed affordance estimate: is continued search on the
-    active goal productive?"""
+    active goal productive? `sigmoid` is written out to save a call a
+    step."""
     z = w.pot_v * velocity + w.pot_s * evidence + w.pot_stab * stability
-    return sigmoid(z)
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
 
 
 def persistence_gate(info_gain: float, sunk: SunkCost, velocity: float, w: StateWeights) -> float:
     """Gate against sunk-cost persistence: decays with the fraction of the
     subgoal allocation already consumed, recovers with information gain
-    and forward progress."""
-    z = w.gate_gain * info_gain - w.gate_inertia * sunk.inertia + w.gate_v * velocity
-    return sigmoid(z)
+    and forward progress. `SunkCost.inertia` and `sigmoid` are written
+    out to save two calls a step."""
+    if sunk.allocation <= 0:
+        raise InvalidStateError("subgoal allocation must be positive")
+    z = (w.gate_gain * info_gain - w.gate_inertia * (sunk.spent / sunk.allocation)
+         + w.gate_v * velocity)
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
 
 
 def proximity(distance: float, w: StateWeights) -> float:

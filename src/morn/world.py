@@ -34,9 +34,9 @@ class OccupiedCellError(ValueError):
 @dataclass
 class GridMap:
     """An occupancy grid. Beside the cells it derives, once, the free flag
-    of every cell, which takes part in neither comparison nor repr.
-    Nothing writes to a map after it is built, so every arm of an episode
-    can share one."""
+    of every cell and the blocked mask, which take part in neither
+    comparison nor repr. Nothing writes to a map after it is built, so
+    every arm of an episode can share one."""
 
     # WALL/FREE in row-major order (cell (r, c) at index r * width + c);
     # the border must be wall
@@ -47,6 +47,9 @@ class GridMap:
     spawn: Cell
     # free flags, indexed like cells
     free: list[bool] = field(init=False, repr=False, compare=False)
+    # 1 on walls, 0 on free cells (WALL is 1 and FREE 0): a search's start
+    # mask, in which walls count as already reached
+    blocked: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         h, w, cells = self.height, self.width, self.cells
@@ -58,6 +61,7 @@ class GridMap:
                 raise ValueError(f"map border cell {divmod(i, w)} is free; "
                                  "the border must be wall")
         self.free = [x == FREE for x in cells]
+        self.blocked = bytes(cells)
 
     def is_free(self, cell: Cell) -> bool:
         r, c = cell
@@ -81,6 +85,10 @@ def parse_grid(text: str, cell_size: float = 0.5) -> tuple[GridMap, dict[int, Ce
     cells = [WALL] * (h * w)
     spawn: Optional[Cell] = None
     goals: dict[int, Cell] = {}
+
+    def where(cell: Cell) -> str:  # the map cell and where the text has it
+        return f"{cell}, line {cell[0] + rows[0] + 1} column {cell[1] + 1}"
+
     for r, ln in enumerate(lines):
         for c, ch in enumerate(ln):
             if ch == "#":
@@ -89,20 +97,20 @@ def parse_grid(text: str, cell_size: float = 0.5) -> tuple[GridMap, dict[int, Ce
                 cells[r * w + c] = FREE
             elif ch == "S":
                 if spawn is not None:
-                    raise ValueError(f"map has a second spawn 'S' at {(r, c)}; "
-                                     f"the first is at {spawn}")
+                    raise ValueError(f"map has a second spawn 'S' at {where((r, c))}; "
+                                     f"the first is at {where(spawn)}")
                 cells[r * w + c] = FREE
                 spawn = (r, c)
             elif ch.isdigit() and ch != "0":
                 if int(ch) in goals:
-                    raise ValueError(f"goal {ch} appears twice, at {goals[int(ch)]} "
-                                     f"and {(r, c)}")
+                    raise ValueError(f"goal {ch} appears twice, at {where(goals[int(ch)])} "
+                                     f"and {where((r, c))}")
                 cells[r * w + c] = FREE
                 goals[int(ch)] = (r, c)
             elif ch == " ":
                 continue
             else:
-                raise ValueError(f"unknown map character {ch!r} at {(r, c)}")
+                raise ValueError(f"unknown map character {ch!r} at {where((r, c))}")
     if spawn is None:
         raise ValueError("map has no spawn cell 'S'")
     return GridMap(cells, h, w, cell_size, spawn), goals
@@ -116,30 +124,47 @@ def _search(gmap: GridMap, start: int, done: bytes | bytearray
     hop levels (level k lists the cells first reached in k hops, in
     discovery order) and the cell the search ended at, None if every
     reached cell was done. A search that ends at a cell returns the levels
-    before that cell's level. Beside one zeroed reached mark per cell it
-    builds only the levels, which grow with the cells it reaches."""
-    free = gmap.free
+    before that cell's level. Beside one reached mark per cell, copied
+    from the map's blocked mask so that walls count as reached, it builds
+    only the levels, which grow with the cells it reaches. The four
+    expansions are written out, in that order, to save an inner loop."""
     w = gmap.width
-    reached = bytearray(len(free))
+    reached = bytearray(gmap.blocked)
     reached[start] = 1
     level = [start]
     levels = [level]
     while True:
         nxt_level = []
+        add = nxt_level.append
         for cur in level:
-            for nxt in (cur - w, cur + w, cur - 1, cur + 1):
-                if free[nxt] and not reached[nxt]:
-                    reached[nxt] = 1
-                    if not done[nxt]:
-                        return levels, nxt
-                    nxt_level.append(nxt)
+            n = cur - w
+            if not reached[n]:
+                reached[n] = 1
+                if not done[n]:
+                    return levels, n
+                add(n)
+            n = cur + w
+            if not reached[n]:
+                reached[n] = 1
+                if not done[n]:
+                    return levels, n
+                add(n)
+            n = cur - 1
+            if not reached[n]:
+                reached[n] = 1
+                if not done[n]:
+                    return levels, n
+                add(n)
+            n = cur + 1
+            if not reached[n]:
+                reached[n] = 1
+                if not done[n]:
+                    return levels, n
+                add(n)
         if not nxt_level:
             return levels, None
         levels.append(nxt_level)
         level = nxt_level
-
-
-_ONES5 = b"\x01" * 5
 
 
 def _path(gmap: GridMap, start: Cell, done: bytes | bytearray) -> Optional[list[Cell]]:
@@ -147,17 +172,19 @@ def _path(gmap: GridMap, start: Cell, done: bytes | bytearray) -> Optional[list[
     `done` flag is 0, or None if none is reachable: the path `_search`
     finds, ties included, mostly without running it.
 
-    Covered square. Suppose the 5 x 5 square around the start lies inside
-    the map and all 25 of its `done` flags are 1. Every cell within two
-    hops lies in that square, so it is done. A three-hop cell is at
-    Manhattan distance 1 or 3; all of them lie in the square except the
-    four cells three steps straight up, down, left and right, and each of
-    those is reached in three hops only along its straight line. The
-    search discovers them in the order up, down, left, right, since each
-    straight line's second cell is discovered by the first cell of the
-    line, and the first cells by the start in that order. So the answer is
-    the first of the four whose line is free and that is not done; if none
-    is, the search goes on past three hops and must run.
+    Covered square. Suppose no `done` flag of the 5 x 5 square around the
+    start, clipped to the map, is 0. Every cell within two hops lies
+    in that clipped square, so it is done. A three-hop cell is at
+    Manhattan distance 1 or 3; all of them lie in the clipped square
+    except the four cells three steps straight up, down, left and right,
+    and each of those is reached in three hops only along its straight
+    line. A line that would leave the map starts on a border wall, and so
+    is not free. The search discovers the four in the order up, down,
+    left, right, since each straight line's second cell is discovered by
+    the first cell of the line, and the first cells by the start in that
+    order. So the answer is the first of the four whose line is free and
+    that is not done; if none is, the search goes on past three hops and
+    must run.
 
     Every other request runs the search, and the path walks back through
     its levels: a cell's parent is the first cell of the level before it
@@ -165,20 +192,24 @@ def _path(gmap: GridMap, start: Cell, done: bytes | bytearray) -> Optional[list[
     """
     if not gmap.is_free(start):
         raise OccupiedCellError(f"start cell {start} is not free")
-    w = gmap.width
+    w, h = gmap.width, gmap.height
     r, c = start
     i = r * w + c
-    if 2 <= r < gmap.height - 2 and 2 <= c < w - 2:
-        j = i - 2 * w - 2
-        if (done[j:j + 5] == done[j + w:j + w + 5] == done[j + 2 * w:j + 2 * w + 5]
-                == done[j + 3 * w:j + 3 * w + 5] == done[j + 4 * w:j + 4 * w + 5] == _ONES5):
-            free = gmap.free
-            # the border is wall, so a free second cell has a third inside the map
-            for step in (-w, w, -1, 1):
-                a = i + step
-                b = a + step
-                if free[a] and free[b] and free[b + step] and not done[b + step]:
-                    return [divmod(a, w), divmod(b, w), divmod(b + step, w)]
+    # the square's columns and rows clipped to the map, as max(0, x - 2)
+    # and min(size, x + 3) without the builtin calls
+    lo = c - 2 if c > 1 else 0
+    hi = c + 3 if c + 3 < w else w
+    for k in range((r - 2 if r > 1 else 0) * w, (r + 3 if r + 3 < h else h) * w, w):
+        if 0 in done[k + lo:k + hi]:
+            break
+    else:
+        free = gmap.free
+        # the border is wall, so a free second cell has a third inside the map
+        for step in (-w, w, -1, 1):
+            a = i + step
+            b = a + step
+            if free[a] and free[b] and free[b + step] and not done[b + step]:
+                return [divmod(a, w), divmod(b, w), divmod(b + step, w)]
     levels, cell = _search(gmap, i, done)
     if cell is None:
         return None

@@ -20,6 +20,14 @@ from morn.signals import (
     stability,
     update,
 )
+from morn.states import (
+    InvalidStateError,
+    StateWeights,
+    SunkCost,
+    persistence_gate,
+    potentiality,
+    sigmoid,
+)
 
 TOL = 1e-9
 SPECIAL_FLOATS = (math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 0.5, 1e-300, -2.5)
@@ -208,6 +216,82 @@ class TestUpdate:
         _, first = feed(values, params)
         _, second = feed(values, params)
         assert first == second
+
+
+def check_inlined_arithmetic(params, weights, allocation, stream):
+    """Feed (evidence, distance) pairs through `update`, Π and Γ as the
+    benchmark loop does. Every field must be bit for bit what the public
+    functions give: `update`'s against `stability()`, `progress_velocity()`
+    and the window's sums, Π and Γ against `sigmoid` of their
+    pre-activation with `SunkCost.inertia`. Returns the regimes met."""
+    window = RollingWindow(params.window)
+    seen = set()
+    for t, (evidence, distance) in enumerate(stream, 1):
+        got = update(window, SignalSample(t, distance, evidence), params)
+        history = window._var_history
+        assert same_float(got.mean, window._sum / len(window.samples))
+        assert same_float(got.variance, history[-1])
+        assert same_float(got.stability, stability(got.variance, params))
+        assert same_float(got.velocity, progress_velocity(window, params))
+        gain = (info_gain(SignalSummary(variance=history[0]), got)
+                if window._count_total >= 2 * params.window else 0.0)
+        assert same_float(got.info_gain, gain)
+
+        v, stab = got.velocity, got.stability
+        z = weights.pot_v * v + weights.pot_s * evidence + weights.pot_stab * stab
+        assert same_float(potentiality(v, evidence, stab, weights), sigmoid(z))
+        sunk = SunkCost(t, allocation)
+        z = (weights.gate_gain * got.info_gain - weights.gate_inertia * sunk.inertia
+             + weights.gate_v * v)
+        assert same_float(persistence_gate(got.info_gain, sunk, v, weights), sigmoid(z))
+        for bad in (0, -allocation):
+            with pytest.raises(InvalidStateError):
+                persistence_gate(got.info_gain, SunkCost(t, bad), v, weights)
+
+        distances = window.distances
+        raw = (distances[0] - distances[-1]) / (max(len(distances) - 1, 1) * params.step_length)
+        seen |= {"partial" if len(window) < params.window else "full",
+                 "variance 0" if got.variance == 0.0 else
+                 "saturated" if got.stability == 0.0 else "stability in (0, 1)",
+                 "velocity above 1" if raw > 1.0 else
+                 "velocity below -1" if raw < -1.0 else "velocity in [-1, 1]"}
+    return seen
+
+
+@st.composite
+def evidence_streams(draw):
+    """Streams whose evidence spread gives variance 0, variance below the
+    default sigma_norm or above it, and whose distance steps of up to
+    three step lengths clip the velocity both ways."""
+    spread = draw(st.sampled_from([0.0, 1e-3, 0.3]))
+    base = draw(st.floats(0.0, 1.0 - spread))
+    distance = draw(st.floats(0.0, 20.0))
+    stream = []
+    step = draw(st.sampled_from([0.25, 0.5]))
+    for _ in range(draw(st.integers(1, 25))):
+        distance = max(0.0, distance + draw(st.integers(-3, 3)) * step)
+        stream.append((base + spread * draw(st.floats(0.0, 1.0)), distance))
+    return stream
+
+
+class TestInlinedArithmetic:
+    @settings(max_examples=300, deadline=None)
+    @given(evidence_streams(), st.integers(2, 6), st.integers(1, 300),
+           st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+    def test_fields_equal_the_public_functions(self, stream, window, allocation, w):
+        weights = StateWeights(*w)
+        check_inlined_arithmetic(SignalParams(window=window), weights, allocation, stream)
+
+    def test_streams_meet_every_regime(self):
+        params = SignalParams()
+        weights = StateWeights(pot_v=-1.0, gate_inertia=-0.5)  # pre-activations of both signs
+        seen = set()
+        for evidence, step in ((lambda t: 0.2, -2.0), (lambda t: t % 2, 2.0),
+                               (lambda t: 0.2 + 0.01 * (t % 3), 0.1)):
+            stream = [(evidence(t), 30.0 + step * t) for t in range(12)]
+            seen |= check_inlined_arithmetic(params, weights, 100, stream)
+        assert seen == {"partial", "full", "variance 0", "saturated", "stability in (0, 1)",
+                        "velocity above 1", "velocity below -1", "velocity in [-1, 1]"}
 
 
 class TestWindowCopy:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morn import world
 from morn.bench import load_fixture
 from morn.world import (
     FREE,
@@ -19,6 +20,7 @@ from morn.world import (
     OccupiedCellError,
     PerceptionParams,
     WorldParams,
+    _path,
     bfs_path,
     distance_field,
     emit_evidence,
@@ -99,6 +101,38 @@ def free_cells(gmap):
     return [divmod(i, gmap.width) for i, ok in enumerate(gmap.free) if ok]
 
 
+def walked_coverage(gmap, rng, free, steps):
+    """Coverage as the navigator makes it: after each step of a random walk
+    from a random free cell, the pose and the union of the clipped sensing
+    squares along the walk so far."""
+    h, w = gmap.height, gmap.width
+    s = Navigator.SENSE_RADIUS
+    visited = bytearray(h * w)
+    pose = free[rng.randrange(len(free))]
+    for _ in range(steps):
+        r, c = pose
+        for row in range(max(0, r - s), min(h, r + s + 1)):
+            for col in range(max(0, c - s), min(w, c + s + 1)):
+                visited[row * w + col] = 1
+        yield pose, bytes(visited)
+        moves = [(r + dr, c + dc) for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1))
+                 if gmap.is_free((r + dr, c + dc))]
+        pose = moves[rng.randrange(len(moves))] if moves else pose
+
+
+def count_searches(monkeypatch):
+    """Count the BFS kernel's runs from here on: a one-element list."""
+    calls = [0]
+    search = world._search
+
+    def counted(*args):
+        calls[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(world, "_search", counted)
+    return calls
+
+
 def random_map(rng, h=14, w=14, wall_p=0.3):
     cells = [WALL] * (h * w)
     for r in range(1, h - 1):
@@ -126,18 +160,31 @@ class TestParseGrid:
 
     def test_second_spawn_rejected(self):
         # the last 'S' used to win without a word
-        with pytest.raises(ValueError, match=r"second spawn 'S' at \(1, 5\); "
-                                             r"the first is at \(1, 1\)"):
+        with pytest.raises(ValueError, match=r"second spawn 'S' at \(1, 5\), line 2 column 6; "
+                                             r"the first is at \(1, 1\), line 2 column 2"):
             parse_grid("#######\n#S...S#\n#..1..#\n#######")
 
     def test_repeated_goal_digit_rejected(self):
-        with pytest.raises(ValueError, match=r"goal 1 appears twice, at \(1, 3\) "
-                                             r"and \(2, 3\)"):
+        with pytest.raises(ValueError, match=r"goal 1 appears twice, at \(1, 3\), line 2 column 4 "
+                                             r"and \(2, 3\), line 3 column 4"):
             parse_grid("#######\n#S.1..#\n#..1..#\n#######")
 
     def test_unknown_character_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"'\?' at \(1, 2\), line 2 column 3"):
             parse_grid("###\n#S?\n###")
+
+    @pytest.mark.parametrize("text, message", [
+        ("\n\n###\n#S?\n###", r"'\?' at \(1, 2\), line 4 column 3"),
+        ("\n \n#######\n#S...S#\n#..1..#\n#######",
+         r"at \(1, 5\), line 4 column 6; the first is at \(1, 1\), line 4 column 2"),
+        ("\n#######\n#S.1..#\n#..1..#\n#######",
+         r"at \(1, 3\), line 3 column 4 and \(2, 3\), line 4 column 4"),
+    ])
+    def test_error_lines_count_leading_blank_lines(self, text, message):
+        # the map cell counts map rows, the line counts every text line, as
+        # the blank-line error does
+        with pytest.raises(ValueError, match=message):
+            parse_grid(text)
 
     def test_free_border_cell_rejected(self):
         with pytest.raises(ValueError, match=r"border cell \(1, 4\) is free"):
@@ -146,6 +193,19 @@ class TestParseGrid:
     def test_cells_must_fill_the_map(self):
         with pytest.raises(ValueError, match="14 cells do not fill a 3 x 5 map"):
             GridMap(cells=[WALL] * 14, height=3, width=5, cell_size=0.5, spawn=(1, 1))
+
+    def test_blocked_mask_is_derived_and_not_compared(self):
+        maps = [parse_grid(load_fixture(name))[0]
+                for name in ("trivial", "open", "two_room", "sealed", "maze")]
+        maps += [generate_map(random.Random(seed), WorldParams(), seed == 1)[0]
+                 for seed in range(3)]
+        for gmap in maps:
+            assert gmap.blocked == bytes(not f for f in gmap.free)
+            twin = GridMap(list(gmap.cells), gmap.height, gmap.width, gmap.cell_size,
+                           gmap.spawn)
+            twin.blocked = bytes(len(gmap.cells))
+            assert twin == gmap
+            assert repr(twin) == repr(gmap) and "blocked" not in repr(gmap)
 
     @pytest.mark.parametrize("text", ["", "\n  \n"])
     def test_no_rows_rejected(self, text):
@@ -515,38 +575,74 @@ class TestNavigator:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_frontier_plan_under_walked_coverage(self, seed):
-        # coverage as the navigator makes it: the union of the clipped
-        # sensing squares along a random walk. Plans from the walk's poses
-        # as the coverage grows meet their own earlier searches again, and
-        # plans from every free cell meet squares that are partly covered
-        # or clipped by the border (starts on row or column 1)
+        # Plans from the walk's poses as the coverage grows meet their own
+        # earlier searches again, and plans from every free cell meet
+        # squares that are partly covered or clipped by the border (starts
+        # on row or column 1)
         rng = random.Random(seed)
         if seed % 2:
             gmap, rooms, _ = generate_map(rng, WorldParams(room_min=4, room_max=7))
             free = [cell for room in rooms for cell in room]
         else:
             gmap, free = random_map(rng, 16, 18, wall_p=0.0 if seed % 4 == 0 else 0.25)
-        h, w = gmap.height, gmap.width
-        s = Navigator.SENSE_RADIUS
-        visited = bytearray(h * w)
         nav = Navigator(gmap, PerceptionParams())
-        pose = free[rng.randrange(len(free))]
-        for t in range(80):
-            r, c = pose
-            for row in range(max(0, r - s), min(h, r + s + 1)):
-                for col in range(max(0, c - s), min(w, c + s + 1)):
-                    visited[row * w + col] = 1
+        for t, (pose, visited) in enumerate(walked_coverage(gmap, rng, free, 80)):
             nav.visited[:] = visited
-            starts = [pose] if t % 20 else free
-            for start in starts:
+            for start in [pose] if t % 20 else free:
                 nav.pose = start
                 assert nav._plan_to_nearest_unvisited() == oracle_frontier_path(
                     gmap, start, visited)
-            moves = [(r + dr, c + dc) for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1))
-                     if gmap.is_free((r + dr, c + dc))]
-            pose = moves[rng.randrange(len(moves))] if moves else pose
         assert any(1 in (r, c) for r, c in free)
 
+    def test_edge_plans_under_walked_coverage(self, monkeypatch):
+        # starts on rows and columns 1 and h - 2, w - 2, whose 5 x 5 square
+        # the map edge clips, on every bundled fixture and on generated maps
+        rng = random.Random(4)
+        maps = [parse_grid(load_fixture(name))[0]
+                for name in ("trivial", "open", "two_room", "sealed", "maze")]
+        maps += [generate_map(rng, WorldParams(room_min=3, room_max=6))[0] for _ in range(3)]
+        searches = count_searches(monkeypatch)
+        plans = 0
+        for gmap in maps:
+            h, w = gmap.height, gmap.width
+            free = free_cells(gmap)
+            edge = [(r, c) for r, c in free if r in (1, h - 2) or c in (1, w - 2)]
+            nav = Navigator(gmap, PerceptionParams())
+            for t, (pose, visited) in enumerate(walked_coverage(gmap, rng, free, 400)):
+                if t % 10:
+                    continue
+                nav.visited[:] = visited
+                for start in edge:
+                    nav.pose = start
+                    assert nav._plan_to_nearest_unvisited() == oracle_frontier_path(
+                        gmap, start, visited)
+                    plans += 1
+        # the clipped square answered some of them
+        assert searches[0] < plans
+
+    def test_edge_pose_with_a_straight_answer_runs_no_search(self, monkeypatch):
+        # on an open room, from every start on rows and columns 1 and
+        # h - 2, w - 2 with its clipped square covered and nothing else, the
+        # answer lies three hops straight out; the covered-square rule gives
+        # it, as it gives a target three hops straight out
+        h, w = 9, 10
+        cells = [WALL if r in (0, h - 1) or c in (0, w - 1) else FREE
+                 for r in range(h) for c in range(w)]
+        gmap = GridMap(cells, h, w, 0.5, (1, 1))
+        searches = count_searches(monkeypatch)
+        edge = [(r, c) for r, c in free_cells(gmap) if r in (1, h - 2) or c in (1, w - 2)]
+        assert len(edge) == 2 * (h - 2) + 2 * (w - 2) - 4
+        for r, c in edge:
+            covered = bytearray(h * w)
+            for row in range(max(0, r - 2), min(h, r + 3)):
+                for col in range(max(0, c - 2), min(w, c + 3)):
+                    covered[row * w + col] = 1
+            path = _path(gmap, (r, c), covered)
+            assert path == oracle_frontier_path(gmap, (r, c), covered)
+            end_r, end_c = path[-1]
+            assert len(path) == 3 and (end_r, abs(end_c - c)) in ((r, 3), (r + 3, 0), (r - 3, 0))
+            assert bfs_path(gmap, (r, c), path[-1]) == path
+        assert searches[0] == 0
     @pytest.mark.parametrize("seed", range(8))
     def test_plans_on_one_map_under_changing_coverage(self, seed):
         # one map, so every search after the first from a start meets the
