@@ -476,7 +476,7 @@ def run_suite(specs: list[EpisodeSpec], variants: list[MethodVariant],
     """Run every variant over every spec. Worlds are built once per spec
     and shared across variants; results are keyed and ordered so the
     output is independent of scheduling. Traces carry no step records.
-    `variants` must be a non-empty list that names each variant once."""
+    `specs` and `variants` must not be empty, and no variant is listed twice."""
     if not variants:
         raise InvalidCallError("run_suite needs at least one variant")
     for n, v in enumerate(variants):
@@ -492,6 +492,8 @@ def _run_arms(specs: list[EpisodeSpec], arms: list[tuple[MethodVariant, RunConfi
     spec's world is built once and shared by all arms (`run` only reads it).
     A pool of `workers` processes, but never more than the jobs (one per
     spec), runs them; with one process or fewer they run in this one."""
+    if not specs:
+        raise InvalidCallError("the spec list is empty: there is no episode to run")
     jobs = [(spec, arms) for spec in specs]
     workers = min(workers, len(jobs))
     if workers > 1:

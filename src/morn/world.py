@@ -18,7 +18,7 @@ import copy
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 FREE = 0
@@ -33,39 +33,35 @@ class OccupiedCellError(ValueError):
 
 @dataclass
 class GridMap:
-    """An occupancy grid. Beside the cells it derives, once, the free flag
-    of every cell and the blocked mask, which take part in neither
-    comparison nor repr. Nothing writes to a map after it is built, so
-    every arm of an episode can share one."""
+    """An occupancy grid: one byte per cell, WALL (1) or FREE (0), cell
+    (r, c) at index r * width + c. Coverage and search marks share the
+    format, with 1 for done. The cells are `bytes`, so a built map cannot
+    be written and every arm of an episode can share one."""
 
-    # WALL/FREE in row-major order (cell (r, c) at index r * width + c);
-    # the border must be wall
-    cells: list[int]
+    cells: bytes  # the border must be wall
     height: int
     width: int
     cell_size: float  # meters per cell
     spawn: Cell
-    # free flags, indexed like cells
-    free: list[bool] = field(init=False, repr=False, compare=False)
-    # 1 on walls, 0 on free cells (WALL is 1 and FREE 0): a search's start
-    # mask, in which walls count as already reached
-    blocked: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         h, w, cells = self.height, self.width, self.cells
         if len(cells) != h * w:
             raise ValueError(f"{len(cells)} cells do not fill a {h} x {w} map")
+        if not set(cells) <= {WALL, FREE}:
+            i, x = next((i, x) for i, x in enumerate(cells) if x != WALL and x != FREE)
+            raise ValueError(f"map cell {divmod(i, w)} is {x!r}; a cell is "
+                             f"WALL ({WALL}) or FREE ({FREE})")
         middle_rows = (i for r in range(1, h - 1) for i in (r * w, r * w + w - 1))
         for i in (*range(w), *middle_rows, *range((h - 1) * w, h * w)):
             if cells[i] == FREE:
                 raise ValueError(f"map border cell {divmod(i, w)} is free; "
                                  "the border must be wall")
-        self.free = [x == FREE for x in cells]
-        self.blocked = bytes(cells)
+        self.cells = bytes(cells)
 
     def is_free(self, cell: Cell) -> bool:
         r, c = cell
-        return 0 <= r < self.height and 0 <= c < self.width and self.free[r * self.width + c]
+        return 0 <= r < self.height and 0 <= c < self.width and not self.cells[r * self.width + c]
 
 
 def parse_grid(text: str, cell_size: float = 0.5) -> tuple[GridMap, dict[int, Cell]]:
@@ -82,7 +78,7 @@ def parse_grid(text: str, cell_size: float = 0.5) -> tuple[GridMap, dict[int, Ce
             raise ValueError(f"line {n} is blank between map rows")
     h = len(lines)
     w = max(len(ln) for ln in lines)
-    cells = [WALL] * (h * w)
+    cells = bytearray([WALL]) * (h * w)
     spawn: Optional[Cell] = None
     goals: dict[int, Cell] = {}
 
@@ -125,11 +121,11 @@ def _search(gmap: GridMap, start: int, done: bytes | bytearray
     discovery order) and the cell the search ended at, None if every
     reached cell was done. A search that ends at a cell returns the levels
     before that cell's level. Beside one reached mark per cell, copied
-    from the map's blocked mask so that walls count as reached, it builds
-    only the levels, which grow with the cells it reaches. The four
-    expansions are written out, in that order, to save an inner loop."""
+    from the map's cells so that walls count as reached, it builds only
+    the levels, which grow with the cells it reaches. The four expansions
+    are written out, in that order, to save an inner loop."""
     w = gmap.width
-    reached = bytearray(gmap.blocked)
+    reached = bytearray(gmap.cells)
     reached[start] = 1
     level = [start]
     levels = [level]
@@ -192,7 +188,7 @@ def _path(gmap: GridMap, start: Cell, done: bytes | bytearray) -> Optional[list[
     """
     if not gmap.is_free(start):
         raise OccupiedCellError(f"start cell {start} is not free")
-    w, h = gmap.width, gmap.height
+    w, h, cells = gmap.width, gmap.height, gmap.cells
     r, c = start
     i = r * w + c
     # the square's columns and rows clipped to the map, as max(0, x - 2)
@@ -203,12 +199,11 @@ def _path(gmap: GridMap, start: Cell, done: bytes | bytearray) -> Optional[list[
         if 0 in done[k + lo:k + hi]:
             break
     else:
-        free = gmap.free
         # the border is wall, so a free second cell has a third inside the map
         for step in (-w, w, -1, 1):
             a = i + step
             b = a + step
-            if free[a] and free[b] and free[b + step] and not done[b + step]:
+            if not (cells[a] or cells[b] or cells[b + step] or done[b + step]):
                 return [divmod(a, w), divmod(b, w), divmod(b + step, w)]
     levels, cell = _search(gmap, i, done)
     if cell is None:
@@ -264,7 +259,7 @@ def bfs_path(gmap: GridMap, start: Cell, target: Cell) -> Optional[list[Cell]]:
 
 def line_of_sight(gmap: GridMap, a: Cell, b: Cell) -> bool:
     """Integer-grid ray cast (Bresenham) with no wall intersection."""
-    free, w = gmap.free, gmap.width
+    cells, w = gmap.cells, gmap.width
     r0, c0 = a
     r1, c1 = b
     dr = abs(r1 - r0)
@@ -274,7 +269,7 @@ def line_of_sight(gmap: GridMap, a: Cell, b: Cell) -> bool:
     err = dr - dc
     r, c = r0, c0
     while True:
-        if not free[r * w + c]:
+        if cells[r * w + c]:
             return False
         if (r, c) == (r1, c1):
             return True
@@ -343,7 +338,7 @@ def emit_evidence(
     inf when the goal is unreachable.
     """
     r, c = pose
-    if not (0 <= r < gmap.height and 0 <= c < gmap.width and gmap.free[r * gmap.width + c]):
+    if not (0 <= r < gmap.height and 0 <= c < gmap.width and not gmap.cells[r * gmap.width + c]):
         raise OccupiedCellError(f"pose {pose} is not free")
     p = params
     noise = rng.gauss(0.0, p.noise_std) if p.noise_std > 0 else 0.0
@@ -417,8 +412,8 @@ class Navigator:
         return new
 
     def coverage_fraction(self) -> float:
-        free = self.gmap.free
-        return sum(v for v, f in zip(self.visited, free) if f) / sum(free)
+        cells = self.gmap.cells
+        return sum(v for v, x in zip(self.visited, cells) if not x) / cells.count(FREE)
 
     def _plan_to_nearest_unvisited(self) -> Optional[list[Cell]]:
         """Shortest path (exclusive of the pose) to the nearest
@@ -550,14 +545,14 @@ def generate_map(
         row_off.append(row_off[-1] + hgt + 1)
     total_w = col_off[-1]
     total_h = row_off[-1]
-    cells = [WALL] * (total_h * total_w)
+    cells = bytearray([WALL]) * (total_h * total_w)
 
     rooms: list[list[Cell]] = []
     for j in range(ry):
         for i in range(rx):
             r0, c0 = row_off[j], col_off[i]
             for r in range(r0, r0 + heights[j]):
-                cells[r * total_w + c0: r * total_w + c0 + widths[i]] = [FREE] * widths[i]
+                cells[r * total_w + c0: r * total_w + c0 + widths[i]] = bytes([FREE]) * widths[i]
             rooms.append([(r, c) for r in range(r0, r0 + heights[j])
                           for c in range(c0, c0 + widths[i])])
 

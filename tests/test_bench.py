@@ -439,6 +439,16 @@ class TestSuiteAndSweep:
         with pytest.raises(InvalidCallError, match="run_suite needs at least one variant"):
             run_suite(small_suite(1, 0), [], CFG)
 
+    def test_empty_spec_list_rejected_by_run_suite(self, no_world):
+        # it used to return an empty trace list per variant
+        with pytest.raises(InvalidCallError, match="the spec list is empty"):
+            run_suite([], [MethodVariant.MORN_FULL], CFG)
+
+    def test_empty_spec_list_rejected_by_sweep(self, no_world):
+        # it used to fail inside compute_metrics, on an empty trace list
+        with pytest.raises(InvalidCallError, match="the spec list is empty"):
+            sweep([], MethodVariant.MORN_FULL, "tau_c", [0.6, 0.7], CFG)
+
     def test_repeated_variant_rejected(self, no_world):
         # the result is keyed by variant, so a repeat would lose an arm
         with pytest.raises(InvalidCallError, match="variant MORN_FULL is listed twice"):

@@ -98,7 +98,7 @@ def at(gmap, field, cell):
 
 def free_cells(gmap):
     """Every free cell of the map, in row-major order."""
-    return [divmod(i, gmap.width) for i, ok in enumerate(gmap.free) if ok]
+    return [divmod(i, gmap.width) for i, x in enumerate(gmap.cells) if x == FREE]
 
 
 def walked_coverage(gmap, rng, free, steps):
@@ -194,18 +194,28 @@ class TestParseGrid:
         with pytest.raises(ValueError, match="14 cells do not fill a 3 x 5 map"):
             GridMap(cells=[WALL] * 14, height=3, width=5, cell_size=0.5, spawn=(1, 1))
 
-    def test_blocked_mask_is_derived_and_not_compared(self):
+    def test_cells_are_the_one_occupancy_store(self):
         maps = [parse_grid(load_fixture(name))[0]
                 for name in ("trivial", "open", "two_room", "sealed", "maze")]
         maps += [generate_map(random.Random(seed), WorldParams(), seed == 1)[0]
                  for seed in range(3)]
         for gmap in maps:
-            assert gmap.blocked == bytes(not f for f in gmap.free)
-            twin = GridMap(list(gmap.cells), gmap.height, gmap.width, gmap.cell_size,
-                           gmap.spawn)
-            twin.blocked = bytes(len(gmap.cells))
-            assert twin == gmap
-            assert repr(twin) == repr(gmap) and "blocked" not in repr(gmap)
+            h, w = gmap.height, gmap.width
+            from_list = GridMap(list(gmap.cells), h, w, gmap.cell_size, gmap.spawn)
+            from_bytes = GridMap(bytes(gmap.cells), h, w, gmap.cell_size, gmap.spawn)
+            assert from_list == from_bytes == gmap
+            assert type(from_list.cells) is type(from_bytes.cells) is type(gmap.cells) is bytes
+            assert all(gmap.is_free((r, c)) == (gmap.cells[r * w + c] == FREE)
+                       for r in range(h) for c in range(w))
+        # any other value is named with its cell, 256 too, which bytes()
+        # would reject with its own message
+        for value in (2, 256):
+            cells = [WALL] * 15
+            cells[6] = FREE
+            cells[7] = value
+            with pytest.raises(ValueError, match=rf"map cell \(1, 2\) is {value}; "
+                                                 r"a cell is WALL \(1\) or FREE \(0\)"):
+                GridMap(cells=cells, height=3, width=5, cell_size=0.5, spawn=(1, 1))
 
     @pytest.mark.parametrize("text", ["", "\n  \n"])
     def test_no_rows_rejected(self, text):
