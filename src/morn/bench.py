@@ -103,10 +103,6 @@ class EpisodeSpec:
                     f"{g.feasibility!r} is not one of {', '.join(FEASIBILITIES)}")
 
 
-class GenerationError(RuntimeError):
-    pass
-
-
 def generate(count_k2: int, count_k3: int, master_seed: int,
              config: RunConfig) -> list[EpisodeSpec]:
     """Deterministic episode suite: `count_k2` two-goal episodes followed
@@ -176,7 +172,7 @@ def build_world(spec: EpisodeSpec) -> World:
         positions = {}
         for gs in spec.goals:
             if gs.goal_id not in digit_cells:
-                raise GenerationError(f"fixture {spec.fixture} has no goal {gs.goal_id}")
+                raise ConfigError(f"fixture {spec.fixture} has no goal {gs.goal_id}")
             positions[gs.goal_id] = digit_cells[gs.goal_id]
         fields = {g: distance_field(gmap, cell) for g, cell in positions.items()}
         return _assemble(gmap, spec, positions, fields)
@@ -201,7 +197,7 @@ def build_world(spec: EpisodeSpec) -> World:
             fields = _separated_fields(gmap, spec, positions)
             if fields is not None:
                 return _assemble(gmap, spec, positions, fields)
-    raise GenerationError(
+    raise ConfigError(
         f"episode {spec.episode_id}: could not satisfy goal separation "
         f">= {spec.min_separation} m after bounded retries"
     )

@@ -22,7 +22,6 @@ from pathlib import Path
 
 from .bench import (
     EpisodeSpec,
-    GenerationError,
     GoalSpec,
     MethodVariant,
     SWEEP_PARAMETERS,
@@ -367,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bench":
             return cmd_bench(args)
         return cmd_sweep(args)
-    except (ConfigError, GenerationError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001

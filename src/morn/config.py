@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .executive import Thresholds
 from .signals import SignalParams
-from .states import StateWeights
+from .states import StateWeights, sufficiency
 from .world import PerceptionParams, WorldParams
 
 
@@ -79,12 +79,8 @@ class RunConfig:
         stable baseline evidence stream on an absent goal at the
         commit-distance boundary. The commit threshold must exceed it,
         otherwise commits become pure proximity triggers."""
-        w = self.weights
-        return (
-            w.acc_e * self.perception.base_noise_mean
-            + w.acc_stab * 1.0
-            + w.acc_prox * math.exp(-self.thresholds.commit_distance / w.prox_scale)
-        )
+        return sufficiency(self.perception.base_noise_mean, 1.0,
+                           self.thresholds.commit_distance, self.weights)
 
 
 _SECTIONS = tuple(f.name for f in dataclasses.fields(RunConfig))

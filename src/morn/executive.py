@@ -53,8 +53,8 @@ class MethodVariant(Enum):
     MORN_FULL = "MORN_FULL"
 
     def __init__(self, value: str) -> None:
-        # plain attributes, set once per member: `run` reads them per arm
-        # and step, where a property costs several times an attribute
+        # plain attributes, set once per member: `decide` reads them on
+        # every call, where a property costs several times an attribute
         self.abort_enabled = value in ("MORN_ABORT_ONLY", "MORN_FULL")
         self.switch_enabled = value in ("MORN_SWITCH_ONLY", "MORN_FULL")
 
@@ -191,22 +191,6 @@ def below_switch(states: MetaStateVector, thresholds: Thresholds) -> bool:
     return states.persistence < thresholds.switch_level
 
 
-def streak(count: int, below: bool, spent: int, thresholds: Thresholds) -> int:
-    """The patience streak rule, `count` being the streak before this
-    step: a step counts once it is past grace and below the branch's
-    level, any other step resets the streak to 0. Every intervention
-    resets it too. `decide` fires a branch once its streak, this step
-    included, reaches the patience, and never reads the streak of a branch
-    the variant disables. A streak is 0 on every step before grace ends,
-    and a quiet step (`quiet_bounds`) comes before the grace of every arm
-    that reads a streak ends, so `run` leaves the streaks as they are on
-    it.
-
-    `run` counts with `count_streaks`, which applies this rule to every
-    streak of a branch in one call, on every step that is not quiet."""
-    return count + 1 if below and spent >= thresholds.grace else 0
-
-
 class StreakKey(NamedTuple):
     """What one patience streak depends on: the branch (`switch`: Γ
     against the switch level, else Π against the abort level), the level,
@@ -233,11 +217,20 @@ def streak_keys(variant: MethodVariant,
 
 def count_streaks(streaks: dict[StreakKey, int], potentiality: float, persistence: float,
                   spent: int) -> bool:
-    """`streak` for every count of a branch in one call: `streaks` maps each
-    key of the branch's arms to its streak before this step and is updated
-    in place, with Π and Γ this step's states. Returns whether some streak,
-    this step included, reached its patience (for `quiet_bounds`' idle
-    rule)."""
+    """The patience streak rule, for every count of a branch in one call.
+    `streaks` maps each key of the branch's arms to its streak before this
+    step and is updated in place, with Π and Γ this step's states.
+
+    A step counts once it is past the key's grace and its state is below
+    the key's level; any other step resets the streak to 0, and so does
+    every intervention. `decide` fires a branch once its streak, this step
+    included, reaches the patience, and never reads the streak of a branch
+    the variant disables. A streak is 0 on every step before grace ends,
+    and a quiet step (`quiet_bounds`) comes before the grace of every arm
+    that reads a streak ends, so `run` leaves the streaks as they are on
+    it and calls this on every step that is not quiet. Returns whether
+    some streak, this step included, reached its patience (for
+    `quiet_bounds`' idle rule)."""
     reached = False
     for key in streaks:
         # key[0..3] is (switch, level, grace, patience); indexing the
@@ -276,7 +269,8 @@ def quiet_bounds(arms: list[tuple[MethodVariant, Thresholds]], allocation: int) 
     still waits out its own commit warmup in `decide`. A step is quiet
     when `spent < until` and that gate is closed: then every arm's
     `decide` returns PERSIST whatever Π, Γ and Σ are, and every streak it
-    reads is 0 (`streak`), so the step needs no signal or meta-state.
+    reads is 0 (`count_streaks`), so the step needs no signal or
+    meta-state.
 
     A step that is not quiet is idle when `spent < allocation`, no streak
     the branch counts has reached its patience (`count_streaks`), and the

@@ -129,18 +129,6 @@ def stability(variance: float, params: SignalParams) -> float:
     return 1.0 - clip(variance / (params.sigma_norm + params.epsilon), 0.0, 1.0)
 
 
-def progress_velocity(window: RollingWindow, params: SignalParams) -> float:
-    """Rate of distance reduction over the window, normalized by the
-    maximum displacement achievable in the same span and clipped to
-    [-1, 1]. Positive means approaching the goal; fewer than two samples
-    yields a neutral 0."""
-    n = len(window.distances)
-    if n < 2:
-        return 0.0
-    raw = (window.distances[0] - window.distances[-1]) / ((n - 1) * params.step_length)
-    return clip(raw, -1.0, 1.0)
-
-
 def info_gain(summary_prev_window: SignalSummary, summary_now: SignalSummary) -> float:
     """Variance reduction between two full windows one window apart.
     Positive means uncertainty is resolving."""
@@ -150,9 +138,11 @@ def info_gain(summary_prev_window: SignalSummary, summary_now: SignalSummary) ->
 def update(window: RollingWindow, sample: SignalSample, params: SignalParams) -> SignalSummary:
     """Advance the window by one sample and recompute all derived
     statistics. Partial windows are allowed: statistics cover whatever
-    samples exist. Stability and velocity are `stability()` and
-    `progress_velocity()`, written out with `clip`'s two comparisons to
-    save four calls a step; the tests hold them bit for bit equal."""
+    samples exist. Stability is `stability()` written out with `clip`'s
+    two comparisons to save two calls a step; the tests hold it bit for
+    bit equal. Velocity is the distance drop across the window over the
+    largest drop its steps can make, clipped to [-1, 1]: positive means
+    approaching the goal, and fewer than two samples give a neutral 0."""
     window.push(sample.evidence, sample.distance)
     history = window._var_history
     var = history[-1]

@@ -55,12 +55,6 @@ class SunkCost:
     spent: int
     allocation: int
 
-    @property
-    def inertia(self) -> float:
-        if self.allocation <= 0:
-            raise InvalidStateError("subgoal allocation must be positive")
-        return self.spent / self.allocation
-
 
 @dataclass(slots=True)
 class MetaStateVector:
@@ -88,10 +82,10 @@ def potentiality(velocity: float, evidence: float, stability: float, w: StateWei
 
 
 def persistence_gate(info_gain: float, sunk: SunkCost, velocity: float, w: StateWeights) -> float:
-    """Gate against sunk-cost persistence: decays with the fraction of the
-    subgoal allocation already consumed, recovers with information gain
-    and forward progress. `SunkCost.inertia` and `sigmoid` are written
-    out to save two calls a step."""
+    """Gate against sunk-cost persistence: decays with the inertia, the
+    fraction `spent / allocation` of the subgoal allocation already
+    consumed, and recovers with information gain and forward progress.
+    `sigmoid` is written out to save a call a step."""
     if sunk.allocation <= 0:
         raise InvalidStateError("subgoal allocation must be positive")
     z = (w.gate_gain * info_gain - w.gate_inertia * (sunk.spent / sunk.allocation)

@@ -42,22 +42,29 @@ class GridMap:
     height: int
     width: int
     cell_size: float  # meters per cell
-    spawn: Cell
+    spawn: Cell  # a free cell
 
     def __post_init__(self) -> None:
         h, w, cells = self.height, self.width, self.cells
         if len(cells) != h * w:
             raise ValueError(f"{len(cells)} cells do not fill a {h} x {w} map")
-        if not set(cells) <= {WALL, FREE}:
-            i, x = next((i, x) for i, x in enumerate(cells) if x != WALL and x != FREE)
+        try:
+            data = bytes(cells)
+        except (TypeError, ValueError):  # a float, a string, or out of 0-255
+            data = None
+        if data is None or not set(data) <= {WALL, FREE}:
+            i, x = next((i, x) for i, x in enumerate(cells)
+                        if not isinstance(x, int) or x != WALL and x != FREE)
             raise ValueError(f"map cell {divmod(i, w)} is {x!r}; a cell is "
                              f"WALL ({WALL}) or FREE ({FREE})")
         middle_rows = (i for r in range(1, h - 1) for i in (r * w, r * w + w - 1))
         for i in (*range(w), *middle_rows, *range((h - 1) * w, h * w)):
-            if cells[i] == FREE:
+            if data[i] == FREE:
                 raise ValueError(f"map border cell {divmod(i, w)} is free; "
                                  "the border must be wall")
-        self.cells = bytes(cells)
+        self.cells = data
+        if not self.is_free(self.spawn):
+            raise ValueError(f"spawn {self.spawn} is not a free cell of the {h} x {w} map")
 
     def is_free(self, cell: Cell) -> bool:
         r, c = cell
@@ -410,10 +417,6 @@ class Navigator:
         new.visited = bytearray(self.visited)
         new._path = deque(self._path)
         return new
-
-    def coverage_fraction(self) -> float:
-        cells = self.gmap.cells
-        return sum(v for v, x in zip(self.visited, cells) if not x) / cells.count(FREE)
 
     def _plan_to_nearest_unvisited(self) -> Optional[list[Cell]]:
         """Shortest path (exclusive of the pose) to the nearest

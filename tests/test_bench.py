@@ -141,6 +141,12 @@ class TestBuildWorld:
         assert set(world.goals) == {1, 2}
         assert all(world.gmap.is_free(g.position) for g in world.goals.values())
 
+    def test_fixture_without_the_goal_is_config_error(self):
+        # `main` reports a ConfigError as a configuration error, exit 2
+        spec = fixture_spec("two_room", [GoalSpec(1, "mug"), GoalSpec(3, "tv")])
+        with pytest.raises(ConfigError, match="fixture two_room has no goal 3"):
+            build_world(spec)
+
     def test_sealed_goal_unreachable_but_sentinel_finite(self):
         spec = fixture_spec("sealed", [GoalSpec(1, "mug", feasibility=SEALED),
                                        GoalSpec(2, "tv")])

@@ -1,0 +1,61 @@
+"""Every function, method and property in `src/morn` is used by the program
+or by the gates that pin it: it has a caller in `src/morn`, or ACCEPTANCE
+(`tests/test_acceptance.py`) imports or calls it, or perfbench's span tracer
+rebinds it (`perfbench/spans.py`). A definition nothing calls is a second
+copy of a rule to read and keep equal, or no rule at all.
+
+Uses are matched by name: a name, an attribute or, for ACCEPTANCE, an
+imported name. So a method counts as called when any object's attribute
+of that name is read; the check finds definitions no code names at all.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "morn"
+# run by the interpreter: the constructor and the dataclass hook after it
+IMPLICIT = {"__init__", "__post_init__"}
+# a call of the builtin on the left calls the method on the right
+PROTOCOL = {"len": "__len__"}
+
+
+def definitions():
+    """(module, name) of every function, method and property in the package."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path.stem, node.name
+
+
+def names_used(path, imports=False):
+    """Every name and attribute `path` reads, with the methods its builtin
+    calls reach; with `imports`, the names it imports too."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+            if node.id in PROTOCOL:
+                used.add(PROTOCOL[node.id])
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif imports and isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def rebound_by_perfbench():
+    """The attribute names perfbench's span tables rebind."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_every_definition_has_a_caller():
+    used = set(IMPLICIT)
+    for path in SRC.glob("*.py"):
+        used |= names_used(path)
+    used |= names_used(ROOT / "tests" / "test_acceptance.py", imports=True)
+    used |= rebound_by_perfbench()
+    unused = [f"{module}.{name}" for module, name in definitions() if name not in used]
+    assert not unused, f"defined in src/morn but never called: {unused}"

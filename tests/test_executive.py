@@ -29,12 +29,18 @@ from morn.executive import (
     next_goal,
     quiet_bounds,
     select_next,
-    streak,
     streak_keys,
 )
 from morn.states import MetaStateVector, sigmoid
 
 TH = Thresholds()
+
+
+def streak(count, below, spent, th):
+    """The patience streak rule for one count, written from the README: a
+    step counts once it is past grace and below the branch's level, and
+    any other step resets the streak to 0."""
+    return count + 1 if below and spent >= th.grace else 0
 
 
 def states(pi=0.9, gamma=0.9, sigma=0.0):
@@ -264,8 +270,8 @@ def streak_cases(draw):
 
 
 class TestStreakRule:
-    """`streak` (what `run` counts) and `decide` agree on every branch the
-    patience guards."""
+    """The streak rule (`streak` above; `run` counts with `count_streaks`)
+    and `decide` agree on every branch the patience guards."""
 
     @staticmethod
     def _decide(c, abort_streak, switch_streak):
@@ -326,9 +332,13 @@ class TestStreakRule:
             assert decisions == [decisions[0]] * 3, (variant, patience_attr)
 
     def test_intervention_and_grace_reset(self):
-        assert streak(7, True, TH.grace, TH) == 8
-        assert streak(7, False, TH.grace, TH) == 0
-        assert streak(7, True, TH.grace - 1, TH) == 0
+        abort_key, switch_key = streak_keys(MethodVariant.MORN_FULL, TH)
+        below, above = TH.abort_level - 0.01, TH.abort_level + 0.01
+        for pi, spent, after in ((below, TH.grace, 8), (above, TH.grace, 0),
+                                 (below, TH.grace - 1, 0)):
+            streaks = {abort_key: 7, switch_key: 7}
+            count_streaks(streaks, pi, 1.0, spent)
+            assert streaks == {abort_key: after, switch_key: 0}, (pi, spent)
 
     def test_shared_counts_equal_each_arm_s_own(self):
         # a branch counts one streak per distinct key (`count_streaks`); each

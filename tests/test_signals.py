@@ -16,7 +16,6 @@ from morn.signals import (
     SignalSummary,
     clip,
     info_gain,
-    progress_velocity,
     stability,
     update,
 )
@@ -220,10 +219,11 @@ class TestUpdate:
 
 def check_inlined_arithmetic(params, weights, allocation, stream):
     """Feed (evidence, distance) pairs through `update`, Π and Γ as the
-    benchmark loop does. Every field must be bit for bit what the public
-    functions give: `update`'s against `stability()`, `progress_velocity()`
-    and the window's sums, Π and Γ against `sigmoid` of their
-    pre-activation with `SunkCost.inertia`. Returns the regimes met."""
+    benchmark loop does. Every field must be bit for bit what an
+    independent computation gives: `update`'s against `stability()`, the
+    window's sums and `oracle_summary`'s velocity, Π and Γ against
+    `sigmoid` of their pre-activation with the inertia `spent /
+    allocation`. Returns the regimes met."""
     window = RollingWindow(params.window)
     seen = set()
     for t, (evidence, distance) in enumerate(stream, 1):
@@ -232,7 +232,7 @@ def check_inlined_arithmetic(params, weights, allocation, stream):
         assert same_float(got.mean, window._sum / len(window.samples))
         assert same_float(got.variance, history[-1])
         assert same_float(got.stability, stability(got.variance, params))
-        assert same_float(got.velocity, progress_velocity(window, params))
+        assert same_float(got.velocity, oracle_summary(stream[:t], params).velocity)
         gain = (info_gain(SignalSummary(variance=history[0]), got)
                 if window._count_total >= 2 * params.window else 0.0)
         assert same_float(got.info_gain, gain)
@@ -241,7 +241,7 @@ def check_inlined_arithmetic(params, weights, allocation, stream):
         z = weights.pot_v * v + weights.pot_s * evidence + weights.pot_stab * stab
         assert same_float(potentiality(v, evidence, stab, weights), sigmoid(z))
         sunk = SunkCost(t, allocation)
-        z = (weights.gate_gain * got.info_gain - weights.gate_inertia * sunk.inertia
+        z = (weights.gate_gain * got.info_gain - weights.gate_inertia * (t / allocation)
              + weights.gate_v * v)
         assert same_float(persistence_gate(got.info_gain, sunk, v, weights), sigmoid(z))
         for bad in (0, -allocation):
@@ -366,24 +366,16 @@ class TestProgressVelocity:
         assert summaries[-1].velocity == pytest.approx(-1.0, abs=TOL)
 
     def test_fewer_than_two_samples_neutral(self):
-        params = SignalParams()
-        window = RollingWindow(params.window)
-        assert progress_velocity(window, params) == 0.0
-        window.push(0.1, 5.0)
-        assert progress_velocity(window, params) == 0.0
+        _, summaries = feed([0.1], SignalParams(), [5.0])
+        assert summaries[-1].velocity == 0.0
 
     @given(st.lists(st.floats(0, 50), min_size=2, max_size=5))
     def test_antisymmetric_under_reversal(self, distances):
         params = SignalParams()
-        fwd = RollingWindow(5)
-        rev = RollingWindow(5)
-        for d in distances:
-            fwd.push(0.0, d)
-        for d in reversed(distances):
-            rev.push(0.0, d)
+        _, fwd = feed([0.0] * len(distances), params, distances)
+        _, rev = feed([0.0] * len(distances), params, distances[::-1])
         # clip to [-1, 1] is odd, so antisymmetry survives the clipping
-        assert progress_velocity(fwd, params) == pytest.approx(
-            -progress_velocity(rev, params), abs=TOL)
+        assert fwd[-1].velocity == pytest.approx(-rev[-1].velocity, abs=TOL)
 
 
 class TestInfoGain:

@@ -152,9 +152,6 @@ class TestWeights:
         with pytest.raises(ValueError):
             StateWeights(prox_scale=0.0).validate()
 
-    def test_sunk_cost_inertia(self):
-        assert SunkCost(30, 60).inertia == pytest.approx(0.5, abs=TOL)
-
 
 def test_replay_determinism():
     """Pure functions: identical inputs yield identical outputs."""

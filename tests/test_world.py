@@ -101,6 +101,12 @@ def free_cells(gmap):
     return [divmod(i, gmap.width) for i, x in enumerate(gmap.cells) if x == FREE]
 
 
+def coverage(nav):
+    """The fraction of the map's free cells the navigator has visited."""
+    free = free_cells(nav.gmap)
+    return sum(nav.visited[r * nav.gmap.width + c] for r, c in free) / len(free)
+
+
 def walked_coverage(gmap, rng, free, steps):
     """Coverage as the navigator makes it: after each step of a random walk
     from a random free cell, the pose and the union of the clipped sensing
@@ -207,15 +213,27 @@ class TestParseGrid:
             assert type(from_list.cells) is type(from_bytes.cells) is type(gmap.cells) is bytes
             assert all(gmap.is_free((r, c)) == (gmap.cells[r * w + c] == FREE)
                        for r in range(h) for c in range(w))
-        # any other value is named with its cell, 256 too, which bytes()
-        # would reject with its own message
-        for value in (2, 256):
+        # any other value is named with its cell: 256 too, which bytes()
+        # would reject with its own message, and 1.0, which equals WALL but
+        # which bytes() cannot take
+        for value in (2, 256, 1.0):
             cells = [WALL] * 15
             cells[6] = FREE
             cells[7] = value
             with pytest.raises(ValueError, match=rf"map cell \(1, 2\) is {value}; "
                                                  r"a cell is WALL \(1\) or FREE \(0\)"):
                 GridMap(cells=cells, height=3, width=5, cell_size=0.5, spawn=(1, 1))
+
+    @pytest.mark.parametrize("spawn", [(1, 1), (0, 2), (3, 2), (1, -1)])
+    def test_spawn_must_be_a_free_cell_of_the_map(self, spawn):
+        # a wall, a border wall and two cells off the map; else the fault
+        # shows only at the navigator's first path plan
+        cells = [WALL] * 15
+        cells[7] = FREE
+        message = rf"spawn \({spawn[0]}, {spawn[1]}\) is not a free cell of the 3 x 5 map"
+        with pytest.raises(ValueError, match=message):
+            GridMap(cells=cells, height=3, width=5, cell_size=0.5, spawn=spawn)
+        assert GridMap(cells, 3, 5, 0.5, (1, 2)).is_free((1, 2))
 
     @pytest.mark.parametrize("text", ["", "\n  \n"])
     def test_no_rows_rejected(self, text):
@@ -481,10 +499,10 @@ class TestNavigator:
     def test_coverage_grows_until_complete(self):
         gmap, _ = parse_grid(load_fixture("open"))
         nav = Navigator(gmap, PerceptionParams())
-        last = nav.coverage_fraction()
+        last = coverage(nav)
         for _ in range(400):
             action = nav.step()
-            cov = nav.coverage_fraction()
+            cov = coverage(nav)
             assert cov >= last
             last = cov
             if cov == 1.0:
@@ -727,9 +745,9 @@ class TestNavigator:
         nav = Navigator(gmap, PerceptionParams())
         for _ in range(50):
             nav.step()
-        covered = nav.coverage_fraction()
+        covered = coverage(nav)
         nav.begin_goal_context()
-        assert nav.coverage_fraction() < covered or covered == nav.coverage_fraction() == 1.0
+        assert coverage(nav) < covered or covered == coverage(nav) == 1.0
         assert nav.believed_target is None
 
     def test_goal_context_at_spawn_is_a_new_navigator(self):
