@@ -1,32 +1,4 @@
 """Metacognitive executive for budget-constrained multi-goal navigation,
 with a self-contained synthetic benchmark."""
 
-from .bench import (
-    EpisodeSpec,
-    EpisodeTrace,
-    GoalSpec,
-    MetricsReport,
-    build_world,
-    compute_metrics,
-    decompose_failures,
-    generate,
-    run,
-    run_suite,
-    sweep,
-)
-from .config import ConfigError, RunConfig, load_config
-from .executive import (
-    BudgetLedger,
-    ExecutiveDecision,
-    MetaAction,
-    MethodVariant,
-    MissionSchedule,
-    Thresholds,
-    allocate,
-    decide,
-    select_next,
-)
-from .signals import RollingWindow, SignalParams, SignalSample, SignalSummary, clip
-from .states import MetaStateVector, StateWeights, SunkCost
-
-__version__ = "0.1.0"
+from .config import load_config

@@ -139,7 +139,8 @@ def load_config(path: str | Path | None = None,
     key_lines: dict[str, int] = {}
     if path is not None:
         try:
-            text = Path(path).read_text()
+            # utf-8-sig drops the byte-order mark some editors write
+            text = Path(path).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
             raise ConfigError(f"cannot read config file {str(path)!r}: {reason}") from exc

@@ -181,16 +181,6 @@ def allocate(budget: BudgetLedger, remaining_goals: int) -> int:
     return min(ALLOC_MAX, max(share, ALLOC_MIN))
 
 
-def below_abort(states: MetaStateVector, thresholds: Thresholds) -> bool:
-    """The abort branch's condition: potentiality under the abort level."""
-    return states.potentiality < thresholds.abort_level
-
-
-def below_switch(states: MetaStateVector, thresholds: Thresholds) -> bool:
-    """The switch branch's condition: the gate under the switch level."""
-    return states.persistence < thresholds.switch_level
-
-
 class StreakKey(NamedTuple):
     """What one patience streak depends on: the branch (`switch`: Γ
     against the switch level, else Π against the abort level), the level,
@@ -309,24 +299,24 @@ def decide(
     a short warmup, so a freshly reset window (trivially stable) cannot
     trigger it.
 
-    Evaluation order follows the priority: the cap first, then
-    `below_abort` only if the variant enables abort, `below_switch` only
-    if it enables switch, then commit, whose distance and warmup tests
-    come before Σ is read. The result is one of the module's shared,
-    frozen decisions; nothing is allocated.
+    Evaluation order follows the priority: the cap first, then Π against
+    the abort level only if the variant enables abort, Γ against the
+    switch level only if it enables switch, then commit, whose distance
+    and warmup tests come before Σ is read. The result is one of the
+    module's shared, frozen decisions; nothing is allocated.
     """
     spent = ledger.active_spent
     if spent >= ledger.allocation:
         return _CAP_ABORT if remaining_count <= 1 else _CAP_SWITCH
     in_grace = spent < thresholds.grace
 
-    if variant.abort_enabled and below_abort(states, thresholds):
+    if variant.abort_enabled and states.potentiality < thresholds.abort_level:
         if in_grace:
             return _GRACE
         if abort_streak >= thresholds.abort_patience:
             return _LOW_POTENTIALITY
 
-    if variant.switch_enabled and below_switch(states, thresholds):
+    if variant.switch_enabled and states.persistence < thresholds.switch_level:
         if in_grace:
             return _GRACE
         if switch_streak >= thresholds.switch_patience and remaining_count > 1:

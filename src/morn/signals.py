@@ -14,15 +14,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 
-class InvalidBoundsError(ValueError):
-    pass
-
-
 def clip(x: float, lo: float, hi: float) -> float:
     """Saturate x into [lo, hi]; exactly max(lo, min(x, hi)), NaN and
     signed zeros included, without the two builtin calls."""
     if lo > hi:
-        raise InvalidBoundsError(f"lower bound {lo} exceeds upper bound {hi}")
+        raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
     m = hi if hi < x else x
     return m if m > lo else lo
 

@@ -13,10 +13,6 @@ import math
 from dataclasses import dataclass
 
 
-class InvalidStateError(ValueError):
-    pass
-
-
 @dataclass
 class StateWeights:
     # potentiality: velocity / evidence / stability
@@ -87,7 +83,7 @@ def persistence_gate(info_gain: float, sunk: SunkCost, velocity: float, w: State
     consumed, and recovers with information gain and forward progress.
     `sigmoid` is written out to save a call a step."""
     if sunk.allocation <= 0:
-        raise InvalidStateError("subgoal allocation must be positive")
+        raise ValueError("subgoal allocation must be positive")
     z = (w.gate_gain * info_gain - w.gate_inertia * (sunk.spent / sunk.allocation)
          + w.gate_v * velocity)
     if z >= 0:

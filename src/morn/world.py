@@ -27,10 +27,6 @@ WALL = 1
 Cell = tuple[int, int]  # (row, col)
 
 
-class OccupiedCellError(ValueError):
-    pass
-
-
 @dataclass
 class GridMap:
     """An occupancy grid: one byte per cell, WALL (1) or FREE (0), cell
@@ -194,7 +190,7 @@ def _path(gmap: GridMap, start: Cell, done: bytes | bytearray) -> Optional[list[
     that neighbours it.
     """
     if not gmap.is_free(start):
-        raise OccupiedCellError(f"start cell {start} is not free")
+        raise ValueError(f"start cell {start} is not free")
     w, h, cells = gmap.width, gmap.height, gmap.cells
     r, c = start
     i = r * w + c
@@ -231,7 +227,7 @@ def distance_field(gmap: GridMap, target: Cell) -> list[float]:
     4-connected free grid, indexed like `gmap.cells` (cell (r, c) at
     r * width + c); inf where disconnected or walled."""
     if not gmap.is_free(target):
-        raise OccupiedCellError(f"target cell {target} is not free")
+        raise ValueError(f"target cell {target} is not free")
     n = len(gmap.cells)
     levels, _ = _search(gmap, target[0] * gmap.width + target[1], b"\x01" * n)
     meters = [math.inf] * n
@@ -247,7 +243,7 @@ def geodesic_distance(gmap: GridMap, start: Cell, goal: Cell) -> float:
     """Shortest-path length in meters between two free cells; inf if
     disconnected."""
     if not gmap.is_free(goal):
-        raise OccupiedCellError(f"target cell {goal} is not free")
+        raise ValueError(f"target cell {goal} is not free")
     path = bfs_path(gmap, start, goal)
     return math.inf if path is None else len(path) * gmap.cell_size
 
@@ -346,7 +342,7 @@ def emit_evidence(
     """
     r, c = pose
     if not (0 <= r < gmap.height and 0 <= c < gmap.width and not gmap.cells[r * gmap.width + c]):
-        raise OccupiedCellError(f"pose {pose} is not free")
+        raise ValueError(f"pose {pose} is not free")
     p = params
     noise = rng.gauss(0.0, p.noise_std) if p.noise_std > 0 else 0.0
 

@@ -10,6 +10,7 @@ of that name is read; the check finds definitions no code names at all.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,3 +60,35 @@ def test_every_definition_has_a_caller():
     used |= rebound_by_perfbench()
     unused = [f"{module}.{name}" for module, name in definitions() if name not in used]
     assert not unused, f"defined in src/morn but never called: {unused}"
+
+
+def bound_by_package_root():
+    """Every name `src/morn/__init__.py` binds at its top level."""
+    bound = set()
+    for node in ast.parse((SRC / "__init__.py").read_text()).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.Assign):
+            bound |= {n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    return bound
+
+
+def imported_from_package_root():
+    """The names perfbench, the tests and the CI workflow import with
+    `from morn import ...`, in code or in the scripts they hold as text."""
+    paths = [*(ROOT / "perfbench").rglob("*.py"), *(ROOT / "tests").rglob("*.py"),
+             *(ROOT / ".github" / "workflows").glob("*.yml")]
+    imported = set()
+    for path in paths:
+        for names in re.findall(r"\bfrom morn import \(?([\w\s,]+)", path.read_text()):
+            imported |= {name.split()[0] for name in names.split(",") if name.strip()}
+    return imported
+
+
+def test_every_package_root_name_is_imported():
+    # a name the root binds and no caller imports from it is a second
+    # path to a definition its submodule already names
+    unused = sorted(bound_by_package_root() - imported_from_package_root())
+    assert not unused, f"bound in morn/__init__.py but never imported from morn: {unused}"

@@ -137,6 +137,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="cannot read config file .*latin1.cfg"):
             load_config(path)
 
+    def test_file_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfthresholds.abort = 0.25\n")
+        assert load_config(path).thresholds.abort == 0.25
+
     def test_apply_overrides_returns_same_object(self):
         cfg = RunConfig()
         assert apply_overrides(cfg, {"thresholds.grace": "10"}) is cfg

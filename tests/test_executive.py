@@ -22,8 +22,6 @@ from morn.executive import (
     Thresholds,
     allocate,
     apply,
-    below_abort,
-    below_switch,
     count_streaks,
     decide,
     next_goal,
@@ -282,8 +280,9 @@ class TestStreakRule:
     @staticmethod
     def _streaks(c):
         th, spent = c["thresholds"], c["ledger"].active_spent
-        return (streak(c["before"], below_abort(c["states"], th), spent, th),
-                streak(c["before"], below_switch(c["states"], th), spent, th))
+        sv = c["states"]
+        return (streak(c["before"], sv.potentiality < th.abort_level, spent, th),
+                streak(c["before"], sv.persistence < th.switch_level, spent, th))
 
     @settings(max_examples=400, deadline=None)
     @given(streak_cases())
@@ -308,7 +307,7 @@ class TestStreakRule:
                                 else DecisionReason.LOW_POTENTIALITY)
         if switch_now > 0 and variant.switch_enabled and c["remaining"] > 1:
             d = self._decide(c, c["other"], th.switch_patience)
-            aborts = (variant.abort_enabled and below_abort(c["states"], th)
+            aborts = (variant.abort_enabled and c["states"].potentiality < th.abort_level
                       and c["other"] >= th.abort_patience)
             expected = (DecisionReason.SUBGOAL_CAP if capped
                         else DecisionReason.LOW_POTENTIALITY if aborts
@@ -369,10 +368,10 @@ class TestStreakRule:
                 at_patience = False
                 for (variant, th), (abort_key, switch_key), counts in zip(arms, keys, own):
                     if variant.abort_enabled:
-                        counts[0] = streak(counts[0], below_abort(sv, th), spent, th)
+                        counts[0] = streak(counts[0], sv.potentiality < th.abort_level, spent, th)
                         at_patience |= counts[0] >= th.abort_patience
                     if variant.switch_enabled:
-                        counts[1] = streak(counts[1], below_switch(sv, th), spent, th)
+                        counts[1] = streak(counts[1], sv.persistence < th.switch_level, spent, th)
                         at_patience |= counts[1] >= th.switch_patience
                     if [shared.get(abort_key, 0), shared.get(switch_key, 0)] != counts:
                         problems.append((case, spent, variant.name))
@@ -450,9 +449,10 @@ class TestQuietSteps:
                     streaks = (rng.choice((0, th.abort_patience, 100)),
                                rng.choice((0, th.switch_patience, 100)))
                     d = decide(sv, distance, led, th, variant, remaining, *streaks)
-                    counted = [streak(0, below(sv, th), spent, th)
-                               for below, enabled in ((below_abort, variant.abort_enabled),
-                                                      (below_switch, variant.switch_enabled))
+                    counted = [streak(0, below, spent, th)
+                               for below, enabled in (
+                                   (sv.potentiality < th.abort_level, variant.abort_enabled),
+                                   (sv.persistence < th.switch_level, variant.switch_enabled))
                                if enabled]
                     if d.action is not MetaAction.PERSIST or any(counted):
                         can_act = True

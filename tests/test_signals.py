@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import struct
 
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morn.signals import (
-    InvalidBoundsError,
     RollingWindow,
     SignalParams,
     SignalSample,
@@ -20,7 +20,6 @@ from morn.signals import (
     update,
 )
 from morn.states import (
-    InvalidStateError,
     StateWeights,
     SunkCost,
     persistence_gate,
@@ -93,7 +92,7 @@ class TestClip:
         assert clip(-2.0, 0, 1) == 0.0
 
     def test_invalid_bounds(self):
-        with pytest.raises(InvalidBoundsError):
+        with pytest.raises(ValueError, match="lower bound 1.0 exceeds upper bound 0.0"):
             clip(0.5, 1.0, 0.0)
 
     @given(st.floats(allow_nan=False, allow_infinity=False),
@@ -118,7 +117,8 @@ class TestClip:
             for lo in SPECIAL_FLOATS:
                 for hi in SPECIAL_FLOATS:
                     if lo > hi:
-                        with pytest.raises(InvalidBoundsError):
+                        message = f"lower bound {lo} exceeds upper bound {hi}"
+                        with pytest.raises(ValueError, match=re.escape(message)):
                             clip(x, lo, hi)
                         continue
                     assert same_float(clip(x, lo, hi), max(lo, min(x, hi))), (x, lo, hi)
@@ -245,7 +245,7 @@ def check_inlined_arithmetic(params, weights, allocation, stream):
              + weights.gate_v * v)
         assert same_float(persistence_gate(got.info_gain, sunk, v, weights), sigmoid(z))
         for bad in (0, -allocation):
-            with pytest.raises(InvalidStateError):
+            with pytest.raises(ValueError, match="subgoal allocation must be positive"):
                 persistence_gate(got.info_gain, SunkCost(t, bad), v, weights)
 
         distances = window.distances

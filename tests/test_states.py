@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from morn.states import (
-    InvalidStateError,
     MetaStateVector,
     StateWeights,
     SunkCost,
@@ -82,7 +81,7 @@ class TestPersistenceGate:
         assert persistence_gate(0.2, sunk, 0.5, W) == pytest.approx(expected, abs=TOL)
 
     def test_zero_allocation_rejected(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(ValueError, match="subgoal allocation must be positive"):
             persistence_gate(0.0, SunkCost(5, 0), 0.0, W)
 
     @given(st.integers(0, 300), st.integers(0, 300), st.integers(1, 300))

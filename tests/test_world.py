@@ -17,7 +17,6 @@ from morn.world import (
     GoalInstance,
     GridMap,
     Navigator,
-    OccupiedCellError,
     PerceptionParams,
     WorldParams,
     _path,
@@ -278,10 +277,12 @@ class TestGeodesic:
 
     def test_occupied_cell_rejected(self):
         gmap, _ = parse_grid(OPEN_MAP)
-        with pytest.raises(OccupiedCellError):
+        with pytest.raises(ValueError, match=r"target cell \(0, 0\) is not free"):
             distance_field(gmap, (0, 0))
-        with pytest.raises(OccupiedCellError):
+        with pytest.raises(ValueError, match=r"start cell \(0, 0\) is not free"):
             geodesic_distance(gmap, (0, 0), (1, 1))
+        with pytest.raises(ValueError, match=r"target cell \(0, 0\) is not free"):
+            geodesic_distance(gmap, (1, 1), (0, 0))
 
     def test_matches_oracle_on_random_maps(self):
         rng = random.Random(42)
@@ -435,7 +436,7 @@ class TestEmitEvidence:
     def test_pose_must_be_free(self):
         gmap, goals = parse_grid(OPEN_MAP)
         goal = GoalInstance(goals[1])
-        with pytest.raises(OccupiedCellError):
+        with pytest.raises(ValueError, match=r"pose \(0, 0\) is not free"):
             emit_evidence(goal, (0, 0), gmap, PerceptionParams(), random.Random(0), math.inf)
 
     def test_unreachable_goal_draws_like_absent_goal(self):
