@@ -21,7 +21,6 @@ from .config import ConfigError, RunConfig, apply_overrides
 from .executive import (
     BudgetLedger,
     GoalStatus,
-    InvalidCallError,
     MetaAction,
     MethodVariant,
     MissionSchedule,
@@ -87,18 +86,18 @@ class EpisodeSpec:
     def __post_init__(self) -> None:
         ids = [g.goal_id for g in self.goals]
         if not ids:
-            raise InvalidCallError(f"episode {self.episode_id}: an episode needs a goal")
+            raise ValueError(f"episode {self.episode_id}: an episode needs a goal")
         if self.goal_count != len(ids):
-            raise InvalidCallError(f"episode {self.episode_id}: goal_count {self.goal_count} "
-                                   f"but {len(ids)} goals")
+            raise ValueError(f"episode {self.episode_id}: goal_count {self.goal_count} "
+                             f"but {len(ids)} goals")
         if len(set(ids)) != len(ids):
-            raise InvalidCallError(f"episode {self.episode_id}: goal ids {ids} are not unique")
+            raise ValueError(f"episode {self.episode_id}: goal ids {ids} are not unique")
         if self.budget_max < 1:
-            raise InvalidCallError(f"episode {self.episode_id}: budget_max {self.budget_max} "
-                                   "is not a positive step budget")
+            raise ValueError(f"episode {self.episode_id}: budget_max {self.budget_max} "
+                             "is not a positive step budget")
         for g in self.goals:
             if g.feasibility not in FEASIBILITIES:
-                raise InvalidCallError(
+                raise ValueError(
                     f"episode {self.episode_id}: goal {g.goal_id} feasibility "
                     f"{g.feasibility!r} is not one of {', '.join(FEASIBILITIES)}")
 
@@ -109,7 +108,7 @@ def generate(count_k2: int, count_k3: int, master_seed: int,
     by `count_k3` three-goal episodes, with a configured fraction of
     goals infeasible (absent or sealed)."""
     if count_k2 < 0 or count_k3 < 0:
-        raise InvalidCallError("episode counts must be nonnegative")
+        raise ValueError("episode counts must be nonnegative")
     bp = config.bench
     specs: list[EpisodeSpec] = []
     for i in range(count_k2 + count_k3):
@@ -441,7 +440,7 @@ def compute_metrics(traces: list[EpisodeTrace], reward: float = 1.0,
     inflate CR.
     """
     if not traces:
-        raise InvalidCallError("compute_metrics on empty trace list")
+        raise ValueError("compute_metrics on empty trace list")
     n = len(traces)
     mgsr = cr = wsf = steps_sum = util = ssr = 0.0
     for tr in traces:
@@ -474,10 +473,10 @@ def run_suite(specs: list[EpisodeSpec], variants: list[MethodVariant],
     output is independent of scheduling. Traces carry no step records.
     `specs` and `variants` must not be empty, and no variant is listed twice."""
     if not variants:
-        raise InvalidCallError("run_suite needs at least one variant")
+        raise ValueError("run_suite needs at least one variant")
     for n, v in enumerate(variants):
         if v in variants[:n]:
-            raise InvalidCallError(f"run_suite: variant {v.value} is listed twice")
+            raise ValueError(f"run_suite: variant {v.value} is listed twice")
     arms = [(v, config) for v in variants]
     return dict(zip(variants, _run_arms(specs, arms, workers)))
 
@@ -489,7 +488,7 @@ def _run_arms(specs: list[EpisodeSpec], arms: list[tuple[MethodVariant, RunConfi
     A pool of `workers` processes, but never more than the jobs (one per
     spec), runs them; with one process or fewer they run in this one."""
     if not specs:
-        raise InvalidCallError("the spec list is empty: there is no episode to run")
+        raise ValueError("the spec list is empty: there is no episode to run")
     jobs = [(spec, arms) for spec in specs]
     workers = min(workers, len(jobs))
     if workers > 1:
@@ -617,12 +616,12 @@ class _Forks:
     def claim(self, spec: EpisodeSpec, variant: MethodVariant, config: RunConfig) -> int:
         """The next arm's index."""
         if spec is not self.spec:
-            raise InvalidCallError(f"run with forks built for episode {self.spec.episode_id} "
-                                   f"got episode {spec.episode_id}")
+            raise ValueError(f"run with forks built for episode {self.spec.episode_id} "
+                             f"got episode {spec.episode_id}")
         i = self.next
         arm = self.arms[i] if i < len(self.arms) else None
         if arm is None or arm.variant is not variant or arm.config is not config:
-            raise InvalidCallError("run with forks takes each arm once, in arm order")
+            raise ValueError("run with forks takes each arm once, in arm order")
         self.next += 1
         return i
 

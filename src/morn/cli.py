@@ -34,7 +34,7 @@ from .bench import (
     run_suite,
     sweep as run_sweep,
 )
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, read_assignments
 from .world import parse_grid
 
 
@@ -88,16 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> RunConfig:
-    overrides = {}
-    for item in args.set:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        k, v = item.split("=", 1)
-        k = k.strip()
-        if k in overrides:
-            raise ConfigError(f"--set key {k!r} is given twice")
-        overrides[k] = v.strip()
-    return load_config(args.config, overrides)
+    return load_config(args.config, read_assignments(
+        (f"--set item {n}", item) for n, item in enumerate(args.set, 1)))
 
 
 def _suite(config: RunConfig, episodes: int | None):

@@ -8,6 +8,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from .executive import Thresholds
 from .signals import SignalParams
@@ -130,13 +131,29 @@ def apply_overrides(config: RunConfig, overrides: dict[str, str]) -> RunConfig:
     return config
 
 
+def read_assignments(items: Iterable[tuple[str, str]]) -> dict[str, str]:
+    """The key -> value dict of `(where, text)` pairs, each text a
+    `KEY=VALUE` split on its first '=' with both sides stripped. A text
+    without '=', or a key set twice, is a ConfigError naming `where`."""
+    values: dict[str, str] = {}
+    places: dict[str, str] = {}
+    for where, text in items:
+        if "=" not in text:
+            raise ConfigError(f"{where}: expected KEY=VALUE, got {text!r}")
+        key, raw = text.split("=", 1)
+        key = key.strip()
+        if key in places:
+            raise ConfigError(f"{where}: key {key!r} is set again (first set at {places[key]})")
+        places[key] = where
+        values[key] = raw.strip()
+    return values
+
+
 def load_config(path: str | Path | None = None,
                 overrides: dict[str, str] | None = None) -> RunConfig:
     """Build a config from defaults, an optional key=value file of dotted
     keys and `overrides`; then validate it, the `commit_floor` included."""
     config = RunConfig()
-    file_overrides: dict[str, str] = {}
-    key_lines: dict[str, int] = {}
     if path is not None:
         try:
             # utf-8-sig drops the byte-order mark some editors write
@@ -144,20 +161,9 @@ def load_config(path: str | Path | None = None,
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
             raise ConfigError(f"cannot read config file {str(path)!r}: {reason}") from exc
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, raw = line.split("=", 1)
-            key = key.strip()
-            if key in key_lines:
-                raise ConfigError(f"{path}:{lineno}: key {key!r} is set again "
-                                  f"(first set on line {key_lines[key]})")
-            key_lines[key] = lineno
-            file_overrides[key] = raw.strip()
-    apply_overrides(config, file_overrides)
+        lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
+        apply_overrides(config, read_assignments(
+            (f"{path}:{n}", line) for n, line in enumerate(lines, 1) if line))
     apply_overrides(config, overrides or {})
     try:
         config.validate()

@@ -25,10 +25,6 @@ ALLOC_MIN = 50
 ALLOC_MAX = 300
 
 
-class InvalidCallError(ValueError):
-    pass
-
-
 class MetaAction(Enum):
     PERSIST = "PERSIST"
     SWITCH = "SWITCH"
@@ -157,13 +153,13 @@ class MissionSchedule:
     @property
     def active(self) -> GoalStatus:
         if self.active_id is None:
-            raise InvalidCallError("no active goal")
+            raise ValueError("no active goal")
         return self.goals[self.active_id]
 
     def activate(self, goal_id: int) -> None:
         st = self.goals[goal_id]
         if st.state not in (GoalState.PENDING,):
-            raise InvalidCallError(f"goal {goal_id} not pending")
+            raise ValueError(f"goal {goal_id} not pending")
         st.state = GoalState.ACTIVE
         self.active_id = goal_id
 
@@ -176,7 +172,7 @@ def allocate(budget: BudgetLedger, remaining_goals: int) -> int:
     """Dynamic per-subgoal step allocation: remaining budget split evenly
     across open goals, clamped into [ALLOC_MIN, ALLOC_MAX]."""
     if remaining_goals < 1:
-        raise InvalidCallError("remaining_goals must be >= 1")
+        raise ValueError("remaining_goals must be >= 1")
     share = (budget.budget_max - budget.elapsed) // remaining_goals
     return min(ALLOC_MAX, max(share, ALLOC_MIN))
 
@@ -271,7 +267,7 @@ def quiet_bounds(arms: list[tuple[MethodVariant, Thresholds]], allocation: int) 
     step is quiet or idle: `(0, inf, -inf)`.
     """
     if not arms:
-        raise InvalidCallError("quiet_bounds needs at least one arm")
+        raise ValueError("quiet_bounds needs at least one arm")
     graces = [th.grace for v, th in arms if v.abort_enabled or v.switch_enabled]
     return QuietBounds(min([allocation, *graces]),
                        max(th.commit_distance for _, th in arms),
@@ -342,7 +338,7 @@ def select_next(
     distance, ties broken by lowest goal id. The runner passes grid cells,
     so the ordering, ties included, does not depend on the cell size."""
     if not remaining:
-        raise InvalidCallError("select_next on empty goal set")
+        raise ValueError("select_next on empty goal set")
     ax, ay = agent_position
 
     def key(g: int) -> tuple[float, int]:
@@ -370,7 +366,7 @@ def next_goal(
     the runner passes, and skips `after` unless no other goal is pending.
     """
     if not pending:
-        raise InvalidCallError("next_goal on empty goal set")
+        raise ValueError("next_goal on empty goal set")
     if variant is MethodVariant.FIXED_ORDER or (
             after is None and variant is not MethodVariant.REACTIVE_ORDER):
         start = 0 if after is None else order.index(after) + 1

@@ -100,12 +100,13 @@ def parse_grid(text: str, cell_size: float = 0.5) -> tuple[GridMap, dict[int, Ce
                                      f"the first is at {where(spawn)}")
                 cells[r * w + c] = FREE
                 spawn = (r, c)
-            elif ch.isdigit() and ch != "0":
-                if int(ch) in goals:
-                    raise ValueError(f"goal {ch} appears twice, at {where(goals[int(ch)])} "
+            elif ch in "123456789":  # str.isdigit also takes '٣' and '²'
+                goal = int(ch)
+                if goal in goals:
+                    raise ValueError(f"goal {ch} appears twice, at {where(goals[goal])} "
                                      f"and {where((r, c))}")
                 cells[r * w + c] = FREE
-                goals[int(ch)] = (r, c)
+                goals[goal] = (r, c)
             elif ch == " ":
                 continue
             else:

@@ -34,7 +34,6 @@ from morn.executive import (
     BudgetLedger,
     GoalState,
     GoalStatus,
-    InvalidCallError,
     MethodVariant,
     MissionSchedule,
 )
@@ -110,7 +109,7 @@ class TestGenerate:
             assert sum(1 for g in s.goals if g.feasibility == SEALED) <= 1
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(InvalidCallError):
+        with pytest.raises(ValueError, match="episode counts must be nonnegative"):
             generate(-1, 0, 1, CFG)
 
 
@@ -129,7 +128,7 @@ class TestEpisodeSpec:
     ], ids=["count", "duplicate-ids", "no-goals", "feasibility-case", "feasibility-typo",
             "zero-budget", "negative-budget"])
     def test_inconsistent_spec_rejected(self, goal_count, goals, budget_max, message):
-        with pytest.raises(InvalidCallError, match=f"episode 7: {message}"):
+        with pytest.raises(ValueError, match=f"episode 7: {message}"):
             EpisodeSpec(episode_id=7, seed=1, goal_count=goal_count, budget_max=budget_max,
                         goals=goals)
 
@@ -282,7 +281,7 @@ class TestMetrics:
         assert m.utility_mean == pytest.approx(2.0 - 0.5)
 
     def test_empty_rejected(self):
-        with pytest.raises(InvalidCallError):
+        with pytest.raises(ValueError, match="compute_metrics on empty trace list"):
             compute_metrics([])
 
     def test_consistency_on_real_traces(self):
@@ -442,22 +441,22 @@ class TestSuiteAndSweep:
             sweep(small_suite(1, 0), MethodVariant.MORN_FULL, parameter, [10, bad], CFG)
 
     def test_empty_variant_list_rejected(self, no_world):
-        with pytest.raises(InvalidCallError, match="run_suite needs at least one variant"):
+        with pytest.raises(ValueError, match="run_suite needs at least one variant"):
             run_suite(small_suite(1, 0), [], CFG)
 
     def test_empty_spec_list_rejected_by_run_suite(self, no_world):
         # it used to return an empty trace list per variant
-        with pytest.raises(InvalidCallError, match="the spec list is empty"):
+        with pytest.raises(ValueError, match="the spec list is empty"):
             run_suite([], [MethodVariant.MORN_FULL], CFG)
 
     def test_empty_spec_list_rejected_by_sweep(self, no_world):
         # it used to fail inside compute_metrics, on an empty trace list
-        with pytest.raises(InvalidCallError, match="the spec list is empty"):
+        with pytest.raises(ValueError, match="the spec list is empty"):
             sweep([], MethodVariant.MORN_FULL, "tau_c", [0.6, 0.7], CFG)
 
     def test_repeated_variant_rejected(self, no_world):
         # the result is keyed by variant, so a repeat would lose an arm
-        with pytest.raises(InvalidCallError, match="variant MORN_FULL is listed twice"):
+        with pytest.raises(ValueError, match="variant MORN_FULL is listed twice"):
             run_suite(small_suite(1, 0), [MethodVariant.MORN_FULL, MethodVariant.FIXED_ORDER,
                                           MethodVariant.MORN_FULL], CFG)
 
@@ -654,14 +653,14 @@ class TestForkedArms:
         spec = small_suite(1, 0)[0]
         arms = arm_lists(CFG)["variants"]
         forks = bench_mod._Forks(spec, build_world(spec), arms)
-        with pytest.raises(InvalidCallError, match="arm order"):
+        with pytest.raises(ValueError, match="arm order"):
             run(spec, *arms[1], forks=forks)
 
     def test_forks_of_another_spec_rejected(self):
         a, b = small_suite(2, 0)
         arms = arm_lists(CFG)["variants"]
         forks = bench_mod._Forks(a, build_world(a), arms)
-        with pytest.raises(InvalidCallError, match="built for episode 0 got episode 1"):
+        with pytest.raises(ValueError, match="built for episode 0 got episode 1"):
             run(b, *arms[0], forks=forks)
 
     @pytest.mark.parametrize("arms_name", ["variants", "weights"])

@@ -7,9 +7,13 @@ copy of a rule to read and keep equal, or no rule at all.
 Uses are matched by name: a name, an attribute or, for ACCEPTANCE, an
 imported name. So a method counts as called when any object's attribute
 of that name is read; the check finds definitions no code names at all.
+
+Every exception class in `src/morn` is also named by an `except` clause
+there: one no handler names is only a second name for its base class.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -92,3 +96,31 @@ def test_every_package_root_name_is_imported():
     # path to a definition its submodule already names
     unused = sorted(bound_by_package_root() - imported_from_package_root())
     assert not unused, f"bound in morn/__init__.py but never imported from morn: {unused}"
+
+
+def exception_classes():
+    """(module, name) of every exception class the package's modules define."""
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"morn.{path.stem}".removesuffix(".__init__"))
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                yield path.stem, name
+
+
+def names_caught():
+    """Every name an `except` clause in `src/morn` names."""
+    caught = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+    return caught
+
+
+def test_every_exception_class_is_caught():
+    classes = list(exception_classes())
+    assert classes, "no exception class found in src/morn"
+    caught = names_caught()
+    uncaught = [f"{module}.{name}" for module, name in classes if name not in caught]
+    assert not uncaught, f"exception class defined in src/morn but never caught there: {uncaught}"

@@ -214,7 +214,8 @@ class TestBench:
     (["--set", "bench.count_k2=-1"], "episode counts must be nonnegative"),
     (["--set", "bench.budget_k2=0"], "budgets must be positive"),
     (["--set", "bench.success_radius=0"], "success_radius must be positive"),
-    (["--set", "foo"], "--set expects KEY=VALUE, got 'foo'"),
+    # FAST gives two --set items before it
+    (["--set", "foo"], "--set item 3: expected KEY=VALUE, got 'foo'"),
     (["--set", "bench.count_k2=0", "--set", "bench.count_k3=0", "--episodes", "5"],
      "empty benchmark suite"),
 ])
@@ -428,7 +429,25 @@ class TestEnvironment:
         assert main(["run", "--fixture", "trivial", "--set", "thresholds.abort=0.2",
                      "--set", " thresholds.abort = 0.4", "--out", out_dir(tmp_path, "a")]) == 2
         err = capsys.readouterr().err
-        assert "--set key 'thresholds.abort' is given twice" in err
+        assert ("--set item 2: key 'thresholds.abort' is set again "
+                "(first set at --set item 1)") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("bench.count_k2 = 2\n\nbench.count_k3 1  # no '='\n",
+         "{cfg}:3: expected KEY=VALUE, got 'bench.count_k3 1'"),
+        ("bench.count_k2 = 2\n# a comment\nbench.count_k2=3\n",
+         "{cfg}:3: key 'bench.count_k2' is set again (first set at {cfg}:1)"),
+    ], ids=["no-equals", "repeat"])
+    def test_bad_config_file_line_is_exit_2(self, tmp_path, capsys, text, message):
+        # the file's lines go through the reader --set's items do
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--fixture", "trivial", "--config", str(cfg),
+                     "--out", out_dir(tmp_path, "a")]) == 2
+        err = capsys.readouterr().err
+        assert message.format(cfg=cfg) in err
         assert "Traceback" not in err
         assert not (tmp_path / "a").exists()
 

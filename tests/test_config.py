@@ -76,9 +76,11 @@ class TestOverrides:
         assert cfg.bench.master_seed == 99
 
     def test_malformed_file_line(self, tmp_path):
+        # blank and comment-only lines count in the line number
         path = tmp_path / "run.cfg"
-        path.write_text("thresholds.commit 0.62\n")
-        with pytest.raises(ConfigError):
+        path.write_text("# controller\n\nthresholds.abort = 0.2\nthresholds.commit 0.62  # x\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:4: expected KEY=VALUE, "
+                                              r"got 'thresholds\.commit 0\.62'$"):
             load_config(path)
 
     def test_cli_overrides_beat_file(self, tmp_path):
@@ -94,7 +96,7 @@ class TestOverrides:
                         "# a comment line\n"
                         "thresholds.abort = 0.4\n")
         with pytest.raises(ConfigError, match=r"run\.cfg:3: key 'thresholds\.abort' "
-                                              r"is set again \(first set on line 1\)"):
+                                              r"is set again \(first set at .*run\.cfg:1\)"):
             load_config(path)
 
     def test_override_of_a_file_key_is_not_a_repeat(self, tmp_path):

@@ -15,7 +15,6 @@ from morn.executive import (
     DecisionReason,
     ExecutiveDecision,
     GoalState,
-    InvalidCallError,
     MetaAction,
     MethodVariant,
     MissionSchedule,
@@ -81,7 +80,7 @@ class TestAllocate:
         assert allocate(ledger(budget=500, elapsed=0), 1) == ALLOC_MAX
 
     def test_zero_goals_rejected(self):
-        with pytest.raises(InvalidCallError):
+        with pytest.raises(ValueError, match="remaining_goals must be >= 1"):
             allocate(ledger(), 0)
 
     @given(st.integers(1, 2000), st.integers(0, 2000), st.integers(1, 5))
@@ -509,7 +508,7 @@ class TestQuietSteps:
         assert quiet_bounds(arms, 250) == (20, 4.0, 0.55)
         assert quiet_bounds(arms, 10).until == 10
         assert quiet_bounds(arms[:1], 250).until == 250
-        with pytest.raises(InvalidCallError):
+        with pytest.raises(ValueError, match="quiet_bounds needs at least one arm"):
             quiet_bounds([], 250)
 
 
@@ -531,7 +530,7 @@ class TestSelectNext:
         assert select_next([2, 1], (0.0, 0.0), pos) == 1
 
     def test_empty_rejected(self):
-        with pytest.raises(InvalidCallError):
+        with pytest.raises(ValueError, match="select_next on empty goal set"):
             select_next([], (0.0, 0.0), self.POS)
 
     # goal choice through `next_goal`, with `after` None at the episode start
@@ -612,7 +611,7 @@ class TestNextGoal:
     @pytest.mark.parametrize("variant", list(MethodVariant))
     @pytest.mark.parametrize("after", [None, 1])
     def test_empty_rejected(self, variant, after):
-        with pytest.raises(InvalidCallError):
+        with pytest.raises(ValueError, match="next_goal on empty goal set"):
             next_goal(variant, [], [1, 2], after, (0.0, 0.0), self.POS)
 
     def test_matches_the_rule(self):
@@ -815,5 +814,5 @@ class TestScheduleInvariants:
     def test_double_activate_rejected(self):
         schedule = MissionSchedule([1, 2])
         schedule.activate(1)
-        with pytest.raises(InvalidCallError):
+        with pytest.raises(ValueError, match="goal 1 not pending"):
             schedule.activate(1)

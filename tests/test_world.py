@@ -178,6 +178,14 @@ class TestParseGrid:
         with pytest.raises(ValueError, match=r"'\?' at \(1, 2\), line 2 column 3"):
             parse_grid("###\n#S?\n###")
 
+    @pytest.mark.parametrize("ch", ["\u0663", "\u00b2", "0"])
+    def test_only_ascii_one_to_nine_is_a_goal(self, ch):
+        # str.isdigit is true for the Arabic-Indic three and the superscript
+        # two: the first became goal 3, the second failed in int() naming no cell
+        with pytest.raises(ValueError, match=rf"unknown map character '{ch}' at \(1, 2\), "
+                                             r"line 2 column 3"):
+            parse_grid(f"#####\n#S{ch}1#\n#####")
+
     @pytest.mark.parametrize("text, message", [
         ("\n\n###\n#S?\n###", r"'\?' at \(1, 2\), line 4 column 3"),
         ("\n \n#######\n#S...S#\n#..1..#\n#######",
