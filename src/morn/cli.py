@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> RunConfig:
-    return load_config(args.config, read_assignments(
+    return load_config(args.config, *read_assignments(
         (f"--set item {n}", item) for n, item in enumerate(args.set, 1)))
 
 

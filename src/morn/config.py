@@ -111,30 +111,35 @@ def _coerce(raw: str, template: float | int) -> float | int:
     return int(value)
 
 
-def apply_overrides(config: RunConfig, overrides: dict[str, str]) -> RunConfig:
+def apply_overrides(config: RunConfig, overrides: dict[str, str],
+                    places: dict[str, str] | None = None) -> RunConfig:
     """Apply dotted-key string overrides (e.g. 'thresholds.abort': '0.25')
-    onto a config. Unknown keys raise ConfigError."""
+    onto a config. An unknown key or a bad value raises ConfigError, led
+    by where `places` says the key was given, if it says."""
+    places = places or {}
     for key, raw in overrides.items():
+        where = f"{places[key]}: " if key in places else ""
         parts = key.split(".")
         if len(parts) != 2 or parts[0] not in _SECTIONS:
-            raise ConfigError(f"unknown configuration key: {key!r}")
+            raise ConfigError(f"{where}unknown configuration key: {key!r}")
         section = getattr(config, parts[0])
         names = {f.name for f in dataclasses.fields(section)}
         if parts[1] not in names:
-            raise ConfigError(f"unknown configuration key: {key!r}")
+            raise ConfigError(f"{where}unknown configuration key: {key!r}")
         current = getattr(section, parts[1])
         try:
             value = _coerce(raw, current)
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
+            raise ConfigError(f"{where}bad value for {key!r}: {raw!r} ({exc})") from exc
         setattr(config, parts[0], dataclasses.replace(section, **{parts[1]: value}))
     return config
 
 
-def read_assignments(items: Iterable[tuple[str, str]]) -> dict[str, str]:
-    """The key -> value dict of `(where, text)` pairs, each text a
-    `KEY=VALUE` split on its first '=' with both sides stripped. A text
-    without '=', or a key set twice, is a ConfigError naming `where`."""
+def read_assignments(items: Iterable[tuple[str, str]]) -> tuple[dict[str, str], dict[str, str]]:
+    """The key -> value and key -> where dicts of `(where, text)` pairs,
+    each text a `KEY=VALUE` split on its first '=' with both sides
+    stripped. A text without '=', or a key set twice, is a ConfigError
+    naming `where`."""
     values: dict[str, str] = {}
     places: dict[str, str] = {}
     for where, text in items:
@@ -146,13 +151,16 @@ def read_assignments(items: Iterable[tuple[str, str]]) -> dict[str, str]:
             raise ConfigError(f"{where}: key {key!r} is set again (first set at {places[key]})")
         places[key] = where
         values[key] = raw.strip()
-    return values
+    return values, places
 
 
 def load_config(path: str | Path | None = None,
-                overrides: dict[str, str] | None = None) -> RunConfig:
+                overrides: dict[str, str] | None = None,
+                places: dict[str, str] | None = None) -> RunConfig:
     """Build a config from defaults, an optional key=value file of dotted
-    keys and `overrides`; then validate it, the `commit_floor` included."""
+    keys and `overrides`; then validate it, the `commit_floor` included.
+    An error in a file line names its `PATH:LINE`, and one in an override
+    names where `places` says the key was given."""
     config = RunConfig()
     if path is not None:
         try:
@@ -162,9 +170,9 @@ def load_config(path: str | Path | None = None,
             reason = getattr(exc, "strerror", None) or exc
             raise ConfigError(f"cannot read config file {str(path)!r}: {reason}") from exc
         lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
-        apply_overrides(config, read_assignments(
+        apply_overrides(config, *read_assignments(
             (f"{path}:{n}", line) for n, line in enumerate(lines, 1) if line))
-    apply_overrides(config, overrides or {})
+    apply_overrides(config, overrides or {}, places)
     try:
         config.validate()
     except ValueError as exc:

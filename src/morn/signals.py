@@ -66,8 +66,13 @@ class RollingWindow:
     Also remembers the variance from `capacity` steps ago so that the
     information gain (variance reduction across one full window) can be
     read without replaying the stream. The window has no read methods:
-    `update` reads this running state once per step.
+    `update` reads this running state once per step. Slotted, like
+    `world.Navigator`, so that a copy leaves both windows on CPython's fast
+    attribute path.
     """
+
+    __slots__ = ("capacity", "samples", "distances", "_sum", "_sumsq", "_count_total",
+                 "_var_history")
 
     def __init__(self, capacity: int):
         if capacity < 2:

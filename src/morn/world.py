@@ -167,51 +167,68 @@ def _search(gmap: GridMap, start: int, done: bytes | bytearray
         level = nxt_level
 
 
+# half-width of the square `_path` tests; `_covered_path`'s three-hop
+# argument holds for 2 only
+SQUARE_RADIUS = 2
+
+
 def _path(gmap: GridMap, start: Cell, done: bytes | bytearray) -> Optional[list[Cell]]:
     """Shortest path from start (exclusive) to the nearest cell whose
     `done` flag is 0, or None if none is reachable: the path `_search`
-    finds, ties included, mostly without running it.
-
-    Covered square. Suppose no `done` flag of the 5 x 5 square around the
-    start, clipped to the map, is 0. Every cell within two hops lies
-    in that clipped square, so it is done. A three-hop cell is at
-    Manhattan distance 1 or 3; all of them lie in the clipped square
-    except the four cells three steps straight up, down, left and right,
-    and each of those is reached in three hops only along its straight
-    line. A line that would leave the map starts on a border wall, and so
-    is not free. The search discovers the four in the order up, down,
-    left, right, since each straight line's second cell is discovered by
-    the first cell of the line, and the first cells by the start in that
-    order. So the answer is the first of the four whose line is free and
-    that is not done; if none is, the search goes on past three hops and
-    must run.
-
-    Every other request runs the search, and the path walks back through
-    its levels: a cell's parent is the first cell of the level before it
-    that neighbours it.
+    finds, ties included, for any `done` flags. This entry point tests
+    whether the 5 x 5 square around the start, clipped to the map, is
+    done; `_covered_path` takes a start whose square is known to be done,
+    as the navigator's always is, and skips the test.
     """
     if not gmap.is_free(start):
         raise ValueError(f"start cell {start} is not free")
-    w, h, cells = gmap.width, gmap.height, gmap.cells
+    w, h, s = gmap.width, gmap.height, SQUARE_RADIUS
     r, c = start
-    i = r * w + c
-    # the square's columns and rows clipped to the map, as max(0, x - 2)
-    # and min(size, x + 3) without the builtin calls
-    lo = c - 2 if c > 1 else 0
-    hi = c + 3 if c + 3 < w else w
-    for k in range((r - 2 if r > 1 else 0) * w, (r + 3 if r + 3 < h else h) * w, w):
+    # the square's columns and rows clipped to the map, as max(0, x - s)
+    # and min(size, x + s + 1) without the builtin calls
+    lo = c - s if c > s else 0
+    hi = c + s + 1 if c + s + 1 < w else w
+    for k in range((r - s if r > s else 0) * w, (r + s + 1 if r + s + 1 < h else h) * w, w):
         if 0 in done[k + lo:k + hi]:
-            break
-    else:
-        # the border is wall, so a free second cell has a third inside the map
-        for step in (-w, w, -1, 1):
-            a = i + step
-            b = a + step
-            if not (cells[a] or cells[b] or cells[b + step] or done[b + step]):
-                return [divmod(a, w), divmod(b, w), divmod(b + step, w)]
-    levels, cell = _search(gmap, i, done)
+            return _searched_path(gmap, r * w + c, done)
+    return _covered_path(gmap, r * w + c, done)
+
+
+def _covered_path(gmap: GridMap, start: int, done: bytes | bytearray) -> Optional[list[Cell]]:
+    """`_path` from the free cell at flat index `start`, whose 5 x 5
+    square clipped to the map the caller knows to be done; mostly without
+    running the search.
+
+    Covered square. Every cell within two hops of the start lies in that
+    clipped square, so it is done. A three-hop cell is at Manhattan
+    distance 1 or 3; all of them lie in the clipped square except the four
+    cells three steps straight up, down, left and right, and each of those
+    is reached in three hops only along its straight line. A line that
+    would leave the map starts on a border wall, and so is not free. The
+    search discovers the four in the order up, down, left, right, since
+    each straight line's second cell is discovered by the first cell of
+    the line, and the first cells by the start in that order. So the
+    answer is the first of the four whose line is free and that is not
+    done; if none is, the search goes on past three hops and must run.
+    """
+    w, cells = gmap.width, gmap.cells
+    # the border is wall, so a free second cell has a third inside the map
+    for step in (-w, w, -1, 1):
+        a = start + step
+        b = a + step
+        if not (cells[a] or cells[b] or cells[b + step] or done[b + step]):
+            return [divmod(a, w), divmod(b, w), divmod(b + step, w)]
+    return _searched_path(gmap, start, done)
+
+
+def _searched_path(gmap: GridMap, start: int, done: bytes | bytearray) -> Optional[list[Cell]]:
+    """`_path` from flat index `start` by running `_search`: the path
+    walks back through its levels, a cell's parent being the first cell
+    of the level before it that neighbours it."""
+    levels, cell = _search(gmap, start, done)
     if cell is None:
         return None
+    w = gmap.width
     path = [divmod(cell, w)]
     for level in reversed(levels[1:]):
         for prev in level:
@@ -372,11 +389,19 @@ class Navigator:
     for two consecutive steps locks in a believed target, which it then
     approaches along the geodesic. Sustained low evidence releases the
     target and resumes exploration.
+
+    Slotted: `copy.copy` of an instance with a `__dict__` reads and writes
+    that dict, after which CPython reads and writes the attributes of both
+    navigators the slow way, and every fork of a branch copies one.
     """
 
+    __slots__ = ("gmap", "pose", "visited", "approach_trigger", "_path", "believed_target",
+                 "_high_streak", "_low_streak", "_exhausted")
     TRIGGER_STEPS = 2
     RELEASE_STEPS = 5
-    SENSE_RADIUS = 2  # half-width of the coverage square, in cells
+    # half-width of the coverage square, in cells; below SQUARE_RADIUS the
+    # square test the plans skip could fail
+    SENSE_RADIUS = SQUARE_RADIUS
     # MARKS[n]: n coverage marks, for a row or column of the square
     MARKS = tuple(b"\x01" * n for n in range(2 * SENSE_RADIUS + 2))
 
@@ -417,8 +442,15 @@ class Navigator:
 
     def _plan_to_nearest_unvisited(self) -> Optional[list[Cell]]:
         """Shortest path (exclusive of the pose) to the nearest
-        reachable unvisited free cell, or None when coverage is done."""
-        return _path(self.gmap, self.pose, self.visited)
+        reachable unvisited free cell, or None when coverage is done.
+
+        The sensing square around the pose is marked at all times: by
+        `__init__` and `begin_goal_context`, by every move (the edge row or
+        column it moves into) and in a `copy`. It holds the 5 x 5 square
+        `_path` would test, so the plan enters `_covered_path` with the
+        flat pose index and skips that test."""
+        r, c = self.pose
+        return _covered_path(self.gmap, r * self.gmap.width + c, self.visited)
 
     def observe(self, evidence: float, source: Optional[Cell], rng: random.Random) -> None:
         """Feed the current evidence sample and a true detection's source

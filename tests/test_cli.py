@@ -451,6 +451,27 @@ class TestEnvironment:
         assert "Traceback" not in err
         assert not (tmp_path / "a").exists()
 
+    @pytest.mark.parametrize("text, sets, message", [
+        ("thresholds.commit = 0.62\nthresholds.abrt = 0.3\n", [],
+         "{cfg}:2: unknown configuration key: 'thresholds.abrt'"),
+        # the file's value is read first, so the error names the file line
+        # although --set gives the key a good value
+        ("bench.count_k2 = x\n", ["--set", "bench.count_k2=3"],
+         "{cfg}:1: bad value for 'bench.count_k2': 'x' (not a whole number)"),
+        ("bench.count_k2 = 3\n", ["--set", "bench.count_k3=2", "--set", "thresholds.abrt=1"],
+         "--set item 2: unknown configuration key: 'thresholds.abrt'"),
+    ], ids=["file-key", "file-value-beside-set", "set-key"])
+    def test_config_error_names_where_the_setting_came_from(self, tmp_path, capsys,
+                                                            text, sets, message):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--fixture", "trivial", "--config", str(cfg), *sets,
+                     "--out", out_dir(tmp_path, "a")]) == 2
+        err = capsys.readouterr().err
+        assert message.format(cfg=cfg) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "a").exists()
+
     def test_set_overrides_a_config_file_key(self, tmp_path):
         cfg = tmp_path / "suite.cfg"
         cfg.write_text("bench.count_k2 = 2\nbench.count_k3 = 0\n")

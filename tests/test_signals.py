@@ -318,6 +318,20 @@ class TestWindowCopy:
         update(window, SignalSample(8, 0.5, 0.8), params)
         assert window_state(clone) == ([], [], 0.0, 0.0, 0, [])
 
+    def test_copy_has_no_instance_dict_and_shares_no_deque(self):
+        # `copy.copy` of an instance with a `__dict__` materializes it on
+        # both windows, which puts their attributes on CPython's slow path
+        params = SignalParams()
+        window, _ = feed([0.1, 0.7, 0.3, 0.9, 0.2, 0.6, 0.4], params)
+        clone = window.copy()
+        assert not hasattr(window, "__dict__") and not hasattr(clone, "__dict__")
+        before = window_state(window)
+        for queue in (clone.samples, clone.distances, clone._var_history):
+            queue.append(-1.0)
+            queue.popleft()
+        assert window_state(window) == before
+        assert window_state(clone) != before
+
 
 class TestStability:
     def test_zero_variance_is_maximally_stable(self):

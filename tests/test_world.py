@@ -125,6 +125,16 @@ def walked_coverage(gmap, rng, free, steps):
         pose = moves[rng.randrange(len(moves))] if moves else pose
 
 
+def square_is_marked(nav):
+    """Whether every cell of the square `_path` tests around the pose,
+    clipped to the map, carries a coverage mark."""
+    (r, c), s = nav.pose, world.SQUARE_RADIUS
+    h, w = nav.gmap.height, nav.gmap.width
+    return all(nav.visited[row * w + col]
+               for row in range(max(0, r - s), min(h, r + s + 1))
+               for col in range(max(0, c - s), min(w, c + s + 1)))
+
+
 def count_searches(monkeypatch):
     """Count the BFS kernel's runs from here on: a one-element list."""
     calls = [0]
@@ -600,22 +610,22 @@ class TestNavigator:
            st.sampled_from([0.0, 0.3, 0.7, 0.95, 1.0]), st.booleans())
     def test_frontier_plan_matches_fifo_oracle(self, seed, h, w, covered, open_map):
         # random maps (open ones are all ties) with random coverage, from
-        # every free pose: the plan is the oracle's path, ties included
+        # every free pose: `_path`, which plans under any coverage, gives
+        # the oracle's path, ties included. Random coverage can leave the
+        # square around a pose unmarked, which a navigator never does.
         rng = random.Random(seed)
         gmap, free = random_map(rng, h, w, wall_p=0.0 if open_map else 0.3)
-        nav = Navigator(gmap, PerceptionParams())
         for pose in free:
-            nav.pose = pose
-            nav.visited[:] = bytes(rng.random() < covered for _ in nav.visited)
-            assert nav._plan_to_nearest_unvisited() == oracle_frontier_path(
-                gmap, pose, nav.visited)
+            visited = bytes(rng.random() < covered for _ in gmap.cells)
+            assert _path(gmap, pose, visited) == oracle_frontier_path(gmap, pose, visited)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_frontier_plan_under_walked_coverage(self, seed):
         # Plans from the walk's poses as the coverage grows meet their own
-        # earlier searches again, and plans from every free cell meet
-        # squares that are partly covered or clipped by the border (starts
-        # on row or column 1)
+        # earlier searches again; the navigator makes them, as its square
+        # is covered. Paths from every free cell meet squares that are
+        # partly covered or clipped by the border (starts on row or column
+        # 1); `_path` makes those, as they are not a navigator's states.
         rng = random.Random(seed)
         if seed % 2:
             gmap, rooms, _ = generate_map(rng, WorldParams(room_min=4, room_max=7))
@@ -624,16 +634,18 @@ class TestNavigator:
             gmap, free = random_map(rng, 16, 18, wall_p=0.0 if seed % 4 == 0 else 0.25)
         nav = Navigator(gmap, PerceptionParams())
         for t, (pose, visited) in enumerate(walked_coverage(gmap, rng, free, 80)):
+            nav.pose = pose
             nav.visited[:] = visited
-            for start in [pose] if t % 20 else free:
-                nav.pose = start
-                assert nav._plan_to_nearest_unvisited() == oracle_frontier_path(
-                    gmap, start, visited)
+            assert nav._plan_to_nearest_unvisited() == oracle_frontier_path(gmap, pose, visited)
+            for start in [] if t % 20 else free:
+                assert _path(gmap, start, visited) == oracle_frontier_path(gmap, start, visited)
         assert any(1 in (r, c) for r, c in free)
 
     def test_edge_plans_under_walked_coverage(self, monkeypatch):
-        # starts on rows and columns 1 and h - 2, w - 2, whose 5 x 5 square
-        # the map edge clips, on every bundled fixture and on generated maps
+        # `_path` from starts on rows and columns 1 and h - 2, w - 2, whose
+        # 5 x 5 square the map edge clips, on every bundled fixture and on
+        # generated maps; a start is seldom the walk's pose, so its square
+        # may be partly covered
         rng = random.Random(4)
         maps = [parse_grid(load_fixture(name))[0]
                 for name in ("trivial", "open", "two_room", "sealed", "maze")]
@@ -644,14 +656,11 @@ class TestNavigator:
             h, w = gmap.height, gmap.width
             free = free_cells(gmap)
             edge = [(r, c) for r, c in free if r in (1, h - 2) or c in (1, w - 2)]
-            nav = Navigator(gmap, PerceptionParams())
             for t, (pose, visited) in enumerate(walked_coverage(gmap, rng, free, 400)):
                 if t % 10:
                     continue
-                nav.visited[:] = visited
                 for start in edge:
-                    nav.pose = start
-                    assert nav._plan_to_nearest_unvisited() == oracle_frontier_path(
+                    assert _path(gmap, start, visited) == oracle_frontier_path(
                         gmap, start, visited)
                     plans += 1
         # the clipped square answered some of them
@@ -680,6 +689,7 @@ class TestNavigator:
             assert len(path) == 3 and (end_r, abs(end_c - c)) in ((r, 3), (r + 3, 0), (r - 3, 0))
             assert bfs_path(gmap, (r, c), path[-1]) == path
         assert searches[0] == 0
+
     @pytest.mark.parametrize("seed", range(8))
     def test_plans_on_one_map_under_changing_coverage(self, seed):
         # one map, so every search after the first from a start meets the
@@ -687,11 +697,11 @@ class TestNavigator:
         # of it, which uncovers cells the first search passed before it
         # stopped; a superset of that, which covers all of them; complete
         # coverage (no plan); random coverage again; then paths to single
-        # targets from the same starts
+        # targets from the same starts. `_path` plans, since the coverage
+        # is arbitrary.
         rng = random.Random(seed)
         gmap, free = random_map(rng, 14, 15, wall_p=0.0 if seed % 2 else 0.25)
         n = len(gmap.cells)
-        nav = Navigator(gmap, PerceptionParams())
         starts = [free[rng.randrange(len(free))] for _ in range(10)]
         sparse = bytes(rng.random() < 0.5 for _ in range(n))
         thinner = bytes(a and rng.random() < 0.8 for a in sparse)
@@ -699,9 +709,7 @@ class TestNavigator:
         again = bytes(rng.random() < 0.8 for _ in range(n))
         for coverage in (sparse, thinner, denser, b"\x01" * n, again):
             for start in starts:
-                nav.pose = start
-                nav.visited[:] = coverage
-                assert nav._plan_to_nearest_unvisited() == oracle_frontier_path(
+                assert _path(gmap, start, coverage) == oracle_frontier_path(
                     gmap, start, coverage)
         for start in starts:
             for _ in range(5):
@@ -749,6 +757,61 @@ class TestNavigator:
             assert set(nav.visited) <= {0, 1}
             assert marked == sensed(poses)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sensing_square_is_marked_in_every_state(self, seed):
+        # the invariant that lets a plan skip `_path`'s square test: after
+        # construction, a goal context start, every step (exploring, or
+        # approaching a phantom target) and a copy, on every bundled fixture
+        # and on generated maps; each plan is the oracle's path
+        rng = random.Random(seed)
+        maps = [parse_grid(load_fixture(name))[0]
+                for name in ("trivial", "open", "two_room", "sealed", "maze")]
+        maps += [generate_map(rng, WorldParams(room_min=3, room_max=7))[0] for _ in range(3)]
+        ops = set()
+        for gmap in maps:
+            nav = Navigator(gmap, PerceptionParams())
+            assert square_is_marked(nav)
+            for t in range(250):
+                op = rng.choice(["step"] * 8 + ["observe", "observe", "copy", "begin"])
+                if op == "step":
+                    if nav.believed_target is None and not nav._path:
+                        ops.add("plan")
+                        assert nav._plan_to_nearest_unvisited() == oracle_frontier_path(
+                            gmap, nav.pose, nav.visited)
+                    ops.add((op, nav.step(), nav.believed_target is not None))
+                elif op == "observe":
+                    nav.observe(1.0 if rng.random() < 0.6 else 0.0, None, rng)
+                elif op == "copy":
+                    nav = nav.copy()
+                else:
+                    nav.begin_goal_context()
+                assert square_is_marked(nav), (op, t, nav.pose)
+        assert {("step", "move", False), ("step", "move", True), "plan"} <= ops
+
+    def test_sense_radius_covers_the_square(self):
+        # a smaller sensing square would leave cells of `_path`'s square
+        # unmarked, and the navigator's plans would skip a failing test
+        assert world.SQUARE_RADIUS == 2
+        assert Navigator.SENSE_RADIUS >= world.SQUARE_RADIUS
+        assert len(Navigator.MARKS[-1]) == 2 * Navigator.SENSE_RADIUS + 1
+
+    def test_copy_has_no_instance_dict_and_shares_no_state(self):
+        # `copy.copy` of an instance with a `__dict__` materializes it on
+        # both navigators, which puts their attributes on CPython's slow path
+        gmap, _ = parse_grid(load_fixture("maze"))
+        nav = Navigator(gmap, PerceptionParams())
+        for _ in range(7):
+            nav.step()
+        assert nav._path
+        clone = nav.copy()
+        assert not hasattr(nav, "__dict__") and not hasattr(clone, "__dict__")
+        visited, path, pose = bytes(nav.visited), list(nav._path), nav.pose
+        clone.visited[:] = bytes(len(clone.visited))
+        clone._path.clear()
+        clone._path.append(pose)
+        clone.pose = gmap.spawn
+        assert (bytes(nav.visited), list(nav._path), nav.pose) == (visited, path, pose)
+
     def test_goal_context_reset(self):
         gmap, _ = parse_grid(load_fixture("open"))
         nav = Navigator(gmap, PerceptionParams())
@@ -785,7 +848,10 @@ class TestNavigator:
             assert list(nav._path) == list(fresh._path) == []
             assert (nav._high_streak, nav._low_streak, nav._exhausted) == \
                 (fresh._high_streak, fresh._low_streak, fresh._exhausted) == (0, 0, False)
-            assert vars(nav) == vars(fresh)
+            # every slot, which is all the state a navigator has
+            assert not hasattr(nav, "__dict__")
+            assert [getattr(nav, name) for name in Navigator.__slots__] == \
+                [getattr(fresh, name) for name in Navigator.__slots__]
 
     def test_phantom_target_is_a_free_cell_near_the_pose(self):
         # a trigger with no detection latches onto a free cell of the 13 x 13
