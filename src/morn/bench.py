@@ -259,10 +259,14 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
     spec, in arm order, and records no steps) the arms that decide alike
     share one simulation: the first call runs the work list `forks.pending`
     until it is empty, and every call returns its arm's finished trace.
-    Such a run skips what no arm can read: on a quiet step (`quiet_bounds`)
-    it only pushes the evidence window, and it computes Σ only while some
-    arm's commit gate could be open. A branch counts each distinct streak
-    of its arms once (`count_streaks`). On a step that is not idle
+    Such a run skips what no arm can read (`quiet_bounds`): on a quiet step
+    it only pushes the evidence window; on another it computes Π only if
+    some arm enables abort, Γ only while `spent < gamma_until` (unbounded
+    while a switch arm rides a branch with two or more goals open, else
+    the greatest grace of its switch arms, or 0 without one), and Σ only
+    while some arm's commit gate could be open. A branch counts each
+    distinct streak of its arms once (`count_streaks`), a switch streak
+    only while Γ is unbounded. On a step that is not idle
     (`quiet_bounds`) one pass over its arms calls each arm's `decide`, and
     an arm that acts applies its decision to its own copy of the mission;
     when every arm persisted, the step goes on.
@@ -294,42 +298,53 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
         isfinite, sentinel = math.isfinite, world.sentinel
         allocation = ledger.allocation
         # a standalone run records Π, Γ and Σ on every step
-        until, reach, least_commit = (
-            QuietBounds(0, math.inf, -math.inf) if record_steps else quiet_bounds(
-                [(arm.variant, arm.config.thresholds) for arm in arms], allocation))
-        # one count per distinct streak key of the arms riding this branch
-        streaks = branch.streaks = {key: branch.streaks.get(key, 0) for arm in arms
-                                    for key in arm.streak_keys if key is not None}
+        until, reach, least_commit, reads_pi, gamma_until = (
+            QuietBounds(0, math.inf, -math.inf, True, math.inf) if record_steps else quiet_bounds(
+                [(arm.variant, arm.config.thresholds) for arm in arms], allocation, open_count))
+        # one count per distinct streak key of the arms riding this branch;
+        # a switch streak only while Γ is read on every step
+        streaks = branch.streaks = {
+            key: branch.streaks.get(key, 0) for arm in arms for key in arm.streak_keys
+            if key is not None and (gamma_until == math.inf or not key.switch)}
         step, observe, push = nav.step, nav.observe, window.push
+        # the step counters live in locals and are written back to the
+        # ledger and the goal record before `decide`, `apply`, a fork or
+        # `finish` reads them
+        t = ledger.elapsed
+        spent = ledger.active_spent
+        spent_before = status.spent - spent
 
-        for t in range(ledger.elapsed + 1, spec.budget_max + 1):
+        for t in range(t + 1, spec.budget_max + 1):
             step()
             r, c = pose = nav.pose
             d_raw = dfield[r * width + c]
             d = d_raw if isfinite(d_raw) else sentinel
             evidence, source = world_emit(goal, pose, gmap, shared, rng, d_raw)
             observe(evidence, source, rng)
-
-            ledger.elapsed = t
-            ledger.active_spent = spent = ledger.active_spent + 1
-            status.spent += 1
+            spent += 1
 
             gate = d < reach
             if spent < until and not gate:
                 push(evidence, d)
                 continue
             summary = update(window, SignalSample(t, d, evidence), sigpar)
-            pi = potentiality(summary.velocity, evidence, summary.stability, weights)
+            # a state no arm can read is a placeholder, 1.0 for Π and Γ (above
+            # every level) and 0.0 for Σ (`quiet_bounds`)
+            pi = (potentiality(summary.velocity, evidence, summary.stability, weights)
+                  if reads_pi else 1.0)
             gamma = persistence_gate(
                 summary.info_gain,
                 SunkCost(spent, allocation),
                 summary.velocity,
                 weights,
-            )
+            ) if spent < gamma_until else 1.0
             sigma = sufficiency(evidence, summary.stability, d, weights) if gate else 0.0
             if (not count_streaks(streaks, pi, gamma, spent) and spent < allocation
                     and (not gate or sigma <= least_commit)):
                 continue  # idle: every arm persists
+            ledger.elapsed = t
+            ledger.active_spent = spent
+            status.spent = spent_before + spent
             states = MetaStateVector(pi, gamma, sigma)
 
             # Each acting arm applies its decision to its own copy of the
@@ -380,6 +395,9 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
                 forks.pending.append(group)
             break
         else:
+            ledger.elapsed = t
+            ledger.active_spent = spent
+            status.spent = spent_before + spent
             forks.finish(branch)
     return forks.traces.pop(index)
 

@@ -214,8 +214,11 @@ def count_streaks(streaks: dict[StreakKey, int], potentiality: float, persistenc
     the variant disables. A streak is 0 on every step before grace ends,
     and a quiet step (`quiet_bounds`) comes before the grace of every arm
     that reads a streak ends, so `run` leaves the streaks as they are on
-    it and calls this on every step that is not quiet. Returns whether
-    some streak, this step included, reached its patience (for
+    it and calls this on every step that is not quiet. A switch streak is
+    read only with two or more goals open, so `run` puts a switch key in
+    `streaks` only while `quiet_bounds`' `gamma_until` is unbounded; then
+    every key's state is computed on every step it counts. Returns
+    whether some streak, this step included, reached its patience (for
     `quiet_bounds`' idle rule)."""
     reached = False
     for key in streaks:
@@ -232,22 +235,34 @@ def count_streaks(streaks: dict[StreakKey, int], potentiality: float, persistenc
 
 class QuietBounds(NamedTuple):
     """The steps on which the arms riding one branch can read nothing, or
-    can only persist; see `quiet_bounds`."""
+    can only persist, and the meta-states they can read; see
+    `quiet_bounds`."""
 
     until: int
     reach: float
     commit: float
+    reads_pi: bool
+    gamma_until: float
 
 
-def quiet_bounds(arms: list[tuple[MethodVariant, Thresholds]], allocation: int) -> QuietBounds:
-    """The quiet-step and idle-step rules for a branch's arms, (variant,
-    thresholds) pairs, under a subgoal allocation: three bounds, fixed for
-    one goal context.
+def quiet_bounds(arms: list[tuple[MethodVariant, Thresholds]], allocation: int,
+                 open_goals: int) -> QuietBounds:
+    """The quiet-step, idle-step and per-state rules for a branch's arms,
+    (variant, thresholds) pairs, under a subgoal allocation with
+    `open_goals` goals open: five bounds, fixed for one goal context.
 
     - `until`: the least grace of the arms that enable abort or switch,
       never more than `allocation` (the cap fires in every variant).
     - `reach`: the greatest commit distance.
     - `commit`: the least commit threshold τ_C.
+    - `reads_pi`: whether some arm enables abort, the one branch that
+      reads Π.
+    - `gamma_until`: the `spent` below which some arm can read Γ. It is
+      unbounded while a switch arm is on the branch and two or more goals
+      are open. With one open goal no switch can fire, but a Γ below the
+      level inside an arm's grace still returns GRACE and so blocks a
+      commit: the bound is the greatest grace of the switch arms. It is 0
+      when no arm enables switch.
 
     With `spent` the active goal's steps, this one included, and `d` the
     distance `decide` reads, some arm's commit gate may be open only while
@@ -256,7 +271,9 @@ def quiet_bounds(arms: list[tuple[MethodVariant, Thresholds]], allocation: int) 
     when `spent < until` and that gate is closed: then every arm's
     `decide` returns PERSIST whatever Π, Γ and Σ are, and every streak it
     reads is 0 (`count_streaks`), so the step needs no signal or
-    meta-state.
+    meta-state. On a step that is not quiet, no arm's `decide` reads Π
+    unless `reads_pi`, nor Γ unless `spent < gamma_until`, nor the switch
+    streak while `gamma_until` is bounded.
 
     A step that is not quiet is idle when `spent < allocation`, no streak
     the branch counts has reached its patience (`count_streaks`), and the
@@ -264,14 +281,24 @@ def quiet_bounds(arms: list[tuple[MethodVariant, Thresholds]], allocation: int) 
     or switch branch can fire and no arm's commit test passes, so every
     arm's `decide` returns PERSIST; the streaks still count on it. A
     standalone run, which records every step, uses bounds under which no
-    step is quiet or idle: `(0, inf, -inf)`.
+    step is quiet or idle and every state is read: `(0, inf, -inf, True,
+    inf)`.
     """
     if not arms:
         raise ValueError("quiet_bounds needs at least one arm")
     graces = [th.grace for v, th in arms if v.abort_enabled or v.switch_enabled]
+    switch_graces = [th.grace for v, th in arms if v.switch_enabled]
+    if not switch_graces:
+        gamma_until = 0
+    elif open_goals > 1:
+        gamma_until = math.inf
+    else:
+        gamma_until = max(switch_graces)
     return QuietBounds(min([allocation, *graces]),
                        max(th.commit_distance for _, th in arms),
-                       min(th.commit for _, th in arms))
+                       min(th.commit for _, th in arms),
+                       any(v.abort_enabled for v, _ in arms),
+                       gamma_until)
 
 
 def decide(

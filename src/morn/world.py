@@ -393,10 +393,17 @@ class Navigator:
     Slotted: `copy.copy` of an instance with a `__dict__` reads and writes
     that dict, after which CPython reads and writes the attributes of both
     navigators the slow way, and every fork of a branch copies one.
+
+    `pose`, `visited` and the map's size, `_height` and `_width` (set once
+    so that a move does not read them through `gmap`), belong to the
+    navigator: only its own methods write them. `_plan_to_nearest_unvisited`
+    trusts that the sensing square around the pose is marked, which every
+    method keeps true; a caller that sets `pose` or rewrites `visited` can
+    get a plan that misses a nearer unvisited cell, without an error.
     """
 
-    __slots__ = ("gmap", "pose", "visited", "approach_trigger", "_path", "believed_target",
-                 "_high_streak", "_low_streak", "_exhausted")
+    __slots__ = ("gmap", "_height", "_width", "pose", "visited", "approach_trigger", "_path",
+                 "believed_target", "_high_streak", "_low_streak", "_exhausted")
     TRIGGER_STEPS = 2
     RELEASE_STEPS = 5
     # half-width of the coverage square, in cells; below SQUARE_RADIUS the
@@ -407,6 +414,7 @@ class Navigator:
 
     def __init__(self, gmap: GridMap, params: PerceptionParams):
         self.gmap = gmap
+        self._height, self._width = gmap.height, gmap.width
         self.pose: Cell = gmap.spawn
         # coverage flags, indexed like gmap.cells
         self.visited = bytearray(len(gmap.cells))
@@ -427,7 +435,7 @@ class Navigator:
         self._exhausted = False
         r, c = self.pose
         s = self.SENSE_RADIUS
-        h, w = self.gmap.height, self.gmap.width
+        h, w = self._height, self._width
         lo, hi = max(0, c - s), min(w, c + s + 1)
         marks = self.MARKS[hi - lo]
         for row in range(max(0, r - s), min(h, r + s + 1)):
@@ -450,7 +458,7 @@ class Navigator:
         `_path` would test, so the plan enters `_covered_path` with the
         flat pose index and skips that test."""
         r, c = self.pose
-        return _covered_path(self.gmap, r * self.gmap.width + c, self.visited)
+        return _covered_path(self.gmap, r * self._width + c, self.visited)
 
     def observe(self, evidence: float, source: Optional[Cell], rng: random.Random) -> None:
         """Feed the current evidence sample and a true detection's source
@@ -512,7 +520,7 @@ class Navigator:
         r0, c0 = self.pose
         self.pose = r, c = self._path.popleft()
         s = self.SENSE_RADIUS
-        h, w = self.gmap.height, self.gmap.width
+        h, w = self._height, self._width
         # lo, hi = max(0, x - s), min(size, x + s + 1) without the two calls
         if r != r0:
             row = r + s if r > r0 else r - s

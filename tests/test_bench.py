@@ -552,6 +552,14 @@ def arm_lists(cfg):
                 + [(MethodVariant.MORN_FULL,
                     replace(cfg, thresholds=replace(cfg.thresholds, abort_patience=p)))
                    for p in (40, 60)],
+        # switch arms whose grace outlasts a commit-gate opening with one
+        # goal left: a Γ below the level inside grace still holds off a
+        # commit, so the branch reads Γ until the greatest switch grace
+        "switch_grace": [(v, replace(cfg, thresholds=replace(cfg.thresholds, switch=s,
+                                                             grace=g)))
+                         for s, g in ((-1.0, 40), (-0.5, 60), (-2.0, 80))
+                         for v in (MethodVariant.MORN_SWITCH_ONLY, MethodVariant.MORN_FULL,
+                                   MethodVariant.FIXED_ORDER)],
     }
 
 
@@ -599,6 +607,20 @@ class TestForkedArms:
                 alone = run(spec, variant, arm_cfg)
                 assert outcome(trace) == outcome(alone), (arms_name, variant, spec.episode_id)
 
+    def test_switch_grace_past_one_goal_matches_independent_runs(self):
+        two = [GoalSpec(1, "mug"), GoalSpec(2, "tv")]
+        specs = [fixture_spec(name, goals, seed=seed) for seed in (7, 8)
+                 for name, goals in (("trivial", two), ("two_room", two),
+                                     ("open", two[:1]), ("maze", two))]
+        specs += generate(0, 8, 11, CFG)
+        arms = arm_lists(CFG)["switch_grace"]
+        shared = bench_mod._run_arms(specs, arms, 1)
+        for (variant, arm_cfg), traces in zip(arms, shared):
+            for spec, trace in zip(specs, traces):
+                alone = run(spec, variant, arm_cfg)
+                assert outcome(trace) == outcome(alone), (variant, arm_cfg.thresholds.grace,
+                                                          spec.fixture, spec.episode_id)
+
     def test_arms_with_different_gates_share_one_branch(self):
         arms = arm_lists(CFG)["gates"]
         for spec in small_suite(3, 1):
@@ -606,9 +628,11 @@ class TestForkedArms:
             assert [len(branch.arms) for branch in forks.pending] == [3]
 
     def test_quiet_steps_compute_no_signal(self, monkeypatch):
-        # nor do idle steps call `decide`, except in a standalone run,
+        # nor do idle steps call `decide`, nor does a branch compute a
+        # meta-state none of its arms reads, except in a standalone run,
         # which records every step
-        counts = dict.fromkeys(("step", "update", "sufficiency", "decide"), 0)
+        states = ("potentiality", "persistence_gate", "sufficiency")
+        counts = dict.fromkeys(("step", "update", *states, "decide"), 0)
 
         def counting(name, real):
             def wrapper(*args):
@@ -617,14 +641,25 @@ class TestForkedArms:
             return wrapper
 
         monkeypatch.setattr(Navigator, "step", counting("step", Navigator.step))
-        for name in ("update", "sufficiency", "decide"):
+        for name in ("update", *states, "decide"):
             monkeypatch.setattr(bench_mod, name, counting(name, getattr(bench_mod, name)))
-        alone = run(small_suite(1, 0)[0], MethodVariant.MORN_FULL, CFG)
-        assert counts == dict.fromkeys(counts, alone.total_steps)
+        for variant in (MethodVariant.MORN_FULL, MethodVariant.FIXED_ORDER):
+            counts.update(dict.fromkeys(counts, 0))
+            alone = run(small_suite(1, 0)[0], variant, CFG)
+            assert counts == dict.fromkeys(counts, alone.total_steps), variant
         counts.update(dict.fromkeys(counts, 0))
         run_suite(small_suite(6, 4), list(MethodVariant), CFG)
         assert counts["step"] > counts["update"] > counts["sufficiency"] > 0
         assert counts["update"] > counts["decide"] > 0
+        assert counts["update"] > counts["potentiality"] > 0
+        assert counts["update"] > counts["persistence_gate"] > 0
+        # Γ only with a switch arm, Π only with an abort arm
+        baselines = [MethodVariant.FIXED_ORDER, MethodVariant.REACTIVE_ORDER]
+        for variant, unread in ((MethodVariant.MORN_ABORT_ONLY, "persistence_gate"),
+                                (MethodVariant.MORN_SWITCH_ONLY, "potentiality")):
+            counts.update(dict.fromkeys(counts, 0))
+            run_suite(small_suite(6, 4), baselines + [variant], CFG)
+            assert counts[unread] == 0 and counts["update"] > 0, (variant, counts)
 
     def test_configs_differing_beyond_thresholds_never_share(self):
         arms = arm_lists(CFG)["weights"]

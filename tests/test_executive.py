@@ -1,5 +1,6 @@
 """Unit and property tests for the meta-controller."""
 
+import math
 import random
 from dataclasses import FrozenInstanceError, fields, replace
 from enum import Enum
@@ -427,21 +428,27 @@ def quiet_cases(count, seed):
 class TestQuietSteps:
     """`quiet_bounds` against `decide` and `streak`: on a quiet step no arm
     acts or counts a streak whatever Π, Γ and Σ are, outside the commit
-    gate no arm's decision depends on Σ, and a step past `until` is one on
-    which some arm can act or count."""
+    gate no arm's decision depends on Σ, without `reads_pi` none depends
+    on Π, from `gamma_until` on none depends on Γ or the switch streak,
+    and a step past `until` is one on which some arm can act or count."""
 
     def test_rule_agrees_with_decide(self):
         problems = []
-        seen = dict.fromkeys(("quiet", "gate closed", "past until"), 0)
+        seen = dict.fromkeys(("quiet", "gate closed", "past until", "Π unread",
+                              "Γ unread, one goal", "Γ unread, no switch arm"), 0)
         for i, (arms, led, distance, remaining, vectors, rng) in enumerate(
                 quiet_cases(10_000, 20240901)):
-            bounds = quiet_bounds(arms, led.allocation)
+            bounds = quiet_bounds(arms, led.allocation, remaining)
             spent = led.active_spent
             gate = distance < bounds.reach
             quiet = spent < bounds.until and not gate
+            gamma_read = spent < bounds.gamma_until
             seen["quiet"] += quiet
             seen["gate closed"] += not gate
             seen["past until"] += spent >= bounds.until and not gate
+            seen["Π unread"] += not bounds.reads_pi
+            seen["Γ unread, one goal"] += not gamma_read and bounds.gamma_until > 0
+            seen["Γ unread, no switch arm"] += bounds.gamma_until == 0
             can_act = False
             for variant, th in arms:
                 for sv in vectors:
@@ -462,21 +469,34 @@ class TestQuietSteps:
                             decide(replace(sv, sufficiency=sigma), distance, led, th, variant,
                                    remaining, *streaks) for sigma in (0.0, 1.0)}) > 1:
                         problems.append(f"#{i} {variant.name}: Σ read outside the gate")
+                    if not bounds.reads_pi and len({
+                            decide(replace(sv, potentiality=pi), distance, led, th, variant,
+                                   remaining, *streaks) for pi in (0.0, 1.0)}) > 1:
+                        problems.append(f"#{i} {variant.name}: Π read without reads_pi")
+                    if not gamma_read and len({
+                            decide(replace(sv, persistence=gamma), distance, led, th, variant,
+                                   remaining, streaks[0], switch)
+                            for gamma in (0.0, 1.0) for switch in (0, 100)}) > 1:
+                        problems.append(f"#{i} {variant.name}: Γ or its streak read at "
+                                        f"spent {spent} past gamma_until {bounds.gamma_until}")
             if spent >= bounds.until and not gate and not can_act:
                 problems.append(f"#{i}: spent {spent} past until {bounds.until}, "
                                 "but no arm can act or count")
         assert not problems, problems[:5]
+        assert seen.pop("Γ unread, one goal") > 500, seen
         assert min(seen.values()) > 1000, seen
 
     def test_idle_steps_persist(self):
         # the idle rule: past the quiet steps, below the cap, no counted
         # streak at its patience, and the gate closed or Σ at most the least
-        # τ_C; then every arm's `decide`, fed its key's count, persists
+        # τ_C; then every arm's `decide`, fed its key's count, persists. A
+        # switch key is counted only while Γ is unbounded, as in `run`, and
+        # an uncounted key reaches `decide` as 0.
         problems = []
         idle_cases = 0
         for i, (arms, led, distance, remaining, vectors, rng) in enumerate(
                 quiet_cases(10_000, 20240901)):
-            bounds = quiet_bounds(arms, led.allocation)
+            bounds = quiet_bounds(arms, led.allocation, remaining)
             spent = led.active_spent
             gate = distance < bounds.reach
             if spent < bounds.until and not gate:
@@ -485,7 +505,9 @@ class TestQuietSteps:
             idle_seen = False
             for sv in vectors:
                 streaks = {key: rng.choice((0, key.patience - 1, key.patience, 100))
-                           for pair in keys for key in pair if key is not None}
+                           for pair in keys for key in pair
+                           if key is not None and (bounds.gamma_until == math.inf
+                                                   or not key.switch)}
                 reached = count_streaks(streaks, sv.potentiality, sv.persistence, spent)
                 if (reached or spent >= led.allocation
                         or gate and sv.sufficiency > bounds.commit):
@@ -505,11 +527,24 @@ class TestQuietSteps:
         full = Thresholds(grace=20, commit_warmup=5, commit_distance=3.0)
         fixed = Thresholds(grace=0, commit_warmup=0, commit_distance=4.0, commit=0.55)
         arms = [(MethodVariant.FIXED_ORDER, fixed), (MethodVariant.MORN_FULL, full)]
-        assert quiet_bounds(arms, 250) == (20, 4.0, 0.55)
-        assert quiet_bounds(arms, 10).until == 10
-        assert quiet_bounds(arms[:1], 250).until == 250
+        assert quiet_bounds(arms, 250, 2) == (20, 4.0, 0.55, True, math.inf)
+        assert quiet_bounds(arms, 10, 2).until == 10
+        assert quiet_bounds(arms[:1], 250, 2) == (250, 4.0, 0.55, False, 0)
+        # no abort arm: Π is unread
+        switch = (MethodVariant.MORN_SWITCH_ONLY, replace(full, grace=40))
+        assert quiet_bounds([arms[0], switch], 250, 3) == (40, 4.0, 0.55, False, math.inf)
+        # no switch arm: Γ is unread
+        abort = (MethodVariant.MORN_ABORT_ONLY, replace(full, grace=30))
+        assert quiet_bounds([arms[0], abort], 250, 2) == (30, 4.0, 0.55, True, 0)
+        # one open goal: Γ is read until the greatest grace of a switch arm,
+        # never past it, whatever the other arms' graces and the allocation
+        grid = [abort, arms[1], switch, (MethodVariant.MORN_FULL, replace(full, grace=10))]
+        assert quiet_bounds(grid, 250, 1) == (10, 3.0, 0.6, True, 40)
+        assert quiet_bounds(grid, 30, 1) == (10, 3.0, 0.6, True, 40)
+        # two open goals: Γ is read on every step
+        assert quiet_bounds(grid, 250, 2).gamma_until == math.inf
         with pytest.raises(ValueError, match="quiet_bounds needs at least one arm"):
-            quiet_bounds([], 250)
+            quiet_bounds([], 250, 2)
 
 
 FIXED, REACTIVE = MethodVariant.FIXED_ORDER, MethodVariant.REACTIVE_ORDER
