@@ -83,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help=f"{' | '.join(SWEEP_PARAMETERS)}, or a dotted key in "
                               f"{' | '.join(SWEPT_SECTIONS)}; --set's checks bar the floor")
     sweep_p.add_argument("--values", required=True,
-                         help="comma-separated values")
+                         help="comma-separated values; a list that starts with '-' "
+                              "needs the = form, e.g. --values=-1.0,0.2")
     return p
 
 
@@ -130,7 +131,8 @@ def _parse_variants(raw: str | None) -> list[MethodVariant]:
         try:
             variant = MethodVariant(name)
         except ValueError:
-            raise ConfigError(f"unknown variant {name!r}") from None
+            raise ConfigError(f"unknown variant {name!r}; variants: "
+                              f"{', '.join(v.value for v in MethodVariant)}") from None
         if variant in out:
             raise ConfigError(f"variant {name!r} is listed twice in --variants")
         out.append(variant)

@@ -7,6 +7,11 @@ the map, its own coverage, the evidence score and the cell a true detection
 reports as its source, so the executive can be deleted without changing a
 single primitive action until the first intervention.
 
+One breadth-first kernel, `_search`, runs every grid search: the distance
+fields, `bfs_path` and the navigator's frontier plans. Only the frontier
+plan answers some requests without it, by a rule that holds because the
+navigator's sensing square around its pose is always marked.
+
 Fixture maps use a plain-text format, one character per cell:
 '#' = wall, '.' = free, 'S' = spawn, digits 1-9 = goal positions
 (goal cells are free). The border of every map must be wall.
@@ -167,64 +172,12 @@ def _search(gmap: GridMap, start: int, done: bytes | bytearray
         level = nxt_level
 
 
-# half-width of the square `_path` tests; `_covered_path`'s three-hop
-# argument holds for 2 only
-SQUARE_RADIUS = 2
-
-
-def _path(gmap: GridMap, start: Cell, done: bytes | bytearray) -> Optional[list[Cell]]:
-    """Shortest path from start (exclusive) to the nearest cell whose
-    `done` flag is 0, or None if none is reachable: the path `_search`
-    finds, ties included, for any `done` flags. This entry point tests
-    whether the 5 x 5 square around the start, clipped to the map, is
-    done; `_covered_path` takes a start whose square is known to be done,
-    as the navigator's always is, and skips the test.
-    """
-    if not gmap.is_free(start):
-        raise ValueError(f"start cell {start} is not free")
-    w, h, s = gmap.width, gmap.height, SQUARE_RADIUS
-    r, c = start
-    # the square's columns and rows clipped to the map, as max(0, x - s)
-    # and min(size, x + s + 1) without the builtin calls
-    lo = c - s if c > s else 0
-    hi = c + s + 1 if c + s + 1 < w else w
-    for k in range((r - s if r > s else 0) * w, (r + s + 1 if r + s + 1 < h else h) * w, w):
-        if 0 in done[k + lo:k + hi]:
-            return _searched_path(gmap, r * w + c, done)
-    return _covered_path(gmap, r * w + c, done)
-
-
-def _covered_path(gmap: GridMap, start: int, done: bytes | bytearray) -> Optional[list[Cell]]:
-    """`_path` from the free cell at flat index `start`, whose 5 x 5
-    square clipped to the map the caller knows to be done; mostly without
-    running the search.
-
-    Covered square. Every cell within two hops of the start lies in that
-    clipped square, so it is done. A three-hop cell is at Manhattan
-    distance 1 or 3; all of them lie in the clipped square except the four
-    cells three steps straight up, down, left and right, and each of those
-    is reached in three hops only along its straight line. A line that
-    would leave the map starts on a border wall, and so is not free. The
-    search discovers the four in the order up, down, left, right, since
-    each straight line's second cell is discovered by the first cell of
-    the line, and the first cells by the start in that order. So the
-    answer is the first of the four whose line is free and that is not
-    done; if none is, the search goes on past three hops and must run.
-    """
-    w, cells = gmap.width, gmap.cells
-    # the border is wall, so a free second cell has a third inside the map
-    for step in (-w, w, -1, 1):
-        a = start + step
-        b = a + step
-        if not (cells[a] or cells[b] or cells[b + step] or done[b + step]):
-            return [divmod(a, w), divmod(b, w), divmod(b + step, w)]
-    return _searched_path(gmap, start, done)
-
-
 def _searched_path(gmap: GridMap, start: int, done: bytes | bytearray) -> Optional[list[Cell]]:
-    """`_path` from flat index `start` by running `_search`: the path
-    walks back through its levels, a cell's parent being the first cell
-    of the level before it that neighbours it."""
+    """Shortest path from flat index `start` (exclusive) to the nearest
+    cell whose `done` flag is 0, or None if none is reachable, by running
+    `_search`: the path walks back through its levels, a cell's parent
+    being the first cell of the level before it that neighbours it. Ties
+    go to the cell `_search` discovers first."""
     levels, cell = _search(gmap, start, done)
     if cell is None:
         return None
@@ -268,14 +221,19 @@ def geodesic_distance(gmap: GridMap, start: Cell, goal: Cell) -> float:
 
 def bfs_path(gmap: GridMap, start: Cell, target: Cell) -> Optional[list[Cell]]:
     """Shortest 4-connected path from start to target (exclusive of
-    start), or None if unreachable."""
+    start), or None if the target is not free or unreachable; a start that
+    is not free is a ValueError. Every call but start == target runs the
+    search."""
     if start == target:
         return []
     if not gmap.is_free(target):
         return None
+    if not gmap.is_free(start):
+        raise ValueError(f"start cell {start} is not free")
+    w = gmap.width
     done = bytearray(b"\x01") * len(gmap.cells)
-    done[target[0] * gmap.width + target[1]] = 0
-    return _path(gmap, start, done)
+    done[target[0] * w + target[1]] = 0
+    return _searched_path(gmap, start[0] * w + start[1], done)
 
 
 def line_of_sight(gmap: GridMap, a: Cell, b: Cell) -> bool:
@@ -398,7 +356,8 @@ class Navigator:
     so that a move does not read them through `gmap`), belong to the
     navigator: only its own methods write them. `_plan_to_nearest_unvisited`
     trusts that the sensing square around the pose is marked, which every
-    method keeps true; a caller that sets `pose` or rewrites `visited` can
+    method keeps true, and answers a target three cells straight out
+    without a search; a caller that sets `pose` or rewrites `visited` can
     get a plan that misses a nearer unvisited cell, without an error.
     """
 
@@ -406,9 +365,9 @@ class Navigator:
                  "believed_target", "_high_streak", "_low_streak", "_exhausted")
     TRIGGER_STEPS = 2
     RELEASE_STEPS = 5
-    # half-width of the coverage square, in cells; below SQUARE_RADIUS the
-    # square test the plans skip could fail
-    SENSE_RADIUS = SQUARE_RADIUS
+    # half-width of the coverage square, in cells; the three-hop argument
+    # of `_plan_to_nearest_unvisited` holds for 2 only
+    SENSE_RADIUS = 2
     # MARKS[n]: n coverage marks, for a row or column of the square
     MARKS = tuple(b"\x01" * n for n in range(2 * SENSE_RADIUS + 2))
 
@@ -450,15 +409,34 @@ class Navigator:
 
     def _plan_to_nearest_unvisited(self) -> Optional[list[Cell]]:
         """Shortest path (exclusive of the pose) to the nearest
-        reachable unvisited free cell, or None when coverage is done.
+        reachable unvisited free cell, or None when coverage is done; the
+        path `_searched_path` finds, ties included, mostly without running
+        the search.
 
-        The sensing square around the pose is marked at all times: by
-        `__init__` and `begin_goal_context`, by every move (the edge row or
-        column it moves into) and in a `copy`. It holds the 5 x 5 square
-        `_path` would test, so the plan enters `_covered_path` with the
-        flat pose index and skips that test."""
+        The sensing square around the pose, clipped to the map, is marked
+        at all times: by `__init__` and `begin_goal_context`, by every move
+        (the edge row or column it moves into) and in a `copy`. Every cell
+        within two hops of the pose lies in that square, so it is visited.
+        A three-hop cell is at Manhattan distance 1 or 3; all of them lie
+        in the square except the four cells three steps straight up, down,
+        left and right, and each of those is reached in three hops only
+        along its straight line. A line that would leave the map starts on
+        a border wall, and so is not free. The search discovers the four in
+        the order up, down, left, right, since each straight line's second
+        cell is discovered by the first cell of the line, and the first
+        cells by the pose in that order. So the answer is the first of the
+        four whose line is free and that is not visited; if none is, the
+        search goes on past three hops and must run."""
         r, c = self.pose
-        return _covered_path(self.gmap, r * self._width + c, self.visited)
+        w, cells, visited = self._width, self.gmap.cells, self.visited
+        start = r * w + c
+        # the border is wall, so a free second cell has a third inside the map
+        for step in (-w, w, -1, 1):
+            a = start + step
+            b = a + step
+            if not (cells[a] or cells[b] or cells[b + step] or visited[b + step]):
+                return [divmod(a, w), divmod(b, w), divmod(b + step, w)]
+        return _searched_path(self.gmap, start, visited)
 
     def observe(self, evidence: float, source: Optional[Cell], rng: random.Random) -> None:
         """Feed the current evidence sample and a true detection's source

@@ -8,6 +8,12 @@ Uses are matched by name: a name, an attribute or, for ACCEPTANCE, an
 imported name. So a method counts as called when any object's attribute
 of that name is read; the check finds definitions no code names at all.
 
+Every constant, a name bound at module level or by a plain assignment in a
+class body (enum members, `__slots__` and annotated dataclass or NamedTuple
+fields aside), is read in the same places: by `src/morn`, by ACCEPTANCE or
+by perfbench's span tables. A constant nothing reads outlives the rule it
+was written for.
+
 Every exception class in `src/morn` is also named by an `except` clause
 there: one no handler names is only a second name for its base class.
 """
@@ -64,6 +70,47 @@ def test_every_definition_has_a_caller():
     used |= rebound_by_perfbench()
     unused = [f"{module}.{name}" for module, name in definitions() if name not in used]
     assert not unused, f"defined in src/morn but never called: {unused}"
+
+
+def constants():
+    """(module, name) of every module-level constant and every class
+    constant that is not an enum member or `__slots__`."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = [node for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 or isinstance(node, ast.AnnAssign) and node.value is not None]
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and not any(
+                    (getattr(base, "id", None) or getattr(base, "attr", "")).endswith("Enum")
+                    for base in cls.bases):
+                bound += [node for node in cls.body if isinstance(node, ast.Assign)]
+        for node in bound:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and name.id != "__slots__":
+                        yield path.stem, name.id
+
+
+def names_read(path):
+    """Every name and attribute `path` reads; unlike `names_used`, a name
+    it only binds does not count."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_constant_is_read():
+    read = set()
+    for path in SRC.glob("*.py"):
+        read |= names_read(path)
+    read |= names_used(ROOT / "tests" / "test_acceptance.py", imports=True)
+    read |= rebound_by_perfbench()
+    found = list(constants())
+    assert found, "no constant found in src/morn"
+    unread = [f"{module}.{name}" for module, name in found if name not in read]
+    assert not unread, f"constant defined in src/morn but never read: {unread}"
 
 
 def bound_by_package_root():

@@ -167,9 +167,14 @@ class TestBench:
         assert len(lines) == 2
         assert lines[1].startswith("MORN_FULL,")
 
-    def test_unknown_variant_is_exit_2(self, tmp_path):
-        assert main(["bench", *FAST, "--variants", "WISHFUL",
+    def test_unknown_variant_is_exit_2(self, tmp_path, capsys):
+        assert main(["bench", *FAST, "--variants", "MORN_FULL,WISHFUL",
                      "--out", out_dir(tmp_path, "b")]) == 2
+        err = capsys.readouterr().err
+        assert ("unknown variant 'WISHFUL'; variants: FIXED_ORDER, REACTIVE_ORDER, "
+                "MORN_ABORT_ONLY, MORN_SWITCH_ONLY, MORN_FULL") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "b").exists()
 
     def test_repeated_variant_is_exit_2(self, tmp_path, capsys):
         assert main(["bench", *FAST, "--variants", "MORN_FULL, MORN_FULL",
@@ -250,6 +255,18 @@ class TestSweep:
         assert lines[0] == "tau_c,mgsr,ssr,cr,steps,wsf,in_envelope"
         assert len(lines) == 3
         assert lines[1].startswith("0.6000,")
+
+    def test_negative_first_value_takes_the_equals_form(self, tmp_path, capsys):
+        # argparse reads "-1.0,0.2" after a space as an option, so a list
+        # that starts below zero is given as --values=-1.0,0.2, as the help says
+        assert main(["sweep", "--parameter", "tau_s", "--values=-1.0,0.2", *FAST,
+                     "--episodes", "1", "--workers", "1", "--out", out_dir(tmp_path, "s")]) == 0
+        lines = (tmp_path / "s" / "sweep_tau_s.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["-1.0000", "0.2000"]
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", "--help"])
+        assert exit_.value.code == 0
+        assert "--values=-1.0,0.2" in " ".join(capsys.readouterr().out.split())
 
     @pytest.mark.parametrize("parameter, values, written", [
         ("signal.epsilon", "1e-6,2e-6,5e-5", ["1e-06", "2e-06", "5e-05"]),

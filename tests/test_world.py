@@ -19,7 +19,7 @@ from morn.world import (
     Navigator,
     PerceptionParams,
     WorldParams,
-    _path,
+    _searched_path,
     bfs_path,
     distance_field,
     emit_evidence,
@@ -125,10 +125,21 @@ def walked_coverage(gmap, rng, free, steps):
         pose = moves[rng.randrange(len(moves))] if moves else pose
 
 
+def with_square(gmap, visited, cell):
+    """`visited` with the sensing square around `cell`, clipped to the map,
+    marked, as a navigator posed at `cell` keeps its coverage."""
+    (r, c), s, h, w = cell, Navigator.SENSE_RADIUS, gmap.height, gmap.width
+    lo, hi = max(0, c - s), min(w, c + s + 1)
+    marked = bytearray(visited)
+    for row in range(max(0, r - s), min(h, r + s + 1)):
+        marked[row * w + lo:row * w + hi] = b"\x01" * (hi - lo)
+    return marked
+
+
 def square_is_marked(nav):
-    """Whether every cell of the square `_path` tests around the pose,
-    clipped to the map, carries a coverage mark."""
-    (r, c), s = nav.pose, world.SQUARE_RADIUS
+    """Whether every cell of the sensing square around the pose, clipped to
+    the map, carries a coverage mark."""
+    (r, c), s = nav.pose, Navigator.SENSE_RADIUS
     h, w = nav.gmap.height, nav.gmap.width
     return all(nav.visited[row * w + col]
                for row in range(max(0, r - s), min(h, r + s + 1))
@@ -610,14 +621,16 @@ class TestNavigator:
            st.sampled_from([0.0, 0.3, 0.7, 0.95, 1.0]), st.booleans())
     def test_frontier_plan_matches_fifo_oracle(self, seed, h, w, covered, open_map):
         # random maps (open ones are all ties) with random coverage, from
-        # every free pose: `_path`, which plans under any coverage, gives
-        # the oracle's path, ties included. Random coverage can leave the
-        # square around a pose unmarked, which a navigator never does.
+        # every free pose: the kernel's path, which holds under any
+        # coverage, is the oracle's, ties included. Random coverage can
+        # leave the square around a pose unmarked, which a navigator never
+        # does.
         rng = random.Random(seed)
         gmap, free = random_map(rng, h, w, wall_p=0.0 if open_map else 0.3)
-        for pose in free:
+        for r, c in free:
             visited = bytes(rng.random() < covered for _ in gmap.cells)
-            assert _path(gmap, pose, visited) == oracle_frontier_path(gmap, pose, visited)
+            assert _searched_path(gmap, r * w + c, visited) == oracle_frontier_path(
+                gmap, (r, c), visited)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_frontier_plan_under_walked_coverage(self, seed):
@@ -625,7 +638,7 @@ class TestNavigator:
         # earlier searches again; the navigator makes them, as its square
         # is covered. Paths from every free cell meet squares that are
         # partly covered or clipped by the border (starts on row or column
-        # 1); `_path` makes those, as they are not a navigator's states.
+        # 1); the kernel makes those, as they are not a navigator's states.
         rng = random.Random(seed)
         if seed % 2:
             gmap, rooms, _ = generate_map(rng, WorldParams(room_min=4, room_max=7))
@@ -637,15 +650,16 @@ class TestNavigator:
             nav.pose = pose
             nav.visited[:] = visited
             assert nav._plan_to_nearest_unvisited() == oracle_frontier_path(gmap, pose, visited)
-            for start in [] if t % 20 else free:
-                assert _path(gmap, start, visited) == oracle_frontier_path(gmap, start, visited)
+            for r, c in [] if t % 20 else free:
+                assert _searched_path(gmap, r * gmap.width + c, visited) == oracle_frontier_path(
+                    gmap, (r, c), visited)
         assert any(1 in (r, c) for r, c in free)
 
     def test_edge_plans_under_walked_coverage(self, monkeypatch):
-        # `_path` from starts on rows and columns 1 and h - 2, w - 2, whose
-        # 5 x 5 square the map edge clips, on every bundled fixture and on
-        # generated maps; a start is seldom the walk's pose, so its square
-        # may be partly covered
+        # frontier plans from poses on rows and columns 1 and h - 2, w - 2,
+        # whose 5 x 5 square the map edge clips, on every bundled fixture
+        # and on generated maps: the walk's coverage with the square around
+        # the pose marked, as the navigator keeps it
         rng = random.Random(4)
         maps = [parse_grid(load_fixture(name))[0]
                 for name in ("trivial", "open", "two_room", "sealed", "maze")]
@@ -656,12 +670,15 @@ class TestNavigator:
             h, w = gmap.height, gmap.width
             free = free_cells(gmap)
             edge = [(r, c) for r, c in free if r in (1, h - 2) or c in (1, w - 2)]
-            for t, (pose, visited) in enumerate(walked_coverage(gmap, rng, free, 400)):
+            nav = Navigator(gmap, PerceptionParams())
+            for t, (_, visited) in enumerate(walked_coverage(gmap, rng, free, 400)):
                 if t % 10:
                     continue
                 for start in edge:
-                    assert _path(gmap, start, visited) == oracle_frontier_path(
-                        gmap, start, visited)
+                    nav.pose = start
+                    nav.visited[:] = with_square(gmap, visited, start)
+                    assert nav._plan_to_nearest_unvisited() == oracle_frontier_path(
+                        gmap, start, nav.visited)
                     plans += 1
         # the clipped square answered some of them
         assert searches[0] < plans
@@ -669,26 +686,30 @@ class TestNavigator:
     def test_edge_pose_with_a_straight_answer_runs_no_search(self, monkeypatch):
         # on an open room, from every start on rows and columns 1 and
         # h - 2, w - 2 with its clipped square covered and nothing else, the
-        # answer lies three hops straight out; the covered-square rule gives
-        # it, as it gives a target three hops straight out
+        # answer lies three hops straight out, and the frontier plan's
+        # covered-square rule gives it without a search; `bfs_path`, which
+        # always searches, finds the same path to that cell
         h, w = 9, 10
         cells = [WALL if r in (0, h - 1) or c in (0, w - 1) else FREE
                  for r in range(h) for c in range(w)]
         gmap = GridMap(cells, h, w, 0.5, (1, 1))
+        nav = Navigator(gmap, PerceptionParams())
         searches = count_searches(monkeypatch)
         edge = [(r, c) for r, c in free_cells(gmap) if r in (1, h - 2) or c in (1, w - 2)]
         assert len(edge) == 2 * (h - 2) + 2 * (w - 2) - 4
+        paths = []
         for r, c in edge:
-            covered = bytearray(h * w)
-            for row in range(max(0, r - 2), min(h, r + 3)):
-                for col in range(max(0, c - 2), min(w, c + 3)):
-                    covered[row * w + col] = 1
-            path = _path(gmap, (r, c), covered)
-            assert path == oracle_frontier_path(gmap, (r, c), covered)
+            nav.pose = (r, c)
+            nav.visited[:] = with_square(gmap, bytes(h * w), (r, c))
+            path = nav._plan_to_nearest_unvisited()
+            assert path == oracle_frontier_path(gmap, (r, c), nav.visited)
             end_r, end_c = path[-1]
             assert len(path) == 3 and (end_r, abs(end_c - c)) in ((r, 3), (r + 3, 0), (r - 3, 0))
-            assert bfs_path(gmap, (r, c), path[-1]) == path
+            paths.append(path)
         assert searches[0] == 0
+        for (r, c), path in zip(edge, paths):
+            assert bfs_path(gmap, (r, c), path[-1]) == path
+        assert searches[0] == len(edge)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_plans_on_one_map_under_changing_coverage(self, seed):
@@ -697,8 +718,8 @@ class TestNavigator:
         # of it, which uncovers cells the first search passed before it
         # stopped; a superset of that, which covers all of them; complete
         # coverage (no plan); random coverage again; then paths to single
-        # targets from the same starts. `_path` plans, since the coverage
-        # is arbitrary.
+        # targets from the same starts. The kernel plans, since the
+        # coverage is arbitrary.
         rng = random.Random(seed)
         gmap, free = random_map(rng, 14, 15, wall_p=0.0 if seed % 2 else 0.25)
         n = len(gmap.cells)
@@ -708,9 +729,9 @@ class TestNavigator:
         denser = bytes(a or rng.random() < 0.9 for a in thinner)
         again = bytes(rng.random() < 0.8 for _ in range(n))
         for coverage in (sparse, thinner, denser, b"\x01" * n, again):
-            for start in starts:
-                assert _path(gmap, start, coverage) == oracle_frontier_path(
-                    gmap, start, coverage)
+            for r, c in starts:
+                assert _searched_path(gmap, r * gmap.width + c, coverage) == oracle_frontier_path(
+                    gmap, (r, c), coverage)
         for start in starts:
             for _ in range(5):
                 target = free[rng.randrange(len(free))]
@@ -759,7 +780,7 @@ class TestNavigator:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sensing_square_is_marked_in_every_state(self, seed):
-        # the invariant that lets a plan skip `_path`'s square test: after
+        # the invariant the frontier plan's straight-line rule rests on: after
         # construction, a goal context start, every step (exploring, or
         # approaching a phantom target) and a copy, on every bundled fixture
         # and on generated maps; each plan is the oracle's path
@@ -789,10 +810,11 @@ class TestNavigator:
         assert {("step", "move", False), ("step", "move", True), "plan"} <= ops
 
     def test_sense_radius_covers_the_square(self):
-        # a smaller sensing square would leave cells of `_path`'s square
-        # unmarked, and the navigator's plans would skip a failing test
-        assert world.SQUARE_RADIUS == 2
-        assert Navigator.SENSE_RADIUS >= world.SQUARE_RADIUS
+        # the frontier plan's straight-line rule is made for a 5 x 5 sensing
+        # square: a smaller one leaves two-hop cells unmarked, and under a
+        # larger one the three-hop cells are always marked, so the rule
+        # never answers
+        assert Navigator.SENSE_RADIUS == 2
         assert len(Navigator.MARKS[-1]) == 2 * Navigator.SENSE_RADIUS + 1
 
     def test_copy_has_no_instance_dict_and_shares_no_state(self):
