@@ -504,19 +504,73 @@ def _run_arms(specs: list[EpisodeSpec], arms: list[tuple[MethodVariant, RunConfi
     """One trace list per arm, a (variant, config) pair, in spec order. Each
     spec's world is built once and shared by all arms (`run` only reads it).
     A pool of `workers` processes, but never more than the jobs (one per
-    spec), runs them; with one process or fewer they run in this one."""
+    spec), runs them; with one process or fewer they run in this one.
+
+    Each pool process claims the next unclaimed spec whenever it is free
+    (`_drain`), so which process runs a spec is settled at run time; the
+    traces are put back in spec order, so no output depends on it. A
+    failing suite raises the exception of its lowest-index failing spec,
+    the one a serial run raises, with the worker's traceback chained as
+    its `__cause__`."""
     if not specs:
         raise ValueError("the spec list is empty: there is no episode to run")
     jobs = [(spec, arms) for spec in specs]
     workers = min(workers, len(jobs))
     if workers > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_spec = [traces for _, traces in pool.map(_run_one, jobs, chunksize=8)]
+        context = multiprocessing.get_context()
+        # [0]: the next job to claim; [1 + k]: the job drain task k failed on
+        claims = context.Array("q", [0] + [len(jobs)] * workers)
+        # `_run_one` as bound now, so a rebinding reaches spawned processes too
+        with ProcessPoolExecutor(workers, context, initializer=_join_pool,
+                                 initargs=(jobs, claims, _run_one)) as pool:
+            drains = [pool.submit(_drain, k) for k in range(workers)]
+            failed = [(claims[1 + k], k) for k, task in enumerate(drains)
+                      if task.exception() is not None]
+        if failed:
+            drains[min(failed)[1]].result()  # raises that job's exception
+        claimed = {}
+        for task in drains:
+            claimed.update(task.result())
+        per_spec = [claimed[n] for n in range(len(jobs))]
     else:
         per_spec = [traces for _, traces in map(_run_one, jobs)]
     return [[traces[i] for traces in per_spec] for i in range(len(arms))]
+
+
+_pool_state = None  # in a pool process: `_join_pool`'s arguments, for `_drain`
+
+
+def _join_pool(jobs, claims, run_one) -> None:
+    """Pool process initializer: keep the jobs, the shared claim counter
+    and the job runner (inherited under `fork`, pickled once otherwise)."""
+    global _pool_state
+    _pool_state = jobs, claims, run_one
+
+
+def _drain(k: int) -> dict:
+    """Drain task `k`: claim the next job index under the counter's lock and
+    run the job, until none is left; returns the traces keyed by index.
+    A failing job's index goes into `claims[1 + k]` and ends all claiming
+    (every lower index is claimed already, so no later one can be the
+    lowest failure) before the exception propagates."""
+    jobs, claims, run_one = _pool_state
+    done = {}
+    while True:
+        with claims.get_lock():
+            n = claims[0]
+            if n == len(jobs):
+                return done
+            claims[0] = n + 1
+        try:
+            done[n] = run_one(jobs[n])[1]
+        except BaseException:
+            with claims.get_lock():
+                claims[0] = len(jobs)
+                claims[1 + k] = n
+            raise
 
 
 def _run_one(job):

@@ -332,19 +332,40 @@ class TestFailureDecomposition:
 
 POOL_SCRIPT = """\
 import multiprocessing
+import os
 import pickle
 import sys
 
-from morn.bench import generate, run_suite
+from morn import bench
 from morn.config import RunConfig
 from morn.executive import MethodVariant
 
+RUN_ONE = bench._run_one
+
+
+class LoggedRunOne:
+    \"\"\"Bound as `bench._run_one`, as perfbench binds its spec timer: appends
+    `<pid> <episode id>` to the log, then runs the job. It pickles as the
+    log path alone and calls the `_run_one` its process imported.\"\"\"
+
+    def __init__(self, log):
+        self.log = log
+
+    def __call__(self, job):
+        with open(self.log, "a") as f:
+            f.write(f"{os.getpid()} {job[0].episode_id}\\n")
+        return RUN_ONE(job)
+
+
 if __name__ == "__main__":
-    multiprocessing.set_start_method(sys.argv[1])
+    method, out, log = sys.argv[1:]
+    multiprocessing.set_start_method(method)
+    bench._run_one = LoggedRunOne(log)
     config = RunConfig()
-    results = run_suite(generate(3, 2, 11, config), list(MethodVariant), config, workers=2)
-    with open(sys.argv[2], "wb") as f:
-        pickle.dump(results, f)
+    results = bench.run_suite(bench.generate(3, 2, 11, config), list(MethodVariant), config,
+                              workers=2)
+    with open(out, "wb") as f:
+        pickle.dump((os.getpid(), results), f)
 """
 
 
@@ -374,26 +395,67 @@ class TestSuiteAndSweep:
             assert a.outcomes == b.outcomes
             assert a.total_steps == b.total_steps
 
-    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-    def test_pool_under_start_method_matches_serial(self, tmp_path, method):
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+    def test_pool_under_start_method_matches_serial(self, tmp_path, monkeypatch, method):
         # `fork` is the Linux default before Python 3.14, `forkserver` from
         # 3.14 and `spawn` on macOS; the children of the last two re-import
-        # __main__, so the script must be a file
+        # __main__, so their script must be a file. perfbench times the pool
+        # by binding its own `_run_one`, which every start method must run
+        # once per episode, in the pool's processes only.
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method on this platform")
-        script = tmp_path / "pool_run.py"
-        script.write_text(POOL_SCRIPT)
-        src = os.path.dirname(os.path.dirname(bench_mod.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run([sys.executable, str(script), method, str(tmp_path / "out")],
-                                env=env, capture_output=True, text=True, timeout=300)
-        assert result.returncode == 0, result.stderr
-        with open(tmp_path / "out", "rb") as f:
-            parallel = pickle.load(f)
         config = RunConfig()
-        serial = run_suite(generate(3, 2, 11, config), list(MethodVariant), config, workers=1)
+        specs = generate(3, 2, 11, config)
+        log = tmp_path / "run_one.log"
+        if method == "fork":
+            if multiprocessing.get_start_method() != "fork":
+                pytest.skip("fork is not this interpreter's default start method")
+            run_one = bench_mod._run_one
+
+            def logged(job):
+                with open(log, "a") as f:
+                    f.write(f"{os.getpid()} {job[0].episode_id}\n")
+                return run_one(job)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(bench_mod, "_run_one", logged)
+                # more workers than cores, so the claims contend
+                parallel = run_suite(specs, list(MethodVariant), config,
+                                     workers=(os.cpu_count() or 1) + 2)
+            parent = os.getpid()
+        else:
+            script = tmp_path / "pool_run.py"
+            script.write_text(POOL_SCRIPT)
+            src = os.path.dirname(os.path.dirname(bench_mod.__file__))
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            result = subprocess.run([sys.executable, str(script), method,
+                                     str(tmp_path / "out"), str(log)],
+                                    env=env, capture_output=True, text=True, timeout=300)
+            assert result.returncode == 0, result.stderr
+            # the claim counter's lock is a named semaphore under these two
+            assert "leaked semaphore" not in result.stderr, result.stderr
+            with open(tmp_path / "out", "rb") as f:
+                parent, parallel = pickle.load(f)
+        runs = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(int(ep) for _, ep in runs) == [spec.episode_id for spec in specs]
+        assert str(parent) not in {pid for pid, _ in runs}
+        serial = run_suite(specs, list(MethodVariant), config, workers=1)
         assert suite_outcomes(parallel) == suite_outcomes(serial)
+
+    def test_pool_raises_the_lowest_failing_spec(self):
+        # spec 0 fails slowly (its 8 x 30 placements all miss), spec 1 at
+        # once (the map has no goal 3): the error is spec 0's, whichever
+        # worker finishes first, with the worker's traceback as the cause
+        slow = replace(small_suite(1, 0)[0], min_separation=1000.0)
+        fast = replace(fixture_spec("trivial", [GoalSpec(1, "mug"), GoalSpec(3, "tv")]),
+                       episode_id=1)
+        for _ in range(4):
+            with pytest.raises(ConfigError,
+                               match="episode 0: could not satisfy goal separation") as raised:
+                run_suite([slow, fast], [MethodVariant.MORN_FULL], CFG, workers=2)
+            assert "in build_world" in str(raised.value.__cause__)
+            assert multiprocessing.active_children() == []
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigError):
@@ -763,10 +825,11 @@ def test_pool_no_larger_than_its_jobs(monkeypatch, workers, spec_count, pool_siz
     sizes = []
 
     class SerialPool:
-        """Records its size and maps in this process."""
+        """Records its size and runs its initializer and tasks in this process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -774,8 +837,10 @@ def test_pool_no_larger_than_its_jobs(monkeypatch, workers, spec_count, pool_siz
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     specs = small_suite(spec_count, 0)
