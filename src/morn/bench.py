@@ -27,13 +27,15 @@ from .executive import (
     QuietBounds,
     allocate,
     apply,
+    catch_up_streaks,
     count_streaks,
     decide,
     next_goal,
     quiet_bounds,
+    streak_checkpoint,
     streak_keys,
 )
-from .signals import RollingWindow, SignalSample, update
+from .signals import RollingWindow, SignalSample, signals_at, update
 from .states import MetaStateVector, SunkCost, persistence_gate, potentiality, sufficiency
 from .world import (
     Cell,
@@ -259,14 +261,21 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
     spec, in arm order, and records no steps) the arms that decide alike
     share one simulation: the first call runs the work list `forks.pending`
     until it is empty, and every call returns its arm's finished trace.
-    Such a run skips what no arm can read (`quiet_bounds`): on a quiet step
-    it only pushes the evidence window; on another it computes Π only if
-    some arm enables abort, Γ only while `spent < gamma_until` (unbounded
-    while a switch arm rides a branch with two or more goals open, else
-    the greatest grace of its switch arms, or 0 without one), and Σ only
+    Such a run skips what no arm can read (`quiet_bounds`). A branch keeps
+    its streak counts as of a step `seen` and runs a step lazily, only
+    pushing the evidence window, while the commit gate is closed and
+    `spent` is below its `streak_checkpoint`, the first step on which a
+    count could reach its patience (or the allocation): every arm persists
+    on such a step whatever Π and Γ are. On any other step, a full one, it
+    first brings the counts up to the step before (`catch_up_streaks`),
+    computing Π or Γ only on the steps each scan passes, from the window's
+    stored series (`signals_at`). Then it computes Π only if some arm
+    enables abort, Γ only while `spent < gamma_until` (unbounded while a
+    switch arm rides a branch with two or more goals open, else the
+    greatest grace of its switch arms, or 0 without one), and Σ only
     while some arm's commit gate could be open. A branch counts each
     distinct streak of its arms once (`count_streaks`), a switch streak
-    only while Γ is unbounded. On a step that is not idle
+    only while Γ is unbounded. On a full step that is not idle
     (`quiet_bounds`) one pass over its arms calls each arm's `decide`, and
     an arm that acts applies its decision to its own copy of the mission;
     when every arm persisted, the step goes on.
@@ -297,16 +306,28 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
         open_count = len(schedule.open_ids())
         isfinite, sentinel = math.isfinite, world.sentinel
         allocation = ledger.allocation
-        # a standalone run records Π, Γ and Σ on every step
-        until, reach, least_commit, reads_pi, gamma_until = (
-            QuietBounds(0, math.inf, -math.inf, True, math.inf) if record_steps else quiet_bounds(
-                [(arm.variant, arm.config.thresholds) for arm in arms], allocation, open_count))
+        # a standalone run records Π, Γ and Σ on every step: its commit gate
+        # is always open, so every step is full
+        reach, least_commit, reads_pi, gamma_until = (
+            QuietBounds(math.inf, -math.inf, True, math.inf) if record_steps else quiet_bounds(
+                [(arm.variant, arm.config.thresholds) for arm in arms], open_count))
         # one count per distinct streak key of the arms riding this branch;
-        # a switch streak only while Γ is read on every step
+        # a switch streak only while Γ is read on every full step
         streaks = branch.streaks = {
             key: branch.streaks.get(key, 0) for arm in arms for key in arm.streak_keys
             if key is not None and (gamma_until == math.inf or not key.switch)}
+        seen = branch.seen  # the step the counts are as of
+        check = streak_checkpoint(streaks, seen, allocation)
         step, observe, push = nav.step, nav.observe, window.push
+
+        def state(switch: bool, k: int) -> float:
+            """Π (switch False) or Γ (True) of step k of this goal context,
+            from the window's series, for the streaks' catch-up."""
+            velocity, stab, gain, evidence = signals_at(window, k, sigpar)
+            if switch:
+                return persistence_gate(gain, SunkCost(k, allocation), velocity, weights)
+            return potentiality(velocity, evidence, stab, weights)
+
         # the step counters live in locals and are written back to the
         # ledger and the goal record before `decide`, `apply`, a fork or
         # `finish` reads them
@@ -324,9 +345,11 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
             spent += 1
 
             gate = d < reach
-            if spent < until and not gate:
-                push(evidence, d)
+            if spent < check and not gate:
+                push(evidence, d)  # lazy: every arm persists
                 continue
+            if seen < spent - 1:
+                catch_up_streaks(streaks, seen, spent - 1, state)
             summary = update(window, SignalSample(t, d, evidence), sigpar)
             # a state no arm can read is a placeholder, 1.0 for Π and Γ (above
             # every level) and 0.0 for Σ (`quiet_bounds`)
@@ -339,8 +362,10 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
                 weights,
             ) if spent < gamma_until else 1.0
             sigma = sufficiency(evidence, summary.stability, d, weights) if gate else 0.0
-            if (not count_streaks(streaks, pi, gamma, spent) and spent < allocation
-                    and (not gate or sigma <= least_commit)):
+            reached = count_streaks(streaks, pi, gamma, spent)
+            seen = spent
+            check = streak_checkpoint(streaks, seen, allocation)
+            if not reached and spent < allocation and (not gate or sigma <= least_commit):
                 continue  # idle: every arm persists
             ledger.elapsed = t
             ledger.active_spent = spent
@@ -381,6 +406,7 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
             # finished when `apply` activated no next goal, else it starts a
             # fresh search and goes back on the list.
             (first_key, (mission, members)), *others = parts.items()
+            branch.seen = seen
             groups = [(other_key, branch.fork(other_mission, other_arms))
                       for other_key, (other_mission, other_arms) in others]
             branch.mission, branch.arms = mission, members
@@ -388,6 +414,7 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
                 if key is not None:
                     group.window.reset()
                     group.streaks = {}
+                    group.seen = 0
                     if key[2] is None:  # `apply` activated no next goal
                         forks.finish(group)
                         continue
@@ -616,8 +643,9 @@ class _Mission(NamedTuple):
 class _Branch:
     """The state a group of arms shares: perception noise, navigator,
     signal window and mission, plus the arms riding it (lowest index
-    first) and the streaks they read, one per distinct `StreakKey`. The
-    mission's ledger holds the last step simulated."""
+    first) and the streaks they read, one per distinct `StreakKey`, as
+    of step `seen` of the goal context. The mission's ledger holds the
+    last step simulated."""
 
     rng: random.Random
     nav: Navigator
@@ -625,6 +653,7 @@ class _Branch:
     mission: _Mission
     arms: list[_Arm]
     streaks: dict = field(default_factory=dict)
+    seen: int = 0
 
     @classmethod
     def start(cls, spec: EpisodeSpec, world: World, config: RunConfig, first: int,
@@ -642,7 +671,7 @@ class _Branch:
         rng = random.Random()
         rng.setstate(self.rng.getstate())
         return _Branch(rng, self.nav.copy(), self.window.copy(), mission, arms,
-                       dict(self.streaks))
+                       dict(self.streaks), self.seen)
 
 
 class _Forks:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .states import MetaStateVector, sigmoid
 
@@ -211,19 +211,18 @@ def count_streaks(streaks: dict[StreakKey, int], potentiality: float, persistenc
     the key's level; any other step resets the streak to 0, and so does
     every intervention. `decide` fires a branch once its streak, this step
     included, reaches the patience, and never reads the streak of a branch
-    the variant disables. A streak is 0 on every step before grace ends,
-    and a quiet step (`quiet_bounds`) comes before the grace of every arm
-    that reads a streak ends, so `run` leaves the streaks as they are on
-    it and calls this on every step that is not quiet. A switch streak is
-    read only with two or more goals open, so `run` puts a switch key in
-    `streaks` only while `quiet_bounds`' `gamma_until` is unbounded; then
-    every key's state is computed on every step it counts. Returns
-    whether some streak, this step included, reached its patience (for
-    `quiet_bounds`' idle rule)."""
+    the variant disables. `run` calls this on its full steps only: the
+    steps in between, on which no streak can reach its patience
+    (`streak_checkpoint`), it counts afterwards by scanning back
+    (`catch_up_streaks`). A switch streak is read only with two or more
+    goals open, so `run` puts a switch key in `streaks` only while
+    `quiet_bounds`' `gamma_until` is unbounded. Returns whether some
+    streak, this step included, reached its patience (for `quiet_bounds`'
+    idle rule)."""
     reached = False
     for key in streaks:
         # key[0..3] is (switch, level, grace, patience); indexing the
-        # tuple is cheaper than unpacking it, and this runs every step
+        # tuple is cheaper than unpacking it, and this runs every full step
         if (persistence if key[0] else potentiality) < key[1] and spent >= key[2]:
             count = streaks[key] = streaks[key] + 1
             if count >= key[3]:
@@ -233,26 +232,63 @@ def count_streaks(streaks: dict[StreakKey, int], potentiality: float, persistenc
     return reached
 
 
-class QuietBounds(NamedTuple):
-    """The steps on which the arms riding one branch can read nothing, or
-    can only persist, and the meta-states they can read; see
-    `quiet_bounds`."""
+def streak_checkpoint(streaks: dict[StreakKey, int], seen: int, allocation: int) -> int:
+    """The first step on which a count of `streaks`, as of step `seen`,
+    could reach its patience, and never later than `allocation` (the cap
+    fires in every variant).
 
-    until: int
+    A streak that counts every step after `seen` holds `count + k` at step
+    `seen + k`, and a streak starts no earlier than the step after grace
+    ends, so a key first reaches its patience at `max(seen - count,
+    grace - 1) + patience`. Before that step no streak reaches its
+    patience whatever Π and Γ are, so no abort or switch can fire; with
+    the commit gate closed as well, every arm persists (`run`'s lazy
+    steps). With no key the checkpoint is `allocation`."""
+    check = allocation
+    for key, count in streaks.items():
+        start = seen - count
+        if start < key[2] - 1:
+            start = key[2] - 1
+        if start + key[3] < check:
+            check = start + key[3]
+    return check
+
+
+def catch_up_streaks(streaks: dict[StreakKey, int], seen: int, last: int,
+                     state: Callable[[bool, int], float]) -> None:
+    """Bring `streaks` from their counts as of step `seen` up to step
+    `last`, as `count_streaks` on every step in between would. `state(
+    switch, k)` is Γ (switch) or Π at step k.
+
+    Each key scans back from `last` to its streak's last reset, a step
+    inside its grace or with its state at or above its level; the count is
+    the steps after that reset. A scan that reaches `seen` finds no reset,
+    so the count at `seen` carries on. States are read only on the steps a
+    scan passes."""
+    for key in streaks:
+        switch, level, grace = key[0], key[1], key[2]
+        k = last
+        while k > seen and k >= grace and state(switch, k) < level:
+            k -= 1
+        streaks[key] = last - k + (streaks[key] if k == seen else 0)
+
+
+class QuietBounds(NamedTuple):
+    """The meta-states the arms riding one branch can read, and the steps
+    on which they can only persist; see `quiet_bounds`."""
+
     reach: float
     commit: float
     reads_pi: bool
     gamma_until: float
 
 
-def quiet_bounds(arms: list[tuple[MethodVariant, Thresholds]], allocation: int,
+def quiet_bounds(arms: list[tuple[MethodVariant, Thresholds]],
                  open_goals: int) -> QuietBounds:
-    """The quiet-step, idle-step and per-state rules for a branch's arms,
-    (variant, thresholds) pairs, under a subgoal allocation with
-    `open_goals` goals open: five bounds, fixed for one goal context.
+    """The commit-gate, idle-step and per-state rules for a branch's arms,
+    (variant, thresholds) pairs, with `open_goals` goals open: four
+    bounds, fixed for one goal context.
 
-    - `until`: the least grace of the arms that enable abort or switch,
-      never more than `allocation` (the cap fires in every variant).
     - `reach`: the greatest commit distance.
     - `commit`: the least commit threshold τ_C.
     - `reads_pi`: whether some arm enables abort, the one branch that
@@ -267,26 +303,24 @@ def quiet_bounds(arms: list[tuple[MethodVariant, Thresholds]], allocation: int,
     With `spent` the active goal's steps, this one included, and `d` the
     distance `decide` reads, some arm's commit gate may be open only while
     `d < reach`; outside it no arm's `decide` reads Σ. Inside it an arm
-    still waits out its own commit warmup in `decide`. A step is quiet
-    when `spent < until` and that gate is closed: then every arm's
-    `decide` returns PERSIST whatever Π, Γ and Σ are, and every streak it
-    reads is 0 (`count_streaks`), so the step needs no signal or
-    meta-state. On a step that is not quiet, no arm's `decide` reads Π
+    still waits out its own commit warmup in `decide`. A step is lazy
+    when that gate is closed and `spent` is below the branch's
+    `streak_checkpoint`: then every arm's `decide` returns PERSIST
+    whatever Π, Γ and Σ are, so the step needs no signal or meta-state.
+    On a full step, one that is not lazy, no arm's `decide` reads Π
     unless `reads_pi`, nor Γ unless `spent < gamma_until`, nor the switch
     streak while `gamma_until` is bounded.
 
-    A step that is not quiet is idle when `spent < allocation`, no streak
-    the branch counts has reached its patience (`count_streaks`), and the
-    gate is closed or Σ <= `commit`. Then no arm is at the cap, no abort
-    or switch branch can fire and no arm's commit test passes, so every
-    arm's `decide` returns PERSIST; the streaks still count on it. A
-    standalone run, which records every step, uses bounds under which no
-    step is quiet or idle and every state is read: `(0, inf, -inf, True,
-    inf)`.
+    A full step is idle when `spent < allocation`, no streak the branch
+    counts has reached its patience (`count_streaks`), and the gate is
+    closed or Σ <= `commit`. Then no arm is at the cap, no abort or switch
+    branch can fire and no arm's commit test passes, so every arm's
+    `decide` returns PERSIST. A standalone run, which records every step,
+    uses bounds under which every step is full and none idle and every
+    state is read: `(inf, -inf, True, inf)`.
     """
     if not arms:
         raise ValueError("quiet_bounds needs at least one arm")
-    graces = [th.grace for v, th in arms if v.abort_enabled or v.switch_enabled]
     switch_graces = [th.grace for v, th in arms if v.switch_enabled]
     if not switch_graces:
         gamma_until = 0
@@ -294,8 +328,7 @@ def quiet_bounds(arms: list[tuple[MethodVariant, Thresholds]], allocation: int,
         gamma_until = math.inf
     else:
         gamma_until = max(switch_graces)
-    return QuietBounds(min([allocation, *graces]),
-                       max(th.commit_distance for _, th in arms),
+    return QuietBounds(max(th.commit_distance for _, th in arms),
                        min(th.commit for _, th in arms),
                        any(v.abort_enabled for v, _ in arms),
                        gamma_until)

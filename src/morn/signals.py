@@ -3,13 +3,13 @@
 Everything here is windowed: the caller owns a RollingWindow per goal
 context, pushes one (distance, evidence) sample per step, and reads back
 a SignalSummary with the window mean, windowed variance, stability,
-progress velocity and information gain.
+progress velocity and information gain. `signals_at` reads those
+statistics back for any earlier step of the goal context.
 """
 
 from __future__ import annotations
 
 import copy
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -60,67 +60,71 @@ class SignalSummary:
 
 
 class RollingWindow:
-    """Fixed-capacity window over the most recent evidence values and
-    distances, with running sums for O(1) mean and variance updates.
+    """The evidence values and distances of one goal context, with running
+    sums over the most recent `capacity` of them for O(1) mean and
+    variance updates.
 
-    Also remembers the variance from `capacity` steps ago so that the
-    information gain (variance reduction across one full window) can be
-    read without replaying the stream. The window has no read methods:
-    `update` reads this running state once per step. Slotted, like
-    `world.Navigator`, so that a copy leaves both windows on CPython's fast
-    attribute path.
+    Keeps every step's evidence, distance and windowed variance since the
+    last reset, so `signals_at` can read any past step's statistics
+    without replaying the stream: the information gain (variance
+    reduction across one full window) reads the variance `capacity` steps
+    back. A goal context is at most one subgoal allocation long, so the
+    series stay short. `len` is the number of values the window covers,
+    at most `capacity`. Slotted, like `world.Navigator`, so that a copy
+    leaves both windows on CPython's fast attribute path.
     """
 
-    __slots__ = ("capacity", "samples", "distances", "_sum", "_sumsq", "_count_total",
-                 "_var_history")
+    __slots__ = ("capacity", "samples", "distances", "variances", "_sum", "_sumsq")
 
     def __init__(self, capacity: int):
         if capacity < 2:
             raise ValueError("window capacity must be >= 2")
         self.capacity = capacity
-        self.samples: deque[float] = deque(maxlen=capacity)
-        self.distances: deque[float] = deque(maxlen=capacity)
+        self.samples: list[float] = []
+        self.distances: list[float] = []
+        self.variances: list[float] = []
         self._sum = 0.0
         self._sumsq = 0.0
-        self._count_total = 0  # samples seen since last reset
-        self._var_history: deque[float] = deque(maxlen=capacity + 1)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        n = len(self.samples)
+        return n if n < self.capacity else self.capacity
 
     def reset(self) -> None:
         self.samples.clear()
         self.distances.clear()
+        self.variances.clear()
         self._sum = 0.0
         self._sumsq = 0.0
-        self._count_total = 0
-        self._var_history.clear()
 
     def copy(self) -> RollingWindow:
         """An independent window with the same contents and sums."""
         new = copy.copy(self)
-        new.samples = copy.copy(self.samples)
-        new.distances = copy.copy(self.distances)
-        new._var_history = copy.copy(self._var_history)
+        new.samples = self.samples[:]
+        new.distances = self.distances[:]
+        new.variances = self.variances[:]
         return new
 
     def push(self, evidence: float, distance: float) -> None:
         samples = self.samples
         total, sumsq = self._sum, self._sumsq
-        if len(samples) == self.capacity:
-            old = samples[0]
+        n = len(samples)
+        capacity = self.capacity
+        if n < capacity:
+            n += 1
+        else:
+            old = samples[n - capacity]
             total -= old
             sumsq -= old * old
+            n = capacity
         samples.append(evidence)
         self.distances.append(distance)
         total += evidence
         sumsq += evidence * evidence
         self._sum, self._sumsq = total, sumsq
-        self._count_total += 1
-        n = len(samples)
         m = total / n
         v = sumsq / n - 2.0 * m * m + m * m
-        self._var_history.append(v if v > 0.0 else 0.0)
+        self.variances.append(v if v > 0.0 else 0.0)
 
 
 def stability(variance: float, params: SignalParams) -> float:
@@ -136,26 +140,39 @@ def info_gain(summary_prev_window: SignalSummary, summary_now: SignalSummary) ->
     return summary_prev_window.variance - summary_now.variance
 
 
-def update(window: RollingWindow, sample: SignalSample, params: SignalParams) -> SignalSummary:
-    """Advance the window by one sample and recompute all derived
-    statistics. Partial windows are allowed: statistics cover whatever
-    samples exist. Stability is `stability()` written out with `clip`'s
-    two comparisons to save two calls a step; the tests hold it bit for
-    bit equal. Velocity is the distance drop across the window over the
-    largest drop its steps can make, clipped to [-1, 1]: positive means
-    approaching the goal, and fewer than two samples give a neutral 0."""
-    window.push(sample.evidence, sample.distance)
-    history = window._var_history
-    var = history[-1]
-    # information gain: the variance `capacity` steps ago minus now, once
-    # both windows are full; 0 before that
-    gain = history[0] - var if window._count_total >= 2 * window.capacity else 0.0
+def signals_at(window: RollingWindow, k: int,
+               params: SignalParams) -> tuple[float, float, float, float]:
+    """The velocity, stability, information gain and evidence of the k-th
+    step since the window's last reset (1 <= k <= the steps pushed), as
+    `update` returned them on that step: the one owner of these formulas.
+
+    Stability is `stability()` written out with `clip`'s two comparisons
+    to save two calls a step; the tests hold it bit for bit equal. The
+    information gain is the variance `capacity` steps back minus the
+    variance now, once both windows are full, and 0 before that.
+    Velocity is the distance drop across the window over the largest drop
+    its steps can make, clipped to [-1, 1]: positive means approaching
+    the goal, and fewer than two samples give a neutral 0."""
+    capacity = window.capacity
+    variances = window.variances
+    var = variances[k - 1]
+    gain = variances[k - 1 - capacity] - var if k >= 2 * capacity else 0.0
     x = var / (params.sigma_norm + params.epsilon)
     stab = 1.0 - (1.0 if 1.0 < x else x if x > 0.0 else 0.0)
-    distances = window.distances
-    n = len(distances)
+    n = k if k < capacity else capacity
     velocity = 0.0
     if n > 1:
-        raw = (distances[0] - distances[-1]) / ((n - 1) * params.step_length)
+        distances = window.distances
+        raw = (distances[k - n] - distances[k - 1]) / ((n - 1) * params.step_length)
         velocity = 1.0 if 1.0 < raw else raw if raw > -1.0 else -1.0
-    return SignalSummary(window._sum / n, var, stab, velocity, gain)
+    return velocity, stab, gain, window.samples[k - 1]
+
+
+def update(window: RollingWindow, sample: SignalSample, params: SignalParams) -> SignalSummary:
+    """Advance the window by one sample and read back all derived
+    statistics: the window mean and variance, and `signals_at` this step.
+    Partial windows are allowed: statistics cover whatever samples
+    exist."""
+    window.push(sample.evidence, sample.distance)
+    velocity, stab, gain, _ = signals_at(window, len(window.samples), params)
+    return SignalSummary(window._sum / len(window), window.variances[-1], stab, velocity, gain)

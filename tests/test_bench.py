@@ -595,25 +595,28 @@ def arm_lists(cfg):
                     for th in ({}, {"abort": 0.6, "switch": 0.0, "grace": 5})
                     for v in (MethodVariant.FIXED_ORDER, MethodVariant.MORN_ABORT_ONLY,
                               MethodVariant.MORN_SWITCH_ONLY)],
-        # one branch whose arms' quiet steps and commit gates differ: the
-        # least grace of an abort or switch arm (20), not the baseline's 0,
-        # and the greatest commit distance bound the branch; each arm's
-        # warmup is left to its `decide`
+        # one branch whose arms' streaks and commit gates differ: the
+        # checkpoints of the abort and switch arms' streaks (the baseline
+        # counts none) and the greatest commit distance bound the branch's
+        # lazy steps; each arm's warmup is left to its `decide`
         "gates": [(v, replace(cfg, thresholds=replace(cfg.thresholds, grace=g,
                                                       commit_warmup=w, commit_distance=c)))
                   for v, g, w, c in ((MethodVariant.FIXED_ORDER, 0, 5, 4.0),
                                      (MethodVariant.MORN_ABORT_ONLY, 30, 0, 2.0),
                                      (MethodVariant.MORN_FULL, 20, 5, 3.0))],
         # a threshold grid on one branch: arms share streaks by key and call
-        # `decide` only on steps that are not idle; the last pair differs
-        # only in the abort patience, so their streaks share a count but
-        # fire apart
+        # `decide` only on steps that are not idle; the last pairs differ
+        # only in the abort or the switch patience, so their streaks count
+        # alike but reach their patience, and so their checkpoints, apart
         "grid": [(v, replace(cfg, thresholds=replace(cfg.thresholds, abort=a, commit=c)))
                  for v in (MethodVariant.MORN_FULL, MethodVariant.MORN_ABORT_ONLY)
                  for a in (0.2, 0.3) for c in (0.55, 0.6, 0.65)]
                 + [(MethodVariant.MORN_FULL,
                     replace(cfg, thresholds=replace(cfg.thresholds, abort_patience=p)))
-                   for p in (40, 60)],
+                   for p in (40, 60)]
+                + [(MethodVariant.MORN_SWITCH_ONLY,
+                    replace(cfg, thresholds=replace(cfg.thresholds, switch_patience=p)))
+                   for p in (5, 10)],
         # switch arms whose grace outlasts a commit-gate opening with one
         # goal left: a Γ below the level inside grace still holds off a
         # commit, so the branch reads Γ until the greatest switch grace
@@ -690,9 +693,11 @@ class TestForkedArms:
             assert [len(branch.arms) for branch in forks.pending] == [3]
 
     def test_quiet_steps_compute_no_signal(self, monkeypatch):
-        # nor do idle steps call `decide`, nor does a branch compute a
-        # meta-state none of its arms reads, except in a standalone run,
-        # which records every step
+        # lazy steps run no `update`, nor do idle steps call `decide`, nor
+        # does a branch compute a meta-state none of its arms reads, except
+        # in a standalone run, which records every step; a streak's catch-up
+        # computes Π and Γ of lazy steps without `update`, so neither count
+        # is bounded by `update`'s
         states = ("potentiality", "persistence_gate", "sufficiency")
         counts = dict.fromkeys(("step", "update", *states, "decide"), 0)
 
@@ -713,8 +718,8 @@ class TestForkedArms:
         run_suite(small_suite(6, 4), list(MethodVariant), CFG)
         assert counts["step"] > counts["update"] > counts["sufficiency"] > 0
         assert counts["update"] > counts["decide"] > 0
-        assert counts["update"] > counts["potentiality"] > 0
-        assert counts["update"] > counts["persistence_gate"] > 0
+        assert counts["step"] > counts["potentiality"] > 0
+        assert counts["step"] > counts["persistence_gate"] > 0
         # Γ only with a switch arm, Π only with an abort arm
         baselines = [MethodVariant.FIXED_ORDER, MethodVariant.REACTIVE_ORDER]
         for variant, unread in ((MethodVariant.MORN_ABORT_ONLY, "persistence_gate"),
@@ -722,6 +727,29 @@ class TestForkedArms:
             counts.update(dict.fromkeys(counts, 0))
             run_suite(small_suite(6, 4), baselines + [variant], CFG)
             assert counts[unread] == 0 and counts["update"] > 0, (variant, counts)
+
+    def test_window_count_equals_spent(self, monkeypatch):
+        # within a goal context the window holds one value per step, lazy
+        # steps included, so the step k a streak's catch-up reads back is
+        # the k-th value; checked on every full step, where `count_streaks`
+        # follows `update` with the goal's `spent`
+        windows, checked = [], []
+        real_update, real_count = bench_mod.update, bench_mod.count_streaks
+
+        def recording_update(window, sample, params):
+            windows.append(window)
+            return real_update(window, sample, params)
+
+        def checking_count(streaks, pi, gamma, spent):
+            checked.append(len(windows[-1].samples) == spent)
+            return real_count(streaks, pi, gamma, spent)
+
+        monkeypatch.setattr(bench_mod, "update", recording_update)
+        monkeypatch.setattr(bench_mod, "count_streaks", checking_count)
+        run_suite(small_suite(6, 4), list(MethodVariant), CFG)
+        for arms in arm_lists(CFG).values():
+            bench_mod._run_arms(small_suite(2, 2), arms, 1)
+        assert len(checked) > 1000 and all(checked)
 
     def test_configs_differing_beyond_thresholds_never_share(self):
         arms = arm_lists(CFG)["weights"]

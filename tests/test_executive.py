@@ -26,7 +26,10 @@ from morn.executive import (
     decide,
     next_goal,
     quiet_bounds,
+    StreakKey,
+    catch_up_streaks,
     select_next,
+    streak_checkpoint,
     streak_keys,
 )
 from morn.states import MetaStateVector, sigmoid
@@ -425,46 +428,39 @@ def quiet_cases(count, seed):
                rng.randint(1, 3), vectors, rng)
 
 
+def branch_keys(arms, bounds):
+    """The streak keys a branch of `arms` counts, as `run` picks them: a
+    switch key only while Γ is unbounded."""
+    return {key for variant, th in arms for key in streak_keys(variant, th)
+            if key is not None and (bounds.gamma_until == math.inf or not key.switch)}
+
+
 class TestQuietSteps:
-    """`quiet_bounds` against `decide` and `streak`: on a quiet step no arm
-    acts or counts a streak whatever Π, Γ and Σ are, outside the commit
-    gate no arm's decision depends on Σ, without `reads_pi` none depends
-    on Π, from `gamma_until` on none depends on Γ or the switch streak,
-    and a step past `until` is one on which some arm can act or count."""
+    """`quiet_bounds` and `streak_checkpoint` against `decide` and `streak`:
+    on a lazy step no arm acts whatever Π, Γ and Σ are and whatever its
+    streaks counted since `seen`, outside the commit gate no arm's decision
+    depends on Σ, without `reads_pi` none depends on Π, from `gamma_until`
+    on none depends on Γ or the switch streak, and at the checkpoint with
+    the gate closed some arm can act."""
 
     def test_rule_agrees_with_decide(self):
         problems = []
-        seen = dict.fromkeys(("quiet", "gate closed", "past until", "Π unread",
-                              "Γ unread, one goal", "Γ unread, no switch arm"), 0)
+        seen_cases = dict.fromkeys(("lazy", "gate closed", "at checkpoint", "Π unread",
+                                    "Γ unread, one goal", "Γ unread, no switch arm"), 0)
         for i, (arms, led, distance, remaining, vectors, rng) in enumerate(
                 quiet_cases(10_000, 20240901)):
-            bounds = quiet_bounds(arms, led.allocation, remaining)
+            bounds = quiet_bounds(arms, remaining)
             spent = led.active_spent
             gate = distance < bounds.reach
-            quiet = spent < bounds.until and not gate
             gamma_read = spent < bounds.gamma_until
-            seen["quiet"] += quiet
-            seen["gate closed"] += not gate
-            seen["past until"] += spent >= bounds.until and not gate
-            seen["Π unread"] += not bounds.reads_pi
-            seen["Γ unread, one goal"] += not gamma_read and bounds.gamma_until > 0
-            seen["Γ unread, no switch arm"] += bounds.gamma_until == 0
-            can_act = False
+            seen_cases["gate closed"] += not gate
+            seen_cases["Π unread"] += not bounds.reads_pi
+            seen_cases["Γ unread, one goal"] += not gamma_read and bounds.gamma_until > 0
+            seen_cases["Γ unread, no switch arm"] += bounds.gamma_until == 0
             for variant, th in arms:
                 for sv in vectors:
                     streaks = (rng.choice((0, th.abort_patience, 100)),
                                rng.choice((0, th.switch_patience, 100)))
-                    d = decide(sv, distance, led, th, variant, remaining, *streaks)
-                    counted = [streak(0, below, spent, th)
-                               for below, enabled in (
-                                   (sv.potentiality < th.abort_level, variant.abort_enabled),
-                                   (sv.persistence < th.switch_level, variant.switch_enabled))
-                               if enabled]
-                    if d.action is not MetaAction.PERSIST or any(counted):
-                        can_act = True
-                        if quiet:
-                            problems.append(f"#{i} {variant.name}: {d.reason.name}, "
-                                            f"streaks {counted} on a quiet step")
                     if not gate and len({
                             decide(replace(sv, sufficiency=sigma), distance, led, th, variant,
                                    remaining, *streaks) for sigma in (0.0, 1.0)}) > 1:
@@ -479,35 +475,62 @@ class TestQuietSteps:
                             for gamma in (0.0, 1.0) for switch in (0, 100)}) > 1:
                         problems.append(f"#{i} {variant.name}: Γ or its streak read at "
                                         f"spent {spent} past gamma_until {bounds.gamma_until}")
-            if spent >= bounds.until and not gate and not can_act:
-                problems.append(f"#{i}: spent {spent} past until {bounds.until}, "
-                                "but no arm can act or count")
+
+            # the counts as of an earlier step `seen`, each one a streak can
+            # hold there below its patience (a count at its patience acts)
+            seen = rng.randint(0, spent - 1)
+            counts = {}
+            for key in branch_keys(arms, bounds):
+                most = max(0, min(key.patience - 1, seen - key.grace + 1))
+                counts[key] = rng.choice((0, most, rng.randint(0, most)))
+            check = streak_checkpoint(counts, seen, led.allocation)
+            for now in sorted({spent, check - 1, check}):
+                if now <= seen:
+                    continue
+                lazy = now < check and not gate
+                seen_cases["lazy"] += lazy
+                seen_cases["at checkpoint"] += now == check and not gate
+                # the most each streak can count by `now`: every step after
+                # `seen` and past grace counted
+                most = {key: max(0, now - max(seen - c, key.grace - 1))
+                        for key, c in counts.items()}
+                at_now = ledger(allocation=led.allocation, spent=now)
+                can_act = False
+                for variant, th in arms:
+                    abort_key, switch_key = streak_keys(variant, th)
+                    for sv in vectors:
+                        for streaks in ((0, 0), (most.get(abort_key, 0),
+                                                 most.get(switch_key, 0))):
+                            d = decide(sv, distance, at_now, th, variant, remaining, *streaks)
+                            if d.action is not MetaAction.PERSIST:
+                                can_act = True
+                                if lazy:
+                                    problems.append(f"#{i} {variant.name}: {d.reason.name} "
+                                                    f"on a lazy step {now} (seen {seen})")
+                if now == check and not gate and not can_act:
+                    problems.append(f"#{i}: checkpoint {check}, but no arm can act")
         assert not problems, problems[:5]
-        assert seen.pop("Γ unread, one goal") > 500, seen
-        assert min(seen.values()) > 1000, seen
+        assert seen_cases.pop("Γ unread, one goal") > 500, seen_cases
+        assert min(seen_cases.values()) > 1000, seen_cases
 
     def test_idle_steps_persist(self):
-        # the idle rule: past the quiet steps, below the cap, no counted
-        # streak at its patience, and the gate closed or Σ at most the least
-        # τ_C; then every arm's `decide`, fed its key's count, persists. A
-        # switch key is counted only while Γ is unbounded, as in `run`, and
-        # an uncounted key reaches `decide` as 0.
+        # the idle rule: below the cap, no counted streak at its patience,
+        # and the gate closed or Σ at most the least τ_C; then every arm's
+        # `decide`, fed its key's count, persists. A switch key is counted
+        # only while Γ is unbounded, as in `run`, and an uncounted key
+        # reaches `decide` as 0.
         problems = []
         idle_cases = 0
         for i, (arms, led, distance, remaining, vectors, rng) in enumerate(
                 quiet_cases(10_000, 20240901)):
-            bounds = quiet_bounds(arms, led.allocation, remaining)
+            bounds = quiet_bounds(arms, remaining)
             spent = led.active_spent
             gate = distance < bounds.reach
-            if spent < bounds.until and not gate:
-                continue  # quiet
             keys = [streak_keys(variant, th) for variant, th in arms]
             idle_seen = False
             for sv in vectors:
                 streaks = {key: rng.choice((0, key.patience - 1, key.patience, 100))
-                           for pair in keys for key in pair
-                           if key is not None and (bounds.gamma_until == math.inf
-                                                   or not key.switch)}
+                           for key in branch_keys(arms, bounds)}
                 reached = count_streaks(streaks, sv.potentiality, sv.persistence, spent)
                 if (reached or spent >= led.allocation
                         or gate and sv.sufficiency > bounds.commit):
@@ -527,24 +550,137 @@ class TestQuietSteps:
         full = Thresholds(grace=20, commit_warmup=5, commit_distance=3.0)
         fixed = Thresholds(grace=0, commit_warmup=0, commit_distance=4.0, commit=0.55)
         arms = [(MethodVariant.FIXED_ORDER, fixed), (MethodVariant.MORN_FULL, full)]
-        assert quiet_bounds(arms, 250, 2) == (20, 4.0, 0.55, True, math.inf)
-        assert quiet_bounds(arms, 10, 2).until == 10
-        assert quiet_bounds(arms[:1], 250, 2) == (250, 4.0, 0.55, False, 0)
+        assert quiet_bounds(arms, 2) == (4.0, 0.55, True, math.inf)
+        assert quiet_bounds(arms[:1], 2) == (4.0, 0.55, False, 0)
         # no abort arm: Π is unread
         switch = (MethodVariant.MORN_SWITCH_ONLY, replace(full, grace=40))
-        assert quiet_bounds([arms[0], switch], 250, 3) == (40, 4.0, 0.55, False, math.inf)
+        assert quiet_bounds([arms[0], switch], 3) == (4.0, 0.55, False, math.inf)
         # no switch arm: Γ is unread
         abort = (MethodVariant.MORN_ABORT_ONLY, replace(full, grace=30))
-        assert quiet_bounds([arms[0], abort], 250, 2) == (30, 4.0, 0.55, True, 0)
+        assert quiet_bounds([arms[0], abort], 2) == (4.0, 0.55, True, 0)
         # one open goal: Γ is read until the greatest grace of a switch arm,
-        # never past it, whatever the other arms' graces and the allocation
+        # never past it, whatever the other arms' graces
         grid = [abort, arms[1], switch, (MethodVariant.MORN_FULL, replace(full, grace=10))]
-        assert quiet_bounds(grid, 250, 1) == (10, 3.0, 0.6, True, 40)
-        assert quiet_bounds(grid, 30, 1) == (10, 3.0, 0.6, True, 40)
-        # two open goals: Γ is read on every step
-        assert quiet_bounds(grid, 250, 2).gamma_until == math.inf
+        assert quiet_bounds(grid, 1) == (3.0, 0.6, True, 40)
+        # two open goals: Γ is read on every full step
+        assert quiet_bounds(grid, 2).gamma_until == math.inf
         with pytest.raises(ValueError, match="quiet_bounds needs at least one arm"):
-            quiet_bounds([], 250, 2)
+            quiet_bounds([], 2)
+
+    def test_checkpoints(self):
+        abort_key, switch_key = streak_keys(MethodVariant.MORN_FULL, TH)  # grace 20
+        # fresh counts: grace ends after step 19, the switch streak (patience
+        # 10) first fills at step 29, the abort streak (60) at 79
+        assert streak_checkpoint({abort_key: 0, switch_key: 0}, 0, 250) == 29
+        assert streak_checkpoint({abort_key: 0}, 0, 250) == 79
+        # never past the allocation, and the allocation without a key
+        assert streak_checkpoint({abort_key: 0, switch_key: 0}, 0, 25) == 25
+        assert streak_checkpoint({}, 0, 250) == 250
+        # past grace: a count carries on from `seen`, a zero count starts
+        # after it
+        assert streak_checkpoint({abort_key: 0, switch_key: 4}, 30, 250) == 36
+        assert streak_checkpoint({abort_key: 50, switch_key: 0}, 70, 250) == 80
+        # a count at its patience makes `seen` itself the checkpoint
+        assert streak_checkpoint({switch_key: 10}, 40, 250) == 40
+        # grace 0: a fresh patience-1 streak can fill on step 1
+        key = StreakKey(False, 0.5, 0, 1)
+        assert streak_checkpoint({key: 0}, 0, 250) == 1
+
+
+LEVELS = (0.3, 0.5, 0.7)
+
+
+def check_lazy_against_eager(keys, states_by_step, seen0, full, allocation):
+    """Count `keys`' streaks over `states_by_step`, (Π, Γ) of steps 1, 2,
+    ..., once eagerly with `count_streaks` on every step and once as `run`
+    does from step `seen0` on (the eager counts there carried): a step is
+    lazy below `streak_checkpoint` unless it is in `full`, and a full step
+    first catches up with `catch_up_streaks`. The counts must agree after
+    every full step, and no lazy step may be one on which an eager count
+    reaches its patience or the cap. Returns the regimes met."""
+    eager = dict.fromkeys(keys, 0)
+    eager_at = [dict(eager)]  # the counts as of step 0, 1, ...
+    for spent, (pi, gamma) in enumerate(states_by_step, 1):
+        count_streaks(eager, pi, gamma, spent)
+        eager_at.append(dict(eager))
+    lazy = dict(eager_at[seen0])
+    seen = seen0
+    check = streak_checkpoint(lazy, seen, allocation)
+    regimes = set()
+    for spent in range(seen0 + 1, len(states_by_step) + 1):
+        if spent < check and spent not in full:
+            assert spent < allocation
+            assert all(eager_at[spent][key] < key.patience for key in keys), spent
+            regimes.add("lazy")
+            continue
+        reads = []
+
+        def state(switch, k):
+            reads.append((switch, k))
+            return states_by_step[k - 1][switch]
+
+        before = dict(lazy)
+        catch_up_streaks(lazy, seen, spent - 1, state)
+        assert lazy == eager_at[spent - 1], (seen, spent)
+        assert all(seen < k < spent for _, k in reads), (seen, spent, reads)
+        for key in keys:
+            if spent - 1 > seen:
+                # where the scan stopped: at `seen` (the count carried on),
+                # or at a reset inside grace or at or above the level
+                stop = spent - 1 - lazy[key]
+                regimes.add(("carried" if before[key] else "scanned to seen") if stop <= seen
+                            else "grace" if stop < key.grace else "level")
+        count_streaks(lazy, *states_by_step[spent - 1], spent)
+        assert lazy == eager_at[spent], spent
+        if any(lazy[key] >= key.patience for key in keys):
+            regimes.add("reached at checkpoint" if spent == check else "reached")
+        seen = spent
+        check = streak_checkpoint(lazy, seen, allocation)
+    return regimes
+
+
+@st.composite
+def lazy_cases(draw):
+    """Keys of both branches with grace 0, 1 or 20 and patience 1, 2 or
+    60, states in runs long enough to fill a patience of 60, the step the
+    carried counts are as of, full steps at random positions and an
+    allocation inside or past the stream."""
+    keys = draw(st.sets(st.builds(StreakKey, st.booleans(), st.sampled_from(LEVELS),
+                                  st.sampled_from((0, 1, 20)), st.sampled_from((1, 2, 60))),
+                        min_size=1, max_size=4))
+    values = st.sampled_from((0.1, 0.4, 0.6, 0.9))
+    runs = draw(st.lists(st.tuples(st.integers(1, 70), values, values), min_size=1,
+                         max_size=6))
+    states_by_step = [(pi, gamma) for length, pi, gamma in runs for _ in range(length)]
+    steps = len(states_by_step)
+    seen0 = draw(st.integers(0, steps - 1))
+    full = draw(st.sets(st.integers(1, steps), max_size=8))
+    allocation = draw(st.integers(1, steps + 5))
+    return keys, states_by_step, seen0, full, allocation
+
+
+class TestLazyStreaks:
+    @settings(max_examples=400, deadline=None)
+    @given(lazy_cases())
+    def test_lazy_counts_equal_eager_counts(self, case):
+        check_lazy_against_eager(*case)
+
+    def test_cases_meet_every_regime(self):
+        rng = random.Random(41)
+        regimes = set()
+        for _ in range(300):
+            keys = {StreakKey(rng.random() < 0.5, rng.choice(LEVELS), rng.choice((0, 1, 20)),
+                              rng.choice((1, 2, 60))) for _ in range(rng.randint(1, 4))}
+            states_by_step = []
+            for _ in range(rng.randint(1, 6)):
+                pi, gamma = rng.choice((0.1, 0.4, 0.6, 0.9)), rng.choice((0.1, 0.4, 0.6, 0.9))
+                states_by_step += [(pi, gamma)] * rng.randint(1, 70)
+            steps = len(states_by_step)
+            full = {rng.randint(1, steps) for _ in range(rng.randint(0, 8))}
+            regimes |= check_lazy_against_eager(keys, states_by_step, rng.randint(0, steps - 1),
+                                                full, rng.randint(1, steps + 5))
+        assert regimes == {"lazy", "carried", "scanned to seen", "grace", "level",
+                           "reached at checkpoint", "reached"}, regimes
 
 
 FIXED, REACTIVE = MethodVariant.FIXED_ORDER, MethodVariant.REACTIVE_ORDER

@@ -16,6 +16,7 @@ from morn.signals import (
     SignalSummary,
     clip,
     info_gain,
+    signals_at,
     stability,
     update,
 )
@@ -77,8 +78,8 @@ def oracle_summary(history, params):
 
 def window_state(window):
     """Everything a window holds, for comparing two windows by value."""
-    return (list(window.samples), list(window.distances), window._sum, window._sumsq,
-            window._count_total, list(window._var_history))
+    return (list(window.samples), list(window.distances), list(window.variances),
+            window._sum, window._sumsq)
 
 
 class TestClip:
@@ -228,13 +229,15 @@ def check_inlined_arithmetic(params, weights, allocation, stream):
     seen = set()
     for t, (evidence, distance) in enumerate(stream, 1):
         got = update(window, SignalSample(t, distance, evidence), params)
-        history = window._var_history
-        assert same_float(got.mean, window._sum / len(window.samples))
-        assert same_float(got.variance, history[-1])
+        variances = window.variances
+        assert len(window.samples) == len(variances) == t
+        assert len(window) == min(t, params.window)
+        assert same_float(got.mean, window._sum / len(window))
+        assert same_float(got.variance, variances[-1])
         assert same_float(got.stability, stability(got.variance, params))
         assert same_float(got.velocity, oracle_summary(stream[:t], params).velocity)
-        gain = (info_gain(SignalSummary(variance=history[0]), got)
-                if window._count_total >= 2 * params.window else 0.0)
+        gain = (info_gain(SignalSummary(variance=variances[-1 - params.window]), got)
+                if t >= 2 * params.window else 0.0)
         assert same_float(got.info_gain, gain)
 
         v, stab = got.velocity, got.stability
@@ -248,7 +251,7 @@ def check_inlined_arithmetic(params, weights, allocation, stream):
             with pytest.raises(ValueError, match="subgoal allocation must be positive"):
                 persistence_gate(got.info_gain, SunkCost(t, bad), v, weights)
 
-        distances = window.distances
+        distances = window.distances[-len(window):]
         raw = (distances[0] - distances[-1]) / (max(len(distances) - 1, 1) * params.step_length)
         seen |= {"partial" if len(window) < params.window else "full",
                  "variance 0" if got.variance == 0.0 else
@@ -294,6 +297,64 @@ class TestInlinedArithmetic:
                         "velocity above 1", "velocity below -1", "velocity in [-1, 1]"}
 
 
+def check_past_reads(params, ops):
+    """Run `ops`, (op, lane, evidence, distance) tuples, on two windows:
+    "push" feeds `update` one sample, "reset" resets the lane's window and
+    "copy" replaces it with a copy of the other lane's. After every op,
+    `signals_at` at each step since the lane's last reset must be bit for
+    bit the velocity, stability and information gain `update` returned on
+    that step, and its evidence. Returns the regimes met."""
+    capacity = params.window
+    # per lane: the window, what each step returned, and the event the
+    # window last went through ("copy" or "reset") with the steps since
+    lanes = [[RollingWindow(capacity), [], None, 0] for _ in range(2)]
+    seen = set()
+    for op, lane, evidence, distance in ops:
+        if op == "reset":
+            lanes[lane][0].reset()
+            lanes[lane][1:] = [[], "reset", 0]
+        elif op == "copy":
+            window, returned = lanes[1 - lane][:2]
+            lanes[lane] = [window.copy(), list(returned), "copy", 0]
+        else:
+            window, returned = lanes[lane][:2]
+            summary = update(window, SignalSample(len(returned) + 1, distance, evidence), params)
+            returned.append((summary, evidence))
+            lanes[lane][3] += 1
+        window, returned, event, since = lanes[lane]
+        assert len(window.samples) == len(returned)
+        for k, (summary, pushed) in enumerate(returned, 1):
+            read = signals_at(window, k, params)
+            want = (summary.velocity, summary.stability, summary.info_gain, pushed)
+            assert all(map(same_float, read, want)), (k, read, want)
+            seen.add("partial" if k < capacity else "full")
+            seen.add("gain 0" if k < 2 * capacity else "gain read")
+        if event is not None and since > 0:
+            seen.add(f"pushed after a {event}")
+    return seen
+
+
+past_ops = st.tuples(st.sampled_from(["push"] * 8 + ["copy", "reset"]), st.integers(0, 1),
+                     st.floats(0.0, 1.0), st.floats(0.0, 40.0))
+
+
+class TestPastSteps:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 8), st.lists(past_ops, min_size=1, max_size=60))
+    def test_equals_what_update_returned(self, window, ops):
+        check_past_reads(SignalParams(window=window), ops)
+
+    @pytest.mark.parametrize("window", range(2, 9))
+    def test_ops_meet_every_regime(self, window):
+        rng = random.Random(window)
+        ops = [(op, lane, rng.random(), rng.uniform(0.0, 40.0))
+               for op, lane in [("push", 0)] * (3 * window) + [("copy", 1), ("push", 1)]
+               + [("reset", 0)] + [("push", 0)] * (2 * window) + [("push", 1)] * window]
+        seen = check_past_reads(SignalParams(window=window), ops)
+        assert seen == {"partial", "full", "gain 0", "gain read", "pushed after a copy",
+                        "pushed after a reset"}
+
+
 class TestWindowCopy:
     def test_copy_continued_alike_matches_original(self):
         params = SignalParams()
@@ -316,9 +377,9 @@ class TestWindowCopy:
         clone.reset()
         assert window_state(window) == before
         update(window, SignalSample(8, 0.5, 0.8), params)
-        assert window_state(clone) == ([], [], 0.0, 0.0, 0, [])
+        assert window_state(clone) == ([], [], [], 0.0, 0.0)
 
-    def test_copy_has_no_instance_dict_and_shares_no_deque(self):
+    def test_copy_has_no_instance_dict_and_shares_no_series(self):
         # `copy.copy` of an instance with a `__dict__` materializes it on
         # both windows, which puts their attributes on CPython's slow path
         params = SignalParams()
@@ -326,9 +387,9 @@ class TestWindowCopy:
         clone = window.copy()
         assert not hasattr(window, "__dict__") and not hasattr(clone, "__dict__")
         before = window_state(window)
-        for queue in (clone.samples, clone.distances, clone._var_history):
-            queue.append(-1.0)
-            queue.popleft()
+        for series in (clone.samples, clone.distances, clone.variances):
+            series[0] = -1.0
+            series.append(-1.0)
         assert window_state(window) == before
         assert window_state(clone) != before
 
