@@ -262,23 +262,29 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
     share one simulation: the first call runs the work list `forks.pending`
     until it is empty, and every call returns its arm's finished trace.
     Such a run skips what no arm can read (`quiet_bounds`). A branch keeps
-    its streak counts as of a step `seen` and runs a step lazily, only
-    pushing the evidence window, while the commit gate is closed and
-    `spent` is below its `streak_checkpoint`, the first step on which a
-    count could reach its patience (or the allocation): every arm persists
-    on such a step whatever Π and Γ are. On any other step, a full one, it
-    first brings the counts up to the step before (`catch_up_streaks`),
-    computing Π or Γ only on the steps each scan passes, from the window's
-    stored series (`signals_at`). Then it computes Π only if some arm
-    enables abort, Γ only while `spent < gamma_until` (unbounded while a
-    switch arm rides a branch with two or more goals open, else the
-    greatest grace of its switch arms, or 0 without one), and Σ only
-    while some arm's commit gate could be open. A branch counts each
-    distinct streak of its arms once (`count_streaks`), a switch streak
-    only while Γ is unbounded. On a full step that is not idle
-    (`quiet_bounds`) one pass over its arms calls each arm's `decide`, and
-    an arm that acts applies its decision to its own copy of the mission;
-    when every arm persisted, the step goes on.
+    its streak counts as of a step `seen`; below its `streak_checkpoint`,
+    the first step on which a count could reach its patience (or the
+    allocation), only a commit can fire. So a step below it is lazy, and
+    every arm persists whatever Π and Γ are, when the commit gate is
+    closed (the step only pushes the evidence window) or when Σ, computed
+    from the signals read back for this step (`signals_at`), is at most
+    the least τ_C. A step at or past the checkpoint whose counts are
+    older than the step before first brings them up to it
+    (`catch_up_streaks`, computing Π or Γ only on the steps each scan
+    passes, from the window's stored series) and moves the checkpoint;
+    if that moves it past the step, the step is lazy as above. Every
+    other step is full: it reads its signals with `update`, or keeps
+    those a gate step read once its counts are caught up. Then it
+    computes Π only if some arm enables abort, Γ only while `spent <
+    gamma_until` (unbounded while a switch arm rides a branch with two
+    or more goals open, else the greatest grace of its switch arms, or 0
+    without one), and Σ only while some arm's commit gate could be open.
+    A branch counts each distinct streak of its arms once
+    (`count_streaks`), a switch streak only while Γ is unbounded. On a
+    full step that is not idle (`quiet_bounds`) one pass over its arms
+    calls each arm's `decide`, and an arm that acts applies its decision
+    to its own copy of the mission; when every arm persisted, the step
+    goes on.
     """
     record_steps = forks is None
     if forks is None:
@@ -344,24 +350,32 @@ def run(spec: EpisodeSpec, variant: MethodVariant, config: RunConfig,
             observe(evidence, source, rng)
             spent += 1
 
-            gate = d < reach
-            if spent < check and not gate:
-                push(evidence, d)  # lazy: every arm persists
-                continue
-            if seen < spent - 1:
+            if spent >= check and seen < spent - 1:
+                # a stale checkpoint: the counts as of the step before may
+                # move it past this step
                 catch_up_streaks(streaks, seen, spent - 1, state)
-            summary = update(window, SignalSample(t, d, evidence), sigpar)
+                seen = spent - 1
+                check = streak_checkpoint(streaks, seen, allocation)
+            gate = d < reach
+            if spent < check:
+                push(evidence, d)
+                if not gate:
+                    continue  # lazy: every arm persists
+                velocity, stab, gain, _ = signals_at(window, spent, sigpar)
+                sigma = sufficiency(evidence, stab, d, weights)
+                if sigma <= least_commit:
+                    continue  # lazy in the gate: no arm's commit test passes
+                if seen < spent - 1:
+                    catch_up_streaks(streaks, seen, spent - 1, state)
+            else:
+                summary = update(window, SignalSample(t, d, evidence), sigpar)
+                velocity, stab, gain = summary.velocity, summary.stability, summary.info_gain
+                sigma = sufficiency(evidence, stab, d, weights) if gate else 0.0
             # a state no arm can read is a placeholder, 1.0 for Π and Γ (above
             # every level) and 0.0 for Σ (`quiet_bounds`)
-            pi = (potentiality(summary.velocity, evidence, summary.stability, weights)
-                  if reads_pi else 1.0)
-            gamma = persistence_gate(
-                summary.info_gain,
-                SunkCost(spent, allocation),
-                summary.velocity,
-                weights,
-            ) if spent < gamma_until else 1.0
-            sigma = sufficiency(evidence, summary.stability, d, weights) if gate else 0.0
+            pi = potentiality(velocity, evidence, stab, weights) if reads_pi else 1.0
+            gamma = (persistence_gate(gain, SunkCost(spent, allocation), velocity, weights)
+                     if spent < gamma_until else 1.0)
             reached = count_streaks(streaks, pi, gamma, spent)
             seen = spent
             check = streak_checkpoint(streaks, seen, allocation)

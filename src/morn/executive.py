@@ -242,8 +242,11 @@ def streak_checkpoint(streaks: dict[StreakKey, int], seen: int, allocation: int)
     ends, so a key first reaches its patience at `max(seen - count,
     grace - 1) + patience`. Before that step no streak reaches its
     patience whatever Π and Γ are, so no abort or switch can fire; with
-    the commit gate closed as well, every arm persists (`run`'s lazy
-    steps). With no key the checkpoint is `allocation`."""
+    the commit gate closed, or Σ at most the least τ_C, every arm
+    persists (`run`'s lazy steps). Counts that are stale at the
+    checkpoint give a later one once brought up to the step before
+    (`catch_up_streaks`) when a streak was reset since `seen`. With no
+    key the checkpoint is `allocation`."""
     check = allocation
     for key, count in streaks.items():
         start = seen - count
@@ -303,11 +306,14 @@ def quiet_bounds(arms: list[tuple[MethodVariant, Thresholds]],
     With `spent` the active goal's steps, this one included, and `d` the
     distance `decide` reads, some arm's commit gate may be open only while
     `d < reach`; outside it no arm's `decide` reads Σ. Inside it an arm
-    still waits out its own commit warmup in `decide`. A step is lazy
-    when that gate is closed and `spent` is below the branch's
-    `streak_checkpoint`: then every arm's `decide` returns PERSIST
-    whatever Π, Γ and Σ are, so the step needs no signal or meta-state.
-    On a full step, one that is not lazy, no arm's `decide` reads Π
+    still waits out its own commit warmup in `decide`. A step with
+    `spent` below the branch's `streak_checkpoint` is lazy when that gate
+    is closed: then every arm's `decide` returns PERSIST whatever Π, Γ
+    and Σ are, so the step needs no signal or meta-state. Inside the gate
+    it is lazy too when Σ <= `commit`: no arm's commit test passes, and
+    no abort, switch or cap can fire below the checkpoint, so every arm
+    persists whatever Π and Γ are; such a step needs Σ alone. On a full
+    step, one that is not lazy, no arm's `decide` reads Π
     unless `reads_pi`, nor Γ unless `spent < gamma_until`, nor the switch
     streak while `gamma_until` is bounded.
 

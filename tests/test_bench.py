@@ -37,6 +37,7 @@ from morn.executive import (
     MethodVariant,
     MissionSchedule,
 )
+from morn.signals import RollingWindow
 from morn.world import Navigator, distance_field, parse_grid
 from test_golden import golden_configs, golden_specs
 from test_executive import set_every_field
@@ -587,6 +588,12 @@ def arm_lists(cfg):
         "tau_c": [(MethodVariant.MORN_FULL,
                    replace(cfg, thresholds=replace(cfg.thresholds, commit=c)))
                   for c in (0.5, 0.55, 0.6, 0.65, 0.7)],
+        # τ_C far apart: a gate step stays lazy only while Σ is at most the
+        # least of them, and the arms above it part from the lowest on
+        # their own commits
+        "tau_c_wide": [(MethodVariant.MORN_FULL,
+                        replace(cfg, thresholds=replace(cfg.thresholds, commit=c)))
+                       for c in (0.45, 0.6, 0.75)],
         "weights": [(v, c) for c in (cfg, other)
                     for v in (MethodVariant.FIXED_ORDER, MethodVariant.MORN_FULL)],
         # one branch whose arms count different streaks: none, abort only,
@@ -659,7 +666,8 @@ class TestForkedArms:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("cfg_index", [0, 1])
     @pytest.mark.parametrize("arms_name",
-                             ["variants", "tau_c", "weights", "streaks", "gates", "grid"])
+                             ["variants", "tau_c", "tau_c_wide", "weights", "streaks",
+                              "gates", "grid"])
     def test_forked_arms_match_independent_runs(self, arms_name, cfg_index, workers):
         cfg = golden_configs()[cfg_index]
         arms = arm_lists(cfg)[arms_name]
@@ -693,31 +701,45 @@ class TestForkedArms:
             assert [len(branch.arms) for branch in forks.pending] == [3]
 
     def test_quiet_steps_compute_no_signal(self, monkeypatch):
-        # lazy steps run no `update`, nor do idle steps call `decide`, nor
-        # does a branch compute a meta-state none of its arms reads, except
-        # in a standalone run, which records every step; a streak's catch-up
-        # computes Π and Γ of lazy steps without `update`, so neither count
-        # is bounded by `update`'s
+        # every step pushes its sample once, through `push` or `update`; a
+        # lazy step stops there, a step inside the commit gate and below
+        # the streak checkpoint reads its Σ and stops there too unless Σ
+        # passes the least τ_C, and only a full step counts the streaks.
+        # An idle full step calls no `decide`, and a branch computes no
+        # meta-state none of its arms reads, except in a standalone run,
+        # which records every step. A streak's catch-up computes Π and Γ of
+        # lazy steps, so neither count is bounded by the full steps'
         states = ("potentiality", "persistence_gate", "sufficiency")
-        counts = dict.fromkeys(("step", "update", *states, "decide"), 0)
+        counts = dict.fromkeys(("step", "push", "update", "count_streaks", *states,
+                                "decide"), 0)
+        decided = set()  # the full steps, by count, on which `decide` ran
 
         def counting(name, real):
             def wrapper(*args):
                 counts[name] += 1
+                if name == "decide":
+                    decided.add(counts["count_streaks"])
                 return real(*args)
             return wrapper
 
         monkeypatch.setattr(Navigator, "step", counting("step", Navigator.step))
-        for name in ("update", *states, "decide"):
+        monkeypatch.setattr(RollingWindow, "push", counting("push", RollingWindow.push))
+        for name in ("update", "count_streaks", *states, "decide"):
             monkeypatch.setattr(bench_mod, name, counting(name, getattr(bench_mod, name)))
         for variant in (MethodVariant.MORN_FULL, MethodVariant.FIXED_ORDER):
             counts.update(dict.fromkeys(counts, 0))
             alone = run(small_suite(1, 0)[0], variant, CFG)
-            assert counts == dict.fromkeys(counts, alone.total_steps), variant
+            every = {name: alone.total_steps for name in counts if name != "update"}
+            assert {name: counts[name] for name in every} == every, variant
+            assert counts["update"] <= alone.total_steps, variant
         counts.update(dict.fromkeys(counts, 0))
+        decided.clear()
         run_suite(small_suite(6, 4), list(MethodVariant), CFG)
-        assert counts["step"] > counts["update"] > counts["sufficiency"] > 0
-        assert counts["update"] > counts["decide"] > 0
+        assert counts["push"] == counts["step"]
+        assert counts["step"] > counts["count_streaks"] >= counts["update"] > 0
+        assert counts["count_streaks"] > len(decided) > 0
+        # Σ is read on gate steps that stay lazy
+        assert counts["step"] > counts["sufficiency"] > counts["count_streaks"]
         assert counts["step"] > counts["potentiality"] > 0
         assert counts["step"] > counts["persistence_gate"] > 0
         # Γ only with a switch arm, Π only with an abort arm
@@ -730,26 +752,30 @@ class TestForkedArms:
 
     def test_window_count_equals_spent(self, monkeypatch):
         # within a goal context the window holds one value per step, lazy
-        # steps included, so the step k a streak's catch-up reads back is
-        # the k-th value; checked on every full step, where `count_streaks`
-        # follows `update` with the goal's `spent`
+        # steps included, so the step k a gate step or a streak's catch-up
+        # reads back is the k-th value; checked on every full step, where
+        # `count_streaks` follows the step's push with the goal's `spent`.
+        # Forked runs have few full steps, so standalone runs add more
         windows, checked = [], []
-        real_update, real_count = bench_mod.update, bench_mod.count_streaks
+        real_push, real_count = RollingWindow.push, bench_mod.count_streaks
 
-        def recording_update(window, sample, params):
+        def recording_push(window, evidence, distance):
             windows.append(window)
-            return real_update(window, sample, params)
+            return real_push(window, evidence, distance)
 
         def checking_count(streaks, pi, gamma, spent):
             checked.append(len(windows[-1].samples) == spent)
             return real_count(streaks, pi, gamma, spent)
 
-        monkeypatch.setattr(bench_mod, "update", recording_update)
+        monkeypatch.setattr(RollingWindow, "push", recording_push)
         monkeypatch.setattr(bench_mod, "count_streaks", checking_count)
         run_suite(small_suite(6, 4), list(MethodVariant), CFG)
         for arms in arm_lists(CFG).values():
             bench_mod._run_arms(small_suite(2, 2), arms, 1)
-        assert len(checked) > 1000 and all(checked)
+        forked = len(checked)
+        for spec in small_suite(2, 2):  # a standalone run: every step full
+            run(spec, MethodVariant.MORN_FULL, CFG)
+        assert forked > 500 and len(checked) - forked > 1000 and all(checked)
 
     def test_configs_differing_beyond_thresholds_never_share(self):
         arms = arm_lists(CFG)["weights"]

@@ -438,15 +438,17 @@ def branch_keys(arms, bounds):
 class TestQuietSteps:
     """`quiet_bounds` and `streak_checkpoint` against `decide` and `streak`:
     on a lazy step no arm acts whatever Π, Γ and Σ are and whatever its
-    streaks counted since `seen`, outside the commit gate no arm's decision
-    depends on Σ, without `reads_pi` none depends on Π, from `gamma_until`
-    on none depends on Γ or the switch streak, and at the checkpoint with
-    the gate closed some arm can act."""
+    streaks counted since `seen`, nor inside the commit gate below the
+    checkpoint with Σ at most the least τ_C, outside the gate no arm's
+    decision depends on Σ, without `reads_pi` none depends on Π, from
+    `gamma_until` on none depends on Γ or the switch streak, and at the
+    checkpoint with the gate closed some arm can act."""
 
     def test_rule_agrees_with_decide(self):
         problems = []
-        seen_cases = dict.fromkeys(("lazy", "gate closed", "at checkpoint", "Π unread",
-                                    "Γ unread, one goal", "Γ unread, no switch arm"), 0)
+        seen_cases = dict.fromkeys(("lazy", "lazy in the gate", "gate closed",
+                                    "at checkpoint", "Π unread", "Γ unread, one goal",
+                                    "Γ unread, no switch arm"), 0)
         for i, (arms, led, distance, remaining, vectors, rng) in enumerate(
                 quiet_cases(10_000, 20240901)):
             bounds = quiet_bounds(arms, remaining)
@@ -484,11 +486,16 @@ class TestQuietSteps:
                 most = max(0, min(key.patience - 1, seen - key.grace + 1))
                 counts[key] = rng.choice((0, most, rng.randint(0, most)))
             check = streak_checkpoint(counts, seen, led.allocation)
+            # Σ at the least τ_C is the most a gate step below the
+            # checkpoint may read and stay lazy
+            at_commit = [replace(sv, sufficiency=bounds.commit) for sv in vectors]
             for now in sorted({spent, check - 1, check}):
                 if now <= seen:
                     continue
                 lazy = now < check and not gate
+                gate_lazy = now < check and gate
                 seen_cases["lazy"] += lazy
+                seen_cases["lazy in the gate"] += gate_lazy
                 seen_cases["at checkpoint"] += now == check and not gate
                 # the most each streak can count by `now`: every step after
                 # `seen` and past grace counted
@@ -498,7 +505,7 @@ class TestQuietSteps:
                 can_act = False
                 for variant, th in arms:
                     abort_key, switch_key = streak_keys(variant, th)
-                    for sv in vectors:
+                    for sv in vectors + at_commit:
                         for streaks in ((0, 0), (most.get(abort_key, 0),
                                                  most.get(switch_key, 0))):
                             d = decide(sv, distance, at_now, th, variant, remaining, *streaks)
@@ -507,6 +514,11 @@ class TestQuietSteps:
                                 if lazy:
                                     problems.append(f"#{i} {variant.name}: {d.reason.name} "
                                                     f"on a lazy step {now} (seen {seen})")
+                                if gate_lazy and sv.sufficiency <= bounds.commit:
+                                    problems.append(
+                                        f"#{i} {variant.name}: {d.reason.name} on gate step "
+                                        f"{now} below the checkpoint with Σ "
+                                        f"{sv.sufficiency} <= {bounds.commit}")
                 if now == check and not gate and not can_act:
                     problems.append(f"#{i}: checkpoint {check}, but no arm can act")
         assert not problems, problems[:5]
@@ -593,11 +605,13 @@ LEVELS = (0.3, 0.5, 0.7)
 def check_lazy_against_eager(keys, states_by_step, seen0, full, allocation):
     """Count `keys`' streaks over `states_by_step`, (Π, Γ) of steps 1, 2,
     ..., once eagerly with `count_streaks` on every step and once as `run`
-    does from step `seen0` on (the eager counts there carried): a step is
-    lazy below `streak_checkpoint` unless it is in `full`, and a full step
-    first catches up with `catch_up_streaks`. The counts must agree after
-    every full step, and no lazy step may be one on which an eager count
-    reaches its patience or the cap. Returns the regimes met."""
+    does from step `seen0` on (the eager counts there carried): a step at
+    or past a stale checkpoint first catches up to the step before with
+    `catch_up_streaks` and moves the checkpoint from there; a step is lazy
+    below `streak_checkpoint` unless it is in `full`, and a full step
+    first catches up. The counts must agree after every catch-up and every
+    full step, and no lazy step may be one on which an eager count reaches
+    its patience or the cap. Returns the regimes met."""
     eager = dict.fromkeys(keys, 0)
     eager_at = [dict(eager)]  # the counts as of step 0, 1, ...
     for spent, (pi, gamma) in enumerate(states_by_step, 1):
@@ -607,12 +621,8 @@ def check_lazy_against_eager(keys, states_by_step, seen0, full, allocation):
     seen = seen0
     check = streak_checkpoint(lazy, seen, allocation)
     regimes = set()
-    for spent in range(seen0 + 1, len(states_by_step) + 1):
-        if spent < check and spent not in full:
-            assert spent < allocation
-            assert all(eager_at[spent][key] < key.patience for key in keys), spent
-            regimes.add("lazy")
-            continue
+
+    def catch_up(spent):
         reads = []
 
         def state(switch, k):
@@ -630,6 +640,20 @@ def check_lazy_against_eager(keys, states_by_step, seen0, full, allocation):
                 stop = spent - 1 - lazy[key]
                 regimes.add(("carried" if before[key] else "scanned to seen") if stop <= seen
                             else "grace" if stop < key.grace else "level")
+
+    for spent in range(seen0 + 1, len(states_by_step) + 1):
+        moved = False
+        if spent >= check and seen < spent - 1:
+            catch_up(spent)
+            seen = spent - 1
+            check = streak_checkpoint(lazy, seen, allocation)
+            moved = spent < check
+        if spent < check and spent not in full:
+            assert spent < allocation
+            assert all(eager_at[spent][key] < key.patience for key in keys), spent
+            regimes.add("moved past" if moved else "lazy")
+            continue
+        catch_up(spent)
         count_streaks(lazy, *states_by_step[spent - 1], spent)
         assert lazy == eager_at[spent], spent
         if any(lazy[key] >= key.patience for key in keys):
@@ -679,8 +703,8 @@ class TestLazyStreaks:
             full = {rng.randint(1, steps) for _ in range(rng.randint(0, 8))}
             regimes |= check_lazy_against_eager(keys, states_by_step, rng.randint(0, steps - 1),
                                                 full, rng.randint(1, steps + 5))
-        assert regimes == {"lazy", "carried", "scanned to seen", "grace", "level",
-                           "reached at checkpoint", "reached"}, regimes
+        assert regimes == {"lazy", "moved past", "carried", "scanned to seen", "grace",
+                           "level", "reached at checkpoint", "reached"}, regimes
 
 
 FIXED, REACTIVE = MethodVariant.FIXED_ORDER, MethodVariant.REACTIVE_ORDER
